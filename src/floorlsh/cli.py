@@ -52,7 +52,7 @@ from .estimation import (
     write_records_csv,
     write_records_json,
 )
-from .exact import ground_truth
+from .exact import audit_results, ground_truth, write_recall_jsonl
 from .families import FamilyKind, c_threshold, sample_pool
 from .index import DEFAULT_MAX_ENTRIES, IndexConfig, LshIndex, Variant, choose_levels
 from .lpspace import check_exponent
@@ -557,7 +557,7 @@ def run_query(params: dict) -> int:
         raise ValueError(f"query file exponent {qp} != index exponent {config.p}")
 
     started = time.perf_counter()
-    results = [index.query(query) for query in queries]
+    results = index.query_batch(queries)
     elapsed = time.perf_counter() - started
 
     parent = Path(out).parent
@@ -578,9 +578,9 @@ def run_query(params: dict) -> int:
 
     missing_total = 0
     if audit:
-        from .exact import recall_report, write_recall_jsonl
-
-        report = recall_report(index, index.points, queries)
+        report = audit_results(
+            results, ground_truth(index.points, queries, c=config.c, p=config.p)
+        )
         write_recall_jsonl(f"{out}.audit.jsonl", report)
         missing_total = sum(len(record.missing) for record in report)
 
@@ -678,7 +678,7 @@ def run_bench_index(params: dict) -> int:
                     )
                     index = LshIndex.build(points, config)
                     started = time.perf_counter()
-                    results = [index.query(query) for query in queries]
+                    results = index.query_batch(queries)
                     query_seconds = time.perf_counter() - started
 
                     candidates = np.array(
@@ -716,23 +716,10 @@ def run_bench_index(params: dict) -> int:
                     if audit:
                         if c not in truth_cache:
                             truth_cache[c] = ground_truth(points, queries, c, p)
-                        truths = truth_cache[c]
-                        recalls, precisions = [], []
-                        missing_total = 0
-                        for result, truth in zip(results, truths):
-                            returned = {i for i, _ in result.neighbors}
-                            within_r = set(truth.within_r)
-                            within_c = set(truth.within_c)
-                            found = len(returned & within_r)
-                            recalls.append(
-                                found / len(within_r) if within_r else 1.0
-                            )
-                            precisions.append(
-                                len(returned & within_c) / len(returned)
-                                if returned
-                                else 1.0
-                            )
-                            missing_total += len(within_r - returned)
+                        records = audit_results(results, truth_cache[c])
+                        recalls = [record.recall for record in records]
+                        precisions = [record.precision for record in records]
+                        missing_total = sum(len(record.missing) for record in records)
                         row.update(
                             recall_min=float(min(recalls)),
                             recall_mean=float(np.mean(recalls)),

@@ -81,8 +81,8 @@ def ground_truth(
         truths.append(
             GroundTruth(
                 query_id=query_id,
-                within_r=tuple(int(i) for i in np.flatnonzero(distances <= r)),
-                within_c=tuple(int(i) for i in np.flatnonzero(distances <= c)),
+                within_r=tuple(np.flatnonzero(distances <= r).tolist()),
+                within_c=tuple(np.flatnonzero(distances <= c).tolist()),
                 nearest_id=nearest,
                 nearest_distance=float(distances[nearest]),
             )
@@ -114,14 +114,20 @@ class RecallRecord:
 def recall_report(index, points: np.ndarray, queries: np.ndarray) -> list[RecallRecord]:
     """Audit index answers for every query against brute-force truth.
 
-    ``index`` is any object with the query interface of
+    ``index`` is any object with the ``query_batch`` interface of
     :class:`floorlsh.index.LshIndex` and matching ``config``.
     """
     config = index.config
-    truths = ground_truth(points, queries, c=config.c, p=config.p)
+    return audit_results(
+        index.query_batch(queries), ground_truth(points, queries, c=config.c, p=config.p)
+    )
+
+
+def audit_results(results: Sequence, truths: Sequence[GroundTruth]) -> list[RecallRecord]:
+    """Audit query results already in hand against their ground truths,
+    pairing them in order."""
     records = []
-    for truth, query in zip(truths, np.asarray(queries, dtype=np.float64)):
-        result = index.query(query)
+    for truth, result in zip(truths, results, strict=True):
         returned = tuple(sorted(point_id for point_id, _ in result.neighbors))
         must = set(truth.within_r)
         acceptable = set(truth.within_c)

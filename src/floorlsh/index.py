@@ -16,20 +16,25 @@ Two storage layouts trade preprocessing against query cost:
 Both return identical distance <= 1 results for the same configuration and
 master seed; the variants can differ only on the optional band (1, c].
 
-Label tuples are folded to 128-bit fingerprints (two independently mixed
-64-bit lanes); a fingerprint collision could at worst add a candidate that
-distance verification then rejects, so correctness does not depend on the
-fingerprint, only bucket sizes do.
+Each label tuple is folded to one mixed 64-bit key, and the entries live in
+one array of keys sorted by (key, id) beside one array of point ids; a
+bucket is a run of equal keys, found by binary search.  Two label tuples
+that fold to the same key share a run; that can only add candidates, and
+distance verification checks every candidate, so correctness does not
+depend on the key, only bucket sizes do.
+
+Labels are exact only while |scale * <w, x>| < 2^53, the range in which a
+double holds every integer, so build and query reject inputs beyond it and
+non-finite inputs.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import math
 import struct
 import time
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from enum import Enum
 from pathlib import Path
 
@@ -42,7 +47,6 @@ from .families import (
     HashFunction,
     c_threshold,
     false_positive_bound,
-    hash_eval_matrix,
     hash_function_from_bytes,
     hash_scale,
     sample_vector,
@@ -52,7 +56,7 @@ from .streams import derive_seed
 
 LN3 = math.log(3.0)
 
-#: Default cap on stored (fingerprint, id) entries; fast_query replication
+#: Default cap on stored (key, id) entries; fast_query replication
 #: multiplies n by 3^L, so the cap is what a build may cost in memory.
 DEFAULT_MAX_ENTRIES = 10_000_000
 
@@ -61,8 +65,18 @@ _CHUNK_ENTRIES = 1 << 20
 _MIX_MULT_1 = np.uint64(0xFF51AFD7ED558CCD)
 _MIX_MULT_2 = np.uint64(0xC4CEB9FE1A85EC53)
 
-_FILE_MAGIC = b"FLSHIDX1"
-_FILE_VERSION = 1
+#: Per-level label offsets a fast_query entry is stored under, and a
+#: fast_preprocessing query probes; the other side folds its own label only.
+_NEIGHBOURHOOD = np.array([-1, 0, 1], dtype=np.int64)
+_OWN_LABEL = np.zeros(1, dtype=np.int64)
+
+#: Doubles hold every integer below 2^53, so floored labels are exact there.
+_EXACT_LABEL_LIMIT = 2.0**53
+
+_FILE_MAGIC = b"FLSHIDX2"
+_FILE_VERSION = 2
+#: The two-lane format before it, recognised only to ask for a rebuild.
+_RETIRED_MAGIC = b"FLSHIDX1"
 _HEADER = struct.Struct("<8sHQ32s")
 _CONFIG_BLOCK = struct.Struct("<BdBBIdIQBQB")
 _STATS_BLOCK = struct.Struct("<dQQQ")
@@ -102,7 +116,7 @@ class IndexConfig:
         unsafe_override: allow c at or below the family threshold.  The
             no-false-negative guarantee still holds; only the false-positive
             bound is forfeited.
-        max_entries: memory guard on stored (fingerprint, id) entries.
+        max_entries: memory guard on stored (key, id) entries.
         copy_points: store an owned copy of the dataset (default) rather
             than a reference.
     """
@@ -224,43 +238,54 @@ def _mix64(values: np.ndarray) -> np.ndarray:
     return values
 
 
+def _exact_labels(inputs: np.ndarray, scaled: np.ndarray, what: str) -> np.ndarray:
+    """floor(scaled) as int64, after checking that it is exact."""
+    # a non-finite coordinate always makes a product non-finite, so it is
+    # only looked for once the range check fails
+    if not (np.abs(scaled) < _EXACT_LABEL_LIMIT).all():
+        if not np.isfinite(inputs).all():
+            raise ValueError(f"{what} must have finite coordinates")
+        raise ValueError(
+            f"{what} reach |scale*<w,x>| >= 2^53, beyond which labels are not "
+            "exact integers"
+        )
+    return np.floor(scaled).astype(np.int64)
+
+
+def _bucket_count(sorted_keys: np.ndarray) -> int:
+    """Distinct keys in a nonempty sorted key array."""
+    return int(np.count_nonzero(sorted_keys[1:] != sorted_keys[:-1])) + 1
+
+
 class _Fingerprinter:
-    """Folds int64 label tuples into two independent 64-bit lanes."""
+    """Folds int64 label tuples into one mixed 64-bit key."""
 
     def __init__(self, master_seed: int, levels: int) -> None:
         base = 1 << 48
-        self.init_1 = np.uint64(derive_seed(master_seed, base))
-        self.init_2 = np.uint64(derive_seed(master_seed, base + 1))
-        self.mults_1 = [
-            np.uint64(derive_seed(master_seed, base + 2 + 2 * i) | 1)
-            for i in range(levels)
-        ]
-        self.mults_2 = [
-            np.uint64(derive_seed(master_seed, base + 3 + 2 * i) | 1)
-            for i in range(levels)
-        ]
+        self.init = np.uint64(derive_seed(master_seed, base))
+        self.mults = np.array(
+            [derive_seed(master_seed, base + 2 + 2 * i) | 1 for i in range(levels)],
+            dtype=np.uint64,
+        )
 
-    def fold(self, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """labels: (..., L) int64 -> (hi, lo) uint64 arrays of shape (...)."""
-        shape = labels.shape[:-1]
-        hi = np.full(shape, self.init_1, dtype=np.uint64)
-        lo = np.full(shape, self.init_2, dtype=np.uint64)
-        for i in range(labels.shape[-1]):
-            v = labels[..., i].astype(np.uint64)
-            hi = _mix64(hi ^ (v * self.mults_1[i]))
-            lo = _mix64(lo ^ (v * self.mults_2[i]))
-        return hi, lo
+    def fold(self, labels: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+        """labels: (m, L) int64 -> (m, k^L) uint64 keys of the label tuples
+        ``labels + o`` for every o in offsets^L (k offsets), o in
+        lexicographic order.
 
-
-def _offset_grid(levels: int) -> np.ndarray:
-    """All 3^L offset tuples in {-1, 0, 1}^L, lexicographic order."""
-    return np.array(
-        list(itertools.product((-1, 0, 1), repeat=levels)), dtype=np.int64
-    )
-
-
-def _pack_keys(hi: np.ndarray, lo: np.ndarray) -> list[int]:
-    return [(int(h) << 64) | int(l) for h, l in zip(hi.tolist(), lo.tolist())]
+        Folds level by level: each key prefix is mixed once and then fans
+        out over the next level's offsets, so a row costs sum_i k^i mixes
+        rather than L * k^L, with keys bit-identical to folding every
+        offset tuple from the start.
+        """
+        m = labels.shape[0]
+        # values[r, i, j]: level i of row r's label moved by offsets[j], times
+        # that level's multiplier
+        values = (labels[:, :, None] + offsets).astype(np.uint64) * self.mults[:, None]
+        keys = np.full((m, 1), self.init, dtype=np.uint64)
+        for level in range(values.shape[1]):
+            keys = _mix64((keys[:, :, None] ^ values[:, level, None, :]).reshape(m, -1))
+        return keys
 
 
 class LshIndex:
@@ -272,8 +297,7 @@ class LshIndex:
         levels: int,
         hash_functions: list[HashFunction],
         points: np.ndarray,
-        entry_hi: np.ndarray,
-        entry_lo: np.ndarray,
+        entry_keys: np.ndarray,
         entry_ids: np.ndarray,
         stats: BuildStats,
     ) -> None:
@@ -282,52 +306,35 @@ class LshIndex:
         self.hash_functions = hash_functions
         self.points = points
         self.stats = stats
-        self._entry_hi = entry_hi
-        self._entry_lo = entry_lo
+        self._entry_keys = entry_keys
         self._entry_ids = entry_ids
         self._w_matrix = np.vstack([h.w for h in hash_functions])
         self._scale = hash_scale(config.kind, config.p, config.d)
         self._fingerprinter = _Fingerprinter(config.master_seed, levels)
-        self._offsets = (
-            _offset_grid(levels)
+        self._probe_offsets = (
+            _NEIGHBOURHOOD
             if config.variant is Variant.FAST_PREPROCESSING
-            else None
+            else _OWN_LABEL
         )
-        self._table = self._build_table(entry_hi, entry_lo, entry_ids)
-
-    @staticmethod
-    def _build_table(
-        hi: np.ndarray, lo: np.ndarray, ids: np.ndarray
-    ) -> dict[int, np.ndarray]:
-        """Bucket map from canonically sorted entry arrays."""
-        if hi.size == 0:
-            return {}
-        boundary = np.flatnonzero((hi[1:] != hi[:-1]) | (lo[1:] != lo[:-1])) + 1
-        starts = np.concatenate(([0], boundary))
-        ends = np.concatenate((boundary, [hi.size]))
-        keys = _pack_keys(hi[starts], lo[starts])
-        return {
-            key: ids[start:end] for key, start, end in zip(keys, starts, ends)
-        }
 
     @property
     def entry_count(self) -> int:
-        """Stored (fingerprint, id) entries: n * 3^L for fast_query, n for
+        """Stored (key, id) entries: n * 3^L for fast_query, n for
         fast_preprocessing."""
         return int(self._entry_ids.size)
 
     @property
     def unique_bucket_count(self) -> int:
-        return len(self._table)
+        return _bucket_count(self._entry_keys)
 
     @classmethod
     def build(cls, points: np.ndarray, config: IndexConfig) -> "LshIndex":
-        """Hash the dataset and lay out the bucket table.
+        """Hash the dataset and lay out the sorted entry arrays.
 
         Deterministic in (points, config): per-level hash seeds derive from
         the master seed by counter, entries are sorted canonically by
-        (fingerprint, id), so identical inputs give identical indexes
-        regardless of how the work would be split.
+        (key, id), so identical inputs give identical indexes regardless of
+        how the work would be split.
         """
         started = time.perf_counter()
         points = np.array(
@@ -349,7 +356,8 @@ class LshIndex:
                     "explicit level count"
                 )
             levels = choose_levels(config.variant, n, d, fp_bound)
-        replication = 3**levels if config.variant is Variant.FAST_QUERY else 1
+        offsets = _NEIGHBOURHOOD if config.variant is Variant.FAST_QUERY else _OWN_LABEL
+        replication = offsets.size**levels
         total_entries = n * replication
         if total_entries > config.max_entries:
             raise ValueError(
@@ -364,56 +372,26 @@ class LshIndex:
         ]
         w_matrix = np.vstack([h.w for h in hash_functions])
         scale = hash_scale(config.kind, config.p, d)
-        labels = hash_eval_matrix(w_matrix, scale, points)
+        labels = _exact_labels(points, scale * (points @ w_matrix.T), "points")
         fingerprinter = _Fingerprinter(config.master_seed, levels)
-        hi = np.empty(total_entries, dtype=np.uint64)
-        lo = np.empty(total_entries, dtype=np.uint64)
-        ids = np.empty(total_entries, dtype=np.int64)
-        if config.variant is Variant.FAST_QUERY:
-            offsets = _offset_grid(levels)
-            chunk = max(1, _CHUNK_ENTRIES // replication)
-            for start in range(0, n, chunk):
-                stop = min(start + chunk, n)
-                block = labels[start:stop, None, :] + offsets[None, :, :]
-                block_hi, block_lo = fingerprinter.fold(block)
-                lo_entry = start * replication
-                hi_entry = stop * replication
-                hi[lo_entry:hi_entry] = block_hi.ravel()
-                lo[lo_entry:hi_entry] = block_lo.ravel()
-                ids[lo_entry:hi_entry] = np.repeat(
-                    np.arange(start, stop, dtype=np.int64), replication
-                )
-        else:
-            hi[:], lo[:] = fingerprinter.fold(labels)
-            ids[:] = np.arange(n, dtype=np.int64)
-        order = np.lexsort((ids, lo, hi))
-        hi, lo, ids = hi[order], lo[order], ids[order]
-        resolved = replace(config, levels=levels)
-        approx_bytes = (
-            points.nbytes + w_matrix.nbytes + hi.nbytes + lo.nbytes + ids.nbytes
-        )
+        keys = np.empty(total_entries, dtype=np.uint64)
+        chunk = max(1, _CHUNK_ENTRIES // replication)
+        for start in range(0, n, chunk):
+            block = fingerprinter.fold(labels[start : start + chunk], offsets)
+            keys[start * replication : start * replication + block.size] = block.ravel()
+        # an entry's id is its position // replication, so a stable sort on
+        # the key alone orders the entries by (key, id)
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        ids = order // replication
         stats = BuildStats(
             seconds=time.perf_counter() - started,
             entries=total_entries,
-            unique_buckets=0,  # patched below, after the table exists
-            approx_bytes=approx_bytes,
+            unique_buckets=_bucket_count(keys),
+            approx_bytes=points.nbytes + w_matrix.nbytes + keys.nbytes + ids.nbytes,
         )
-        instance = cls(
-            config=resolved,
-            levels=levels,
-            hash_functions=hash_functions,
-            points=points,
-            entry_hi=hi,
-            entry_lo=lo,
-            entry_ids=ids,
-            stats=stats,
-        )
-        instance.stats = replace(
-            stats,
-            seconds=time.perf_counter() - started,
-            unique_buckets=instance.unique_bucket_count,
-        )
-        return instance
+        resolved = replace(config, levels=levels)
+        return cls(resolved, levels, hash_functions, points, keys, ids, stats)
 
     def query(self, query: np.ndarray) -> QueryResult:
         """All indexed points within distance c that hashing can reach.
@@ -427,104 +405,144 @@ class LshIndex:
             raise ValueError(
                 f"query has shape {query.shape}, expected ({self.config.d},)"
             )
-        label = np.floor(self._scale * (self._w_matrix @ query)).astype(np.int64)
-        if self.config.variant is Variant.FAST_QUERY:
-            probe_labels = label[None, :]
-        else:
-            probe_labels = label[None, :] + self._offsets
-        hi, lo = self._fingerprinter.fold(probe_labels)
-        buckets = [
-            self._table.get(key) for key in _pack_keys(hi, lo)
-        ]
-        found = [bucket for bucket in buckets if bucket is not None]
-        if found:
-            pulled = np.concatenate(found)
-            candidates = np.unique(pulled)
-        else:
-            pulled = np.empty(0, dtype=np.int64)
-            candidates = pulled
+        return self.query_batch(query[None, :])[0]
+
+    def query_batch(self, queries: np.ndarray) -> list[QueryResult]:
+        """:meth:`query` for every row of ``queries``, answer for answer.
+
+        Labels, folds and bucket lookups run over the whole batch at once;
+        candidates are then verified query by query.
+        """
+        queries = np.asarray(queries, dtype=np.float64)
+        if queries.ndim != 2 or queries.shape[1] != self.config.d:
+            raise ValueError(
+                f"queries have shape {queries.shape}, expected (m, {self.config.d})"
+            )
+        # one matrix-vector product per query: a matrix product may round
+        # differently, and a query's labels must not depend on its batch
+        products = np.array([self._w_matrix @ query for query in queries])
+        labels = _exact_labels(
+            queries, self._scale * products.reshape(len(queries), self.levels), "queries"
+        )
+        width = self._probe_offsets.size**self.levels
+        chunk = max(1, _CHUNK_ENTRIES // width)
+        results = []
+        for start in range(0, len(queries), chunk):
+            stop = start + chunk
+            pulled, bounds = self._lookup(labels[start:stop])
+            for i, query in enumerate(queries[start:stop]):
+                results.append(self._verify(query, pulled[bounds[i] : bounds[i + 1]], width))
+        return results
+
+    def _lookup(self, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Ids stored under the probe keys of each label row, row after row,
+        and the bounds of each row's run in them."""
+        entry_keys = self._entry_keys
+        probes = self._fingerprinter.fold(labels, self._probe_offsets)
+        width = probes.shape[1]
+        # sorted probes let each binary search start from the one before
+        probes = np.sort(probes, axis=1).ravel()
+        first = np.searchsorted(entry_keys, probes)
+        hits = np.flatnonzero(entry_keys[np.minimum(first, entry_keys.size - 1)] == probes)
+        starts = first[hits]
+        counts = np.searchsorted(entry_keys, probes[hits], side="right") - starts
+        ends = np.cumsum(counts)
+        gather = np.arange(counts.sum()) + np.repeat(starts - ends + counts, counts)
+        row_hits = np.searchsorted(hits, np.arange(len(labels) + 1) * width)
+        bounds = np.concatenate(([0], ends))[row_hits]
+        return self._entry_ids[gather], bounds
+
+    def _verify(self, query: np.ndarray, pulled: np.ndarray, width: int) -> QueryResult:
+        candidates = np.unique(pulled)
         stats = QueryStats(
-            buckets_probed=len(buckets),
+            buckets_probed=width,
             candidates_scanned=int(pulled.size),
             distance_evals=int(candidates.size),
             duplicates_suppressed=int(pulled.size - candidates.size),
         )
-        if candidates.size == 0:
-            return QueryResult(neighbors=[], stats=stats)
         distances = lp_distances(self.points[candidates], query, self.config.p)
         keep = distances <= self.config.c
-        neighbors = sorted(
-            zip(
-                (int(i) for i in candidates[keep]),
-                (float(t) for t in distances[keep]),
-            ),
-            key=lambda pair: (pair[1], pair[0]),
-        )
+        ids, distances = candidates[keep], distances[keep]
+        # candidates ascend by id, so a stable sort orders by (distance, id)
+        order = np.argsort(distances, kind="stable")
+        neighbors = list(zip(ids[order].tolist(), distances[order].tolist()))
         return QueryResult(neighbors=neighbors, stats=stats)
 
     # -- serialization ------------------------------------------------------
 
-    def to_bytes(self) -> bytes:
-        """Versioned binary image with a whole-payload checksum."""
+    def _image(self) -> list:
+        """The image as buffers: the header, then the payload sections."""
         config = self.config
         p_tag = 1 if math.isinf(config.p) else 0
-        config_block = _CONFIG_BLOCK.pack(
-            p_tag,
-            0.0 if p_tag else float(config.p),
-            _KIND_TAGS[config.kind],
-            _VARIANT_TAGS[config.variant],
-            config.d,
-            config.c,
-            self.levels,
-            config.master_seed,
-            1 if config.unsafe_override else 0,
-            config.max_entries,
-            1 if config.copy_points else 0,
-        )
-        stats_block = _STATS_BLOCK.pack(
-            self.stats.seconds,
-            self.stats.entries,
-            self.stats.unique_buckets,
-            self.stats.approx_bytes,
-        )
-        n = self.points.shape[0]
+        records = [function.to_bytes() for function in self.hash_functions]
+        head = b"".join([
+            _CONFIG_BLOCK.pack(
+                p_tag,
+                0.0 if p_tag else float(config.p),
+                _KIND_TAGS[config.kind],
+                _VARIANT_TAGS[config.variant],
+                config.d,
+                config.c,
+                self.levels,
+                config.master_seed,
+                1 if config.unsafe_override else 0,
+                config.max_entries,
+                1 if config.copy_points else 0,
+            ),
+            _STATS_BLOCK.pack(*astuple(self.stats)),
+            struct.pack("<QI", self.points.shape[0], config.d),
+        ])
+        points = np.ascontiguousarray(self.points, dtype="<f8")
+        tail = [struct.pack("<I", len(records))]
+        for record in records:
+            tail += [struct.pack("<I", len(record)), record]
+        tail = b"".join([*tail, struct.pack("<Q", self._entry_ids.size)])
+        # pad so the entry arrays start 8-byte aligned in the image, which
+        # lets from_bytes keep them as views
+        tail += bytes(-(_HEADER.size + len(head) + points.nbytes + len(tail)) % 8)
         sections = [
-            config_block,
-            stats_block,
-            struct.pack("<QI", n, self.config.d),
-            np.ascontiguousarray(self.points, dtype="<f8").tobytes(),
-            struct.pack("<I", len(self.hash_functions)),
+            head,
+            points,
+            tail,
+            self._entry_keys.astype("<u8", copy=False),
+            self._entry_ids.astype("<i8", copy=False),
         ]
-        for function in self.hash_functions:
-            record = function.to_bytes()
-            sections.append(struct.pack("<I", len(record)))
-            sections.append(record)
-        sections.append(struct.pack("<Q", self._entry_ids.size))
-        sections.append(self._entry_hi.astype("<u8").tobytes())
-        sections.append(self._entry_lo.astype("<u8").tobytes())
-        sections.append(self._entry_ids.astype("<i8").tobytes())
-        payload = b"".join(sections)
-        header = _HEADER.pack(
-            _FILE_MAGIC, _FILE_VERSION, len(payload), hashlib.sha256(payload).digest()
-        )
-        return header + payload
+        digest = hashlib.sha256()
+        for section in sections:
+            digest.update(section)
+        length = sum(memoryview(section).nbytes for section in sections)
+        return [_HEADER.pack(_FILE_MAGIC, _FILE_VERSION, length, digest.digest()), *sections]
+
+    def to_bytes(self) -> bytes:
+        """Versioned binary image with a whole-payload checksum."""
+        return b"".join(self._image())
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "LshIndex":
-        """Rebuild an index from :meth:`to_bytes` output, verifying the
-        checksum; the rebuilt index answers queries identically."""
-        if len(blob) < _HEADER.size:
+        """Rebuild an index from :meth:`to_bytes` output, verifying length
+        and checksum; the rebuilt index answers queries identically.
+
+        The entry arrays stay read-only views of ``blob``: nothing is copied
+        or rebuilt, so ``blob`` must not change while the index lives.
+        """
+        image = memoryview(blob).toreadonly()
+        if image.nbytes < _HEADER.size:
             raise ValueError("index image is truncated")
-        magic, version, payload_length, digest = _HEADER.unpack_from(blob, 0)
+        magic, version, payload_length, digest = _HEADER.unpack_from(image, 0)
+        if magic == _RETIRED_MAGIC:
+            raise ValueError(
+                "index image format FLSHIDX1 (version 1) is no longer "
+                "supported; rebuild the index to write FLSHIDX2"
+            )
         if magic != _FILE_MAGIC:
             raise ValueError("not an index image")
         if version != _FILE_VERSION:
             raise ValueError(f"unsupported index image version {version}")
-        payload = blob[_HEADER.size :]
-        if len(payload) != payload_length:
+        payload = image[_HEADER.size :]
+        if payload.nbytes != payload_length:
             raise ValueError(
                 f"index image is truncated: expected {payload_length} payload "
-                f"bytes, got {len(payload)}"
+                f"bytes, got {payload.nbytes}"
             )
         if hashlib.sha256(payload).digest() != digest:
             raise ValueError("index image checksum mismatch: file is corrupted")
@@ -543,9 +561,7 @@ class LshIndex:
             copy_points,
         ) = _CONFIG_BLOCK.unpack_from(payload, cursor)
         cursor += _CONFIG_BLOCK.size
-        seconds, entries, unique_buckets, approx_bytes = _STATS_BLOCK.unpack_from(
-            payload, cursor
-        )
+        stats = BuildStats(*_STATS_BLOCK.unpack_from(payload, cursor))
         cursor += _STATS_BLOCK.size
         n, d_points = struct.unpack_from("<QI", payload, cursor)
         cursor += struct.calcsize("<QI")
@@ -567,20 +583,11 @@ class LshIndex:
             cursor += record_length
         (entry_count,) = struct.unpack_from("<Q", payload, cursor)
         cursor += 8
-        hi = np.frombuffer(payload, dtype="<u8", count=entry_count, offset=cursor).astype(
-            np.uint64
-        )
-        cursor += entry_count * 8
-        lo = np.frombuffer(payload, dtype="<u8", count=entry_count, offset=cursor).astype(
-            np.uint64
-        )
-        cursor += entry_count * 8
-        ids = np.frombuffer(payload, dtype="<i8", count=entry_count, offset=cursor).astype(
-            np.int64
-        )
-        cursor += entry_count * 8
-        if cursor != len(payload):
+        cursor += -(_HEADER.size + cursor) % 8
+        if cursor + 16 * entry_count != payload.nbytes:
             raise ValueError("index image has trailing or missing bytes")
+        keys = _entry_view(payload, "<u8", entry_count, cursor)
+        ids = _entry_view(payload, "<i8", entry_count, cursor + 8 * entry_count)
         config = IndexConfig(
             p=math.inf if p_tag else p_value,
             d=d,
@@ -593,26 +600,19 @@ class LshIndex:
             max_entries=max_entries,
             copy_points=bool(copy_points),
         )
-        instance = cls(
-            config=config,
-            levels=levels,
-            hash_functions=hash_functions,
-            points=points,
-            entry_hi=hi,
-            entry_lo=lo,
-            entry_ids=ids,
-            stats=BuildStats(
-                seconds=seconds,
-                entries=entries,
-                unique_buckets=unique_buckets,
-                approx_bytes=approx_bytes,
-            ),
-        )
-        return instance
+        return cls(config, levels, hash_functions, points, keys, ids, stats)
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_bytes(self.to_bytes())
+        with open(path, "wb") as handle:
+            for part in self._image():
+                handle.write(part)
 
     @classmethod
     def load(cls, path: str | Path) -> "LshIndex":
         return cls.from_bytes(Path(path).read_bytes())
+
+
+def _entry_view(payload: memoryview, dtype: str, count: int, offset: int) -> np.ndarray:
+    view = np.frombuffer(payload, dtype=dtype, count=count, offset=offset)
+    # a misaligned view would make every searchsorted copy the whole array
+    return view if view.flags.aligned else view.copy()

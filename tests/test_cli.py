@@ -277,6 +277,24 @@ class TestBuildQueryAudit:
         audit = [json.loads(line) for line in open(f"{out}.audit.jsonl")]
         assert all(entry["missing"] == [] for entry in audit)
 
+    @pytest.mark.parametrize("value, message", [("nan", "finite"), ("1e300", "2^53")])
+    def test_unusable_coordinates_are_a_usage_error(self, tmp_path, capsys, value, message):
+        dataset = _gen_gaussian(tmp_path)
+        index_path = self._build(tmp_path, dataset)
+        lines = dataset.read_text().splitlines()
+        lines[3] = " ".join([value, *lines[3].split()[1:]])
+        bad = tmp_path / "bad.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        argvs = [
+            ["build", "--dataset", str(bad), "--c-multiplier", "1.5", "--levels", "3",
+             "--master-seed", "11", "--out", str(tmp_path / "bad.bin")],
+            ["query", "--index", str(index_path), "--queries", str(bad),
+             "--out", str(tmp_path / "r.jsonl")],
+        ]
+        for argv in argvs:
+            assert main(argv) == 2
+            assert message in capsys.readouterr().err
+
     def test_mismatched_norms_are_a_usage_error(self, tmp_path, capsys):
         dataset = _gen_gaussian(tmp_path)
         index_path = self._build(tmp_path, dataset)

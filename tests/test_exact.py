@@ -86,16 +86,18 @@ class TestGroundTruth:
 
 def _stub_index(answers, c=5.0, p=2.0):
     """Minimal object with the query interface the auditor relies on."""
-    queue = list(answers)
 
-    def query(_):
-        neighbors = queue.pop(0)
-        return SimpleNamespace(
-            neighbors=neighbors,
-            stats=SimpleNamespace(candidates_scanned=len(neighbors)),
-        )
+    def query_batch(queries):
+        assert len(queries) == len(answers)
+        return [
+            SimpleNamespace(
+                neighbors=neighbors,
+                stats=SimpleNamespace(candidates_scanned=len(neighbors)),
+            )
+            for neighbors in answers
+        ]
 
-    return SimpleNamespace(config=SimpleNamespace(c=c, p=p), query=query)
+    return SimpleNamespace(config=SimpleNamespace(c=c, p=p), query_batch=query_batch)
 
 
 class TestRecallReport:

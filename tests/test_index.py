@@ -1,19 +1,24 @@
 """Tests for the bucket index: level selection, storage layouts, the
 no-false-negative query guarantee, and the binary image format."""
 
+import itertools
 import math
+import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from floorlsh import index as index_module
 from floorlsh.exact import lp_distances, recall_report
 from floorlsh.families import FamilyKind, c_threshold, false_positive_bound
 from floorlsh.index import (
     IndexConfig,
     LshIndex,
     Variant,
+    _Fingerprinter,
     choose_levels,
 )
 
@@ -160,6 +165,72 @@ class TestStorageLayout:
         with pytest.raises(ValueError):
             LshIndex.build(np.zeros((10, 5)), _config())
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_points(self, bad):
+        points = _cloud(n=20)
+        points[7, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            LshIndex.build(points, _config())
+
+    def test_rejects_labels_beyond_exact_integers(self):
+        points = _cloud(n=20)
+        points[3] = 1e20
+        with pytest.raises(ValueError, match="2\\^53"):
+            LshIndex.build(points, _config())
+
+    def test_entries_are_sorted_by_key_then_id(self):
+        for variant in Variant:
+            index = LshIndex.build(_cloud(n=200), _config(variant=variant))
+            keys, ids = index._entry_keys, index._entry_ids
+            np.testing.assert_array_equal(np.lexsort((ids, keys)), np.arange(keys.size))
+
+    def test_unique_bucket_count_counts_distinct_keys(self):
+        for variant in Variant:
+            index = LshIndex.build(_cloud(n=200), _config(variant=variant))
+            distinct = np.unique(index._entry_keys).size
+            assert index.unique_bucket_count == distinct
+            assert index.stats.unique_buckets == distinct
+
+
+class TestFold:
+    @given(
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=0, max_value=2**64 - 1),
+        st.lists(
+            st.integers(min_value=-(2**63), max_value=2**63 - 1), min_size=6, max_size=6
+        ),
+    )
+    @settings(deadline=None, max_examples=60)
+    def test_level_by_level_fold_matches_the_explicit_offset_grid(
+        self, levels, master_seed, label
+    ):
+        """Keys of the 3^L neighbourhood, folded one level at a time, equal
+        folding each offset tuple of the grid from the start."""
+        fingerprinter = _Fingerprinter(master_seed, levels)
+        label = np.array(label[:levels], dtype=np.int64)
+        grid = np.array(list(itertools.product((-1, 0, 1), repeat=levels)))
+        expected = []
+        with np.errstate(over="ignore"):
+            for offset in grid:
+                key = fingerprinter.init
+                for value, mult in zip((label + offset).astype(np.uint64), fingerprinter.mults):
+                    key = _mix_scalar(key ^ (value * mult))
+                expected.append(key)
+        folded = fingerprinter.fold(label[None, :], np.array([-1, 0, 1]))
+        assert folded.tolist() == [[int(key) for key in expected]]
+        own = fingerprinter.fold(label[None, :], np.array([0]))
+        assert own.tolist() == [[int(expected[len(grid) // 2])]]
+
+
+def _mix_scalar(value):
+    """The 64-bit finalizer the index mixes with, one scalar at a time."""
+    value ^= value >> np.uint64(33)
+    value *= np.uint64(0xFF51AFD7ED558CCD)
+    value ^= value >> np.uint64(29)
+    value *= np.uint64(0xC4CEB9FE1A85EC53)
+    value ^= value >> np.uint64(32)
+    return value
+
 
 class TestQueryGuarantees:
     def _audit(self, variant, kind, p, c):
@@ -213,6 +284,38 @@ class TestQueryGuarantees:
         index = LshIndex.build(_cloud(n=20), _config())
         with pytest.raises(ValueError):
             index.query(np.zeros(5))
+        with pytest.raises(ValueError):
+            index.query_batch(np.zeros(6))
+
+    def test_rejects_non_finite_queries(self):
+        index = LshIndex.build(_cloud(n=20), _config())
+        with pytest.raises(ValueError, match="finite"):
+            index.query(np.array([0.0, 1.0, math.nan, 0.0, 0.0, 0.0]))
+        queries = _cloud(n=4)
+        queries[2, 0] = math.inf
+        with pytest.raises(ValueError, match="finite"):
+            index.query_batch(queries)
+
+    def test_rejects_queries_beyond_exact_integers(self):
+        index = LshIndex.build(_cloud(n=20), _config())
+        with pytest.raises(ValueError, match="2\\^53"):
+            index.query(np.full(6, -1e20))
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_batch_answers_query_by_query(self, variant, monkeypatch):
+        """A batch answers, stats included, exactly as single queries do,
+        also when it spans many chunks; chunking leaves the build alone."""
+        points = _cloud(n=300, seed=4)
+        index = LshIndex.build(points, _config(variant=variant))
+        queries = np.vstack([points[:40] + 0.03, _cloud(n=10, seed=8) * 20])
+        singles = [index.query(q) for q in queries]
+        assert index.query_batch(queries) == singles
+        assert index.query_batch(np.empty((0, 6))) == []
+        monkeypatch.setattr(index_module, "_CHUNK_ENTRIES", 16)
+        chunked = LshIndex.build(points, _config(variant=variant))
+        np.testing.assert_array_equal(chunked._entry_keys, index._entry_keys)
+        np.testing.assert_array_equal(chunked._entry_ids, index._entry_ids)
+        assert chunked.query_batch(queries) == singles
 
 
 class TestVariantEquivalence:
@@ -238,9 +341,11 @@ class TestVariantEquivalence:
         points = _cloud(n=80)
         one = LshIndex.build(points, _config())
         two = LshIndex.build(points, _config())
-        np.testing.assert_array_equal(one._entry_hi, two._entry_hi)
-        np.testing.assert_array_equal(one._entry_lo, two._entry_lo)
+        np.testing.assert_array_equal(one._entry_keys, two._entry_keys)
         np.testing.assert_array_equal(one._entry_ids, two._entry_ids)
+        # the images differ only in the build time they record
+        two.stats = replace(two.stats, seconds=one.stats.seconds)
+        assert one.to_bytes() == two.to_bytes()
         query = points[3] + 0.01
         assert one.query(query) == two.query(query)
 
@@ -303,3 +408,39 @@ class TestSerialization:
     def test_foreign_bytes_are_rejected(self):
         with pytest.raises(ValueError, match="not an index image"):
             LshIndex.from_bytes(b"\x00" * 64)
+
+    def test_version_1_images_ask_for_a_rebuild(self):
+        header = struct.pack("<8sHQ32s", b"FLSHIDX1", 1, 8, bytes(32))
+        with pytest.raises(ValueError, match="FLSHIDX1.*version 1.*rebuild"):
+            LshIndex.from_bytes(header + bytes(8))
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_loaded_entries_are_aligned_views_of_the_image(self, variant, tmp_path):
+        points = _cloud(n=120, seed=6)
+        index = LshIndex.build(points, _config(variant=variant))
+        index.save(tmp_path / "index.bin")
+        blob = (tmp_path / "index.bin").read_bytes()
+        assert blob == index.to_bytes()
+        clone = LshIndex.from_bytes(blob)
+        image = np.frombuffer(blob, dtype=np.uint8)
+        for loaded, built in (
+            (clone._entry_keys, index._entry_keys),
+            (clone._entry_ids, index._entry_ids),
+        ):
+            assert loaded.flags.aligned
+            assert not loaded.flags.writeable
+            assert np.shares_memory(loaded, image)
+            np.testing.assert_array_equal(loaded, built)
+        queries = points[:30] + 0.02
+        assert clone.query_batch(queries) == index.query_batch(queries)
+
+    def test_a_misaligned_buffer_still_loads_aligned_arrays(self):
+        index = LshIndex.build(_cloud(n=40), _config(variant=Variant.FAST_QUERY))
+        blob = index.to_bytes()
+        shifted = bytearray(len(blob) + 1)
+        shifted[1:] = blob
+        clone = LshIndex.from_bytes(memoryview(shifted)[1:])
+        assert clone._entry_keys.flags.aligned and clone._entry_ids.flags.aligned
+        np.testing.assert_array_equal(clone._entry_keys, index._entry_keys)
+        query = _cloud(n=1)[0]
+        assert clone.query(query) == index.query(query)
