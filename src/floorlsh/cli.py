@@ -946,7 +946,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--max-entries", type=int, default=DEFAULT_MAX_ENTRIES)
     bench.add_argument("--calibrate-fp-trials", type=int, default=0)
     bench.add_argument(
-        "--no-audit", action="store_true",
+        "--no-audit", dest="audit", action="store_false",
         help="skip the exact-search comparison columns",
     )
     bench.add_argument("--out", required=True)
@@ -960,108 +960,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _params_from_args(args: argparse.Namespace) -> dict:
-    command = args.command
-    if command == "gen-data":
-        return {
-            "shape": args.shape,
-            "n": args.n,
-            "d": args.d,
-            "p": args.p,
-            "seed": args.seed,
-            "out": args.out,
-            "scale": args.scale,
-            "distances": args.distances,
-            "pairs": args.pairs,
-            "spread": args.spread,
-            "truth_out": args.truth_out,
-            "c": args.c,
-            "lo_factor": args.lo_factor,
-            "hi_factor": args.hi_factor,
-            "max_norm_factor": args.max_norm_factor,
-        }
-    if command == "verify-bounds":
-        return {
-            "mode": args.mode,
-            "kinds": args.kinds,
-            "ps": args.ps,
-            "ds": args.ds,
-            "shapes": args.shapes,
-            "alphas": args.alphas,
-            "c_multipliers": args.c_multipliers,
-            "q": args.q,
-            "trials": args.trials,
-            "seeds": args.seeds,
-            "out": args.out,
-            "format": args.format,
-            "self_test_bound_scale": args.self_test_bound_scale,
-        }
-    if command == "levy":
-        return {
-            "ds": args.ds,
-            "lambdas": args.lambdas,
-            "trials": args.trials,
-            "seed": args.seed,
-            "out": args.out,
-            "format": args.format,
-        }
-    if command == "probe-conjecture":
-        return {
-            "q": args.q,
-            "ds": args.ds,
-            "epsilons": args.epsilons,
-            "trials": args.trials,
-            "seed": args.seed,
-            "out": args.out,
-            "format": args.format,
-        }
-    if command == "build":
-        return {
-            "dataset": args.dataset,
-            "kind": args.kind,
-            "variant": args.variant,
-            "c": args.c,
-            "c_multiplier": args.c_multiplier,
-            "levels": args.levels,
-            "master_seed": args.master_seed,
-            "max_entries": args.max_entries,
-            "unsafe_override": args.unsafe_override,
-            "calibrate_fp_trials": args.calibrate_fp_trials,
-            "out": args.out,
-        }
-    if command == "query":
-        return {
-            "index": args.index,
-            "queries": args.queries,
-            "out": args.out,
-            "audit": args.audit,
-        }
-    if command == "bench-index":
-        return {
-            "dataset": args.dataset,
-            "queries": args.queries,
-            "kinds": args.kinds,
-            "variants": args.variants,
-            "c_multipliers": args.c_multipliers,
-            "levels": args.levels,
-            "master_seeds": args.master_seeds,
-            "max_entries": args.max_entries,
-            "calibrate_fp_trials": args.calibrate_fp_trials,
-            "audit": not args.no_audit,
-            "out": args.out,
-            "format": args.format,
-        }
-    if command == "replay":
-        return {"manifest": args.manifest}
-    raise ValueError(f"unknown command {command!r}")
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    runner = _RUNNERS.get(args.command, run_replay)
+    # every option's destination is its parameter name, so the parsed
+    # namespace is the parameter set that manifests record and replay
+    params = vars(parser.parse_args(argv))
+    runner = _RUNNERS.get(params.pop("command"), run_replay)
     try:
-        return runner(_params_from_args(args))
+        return runner(params)
     except (ValueError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2

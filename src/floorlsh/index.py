@@ -207,6 +207,10 @@ def choose_levels(variant: Variant, n: int, d: int, fp_bound: float) -> int:
 
 @dataclass(frozen=True)
 class BuildStats:
+    """Figures of one build.  ``seconds`` is the build's wall-clock time; an
+    image records 0.0 in its place, so images are reproducible byte for
+    byte, and a loaded index reports ``seconds == 0.0``."""
+
     seconds: float
     entries: int
     unique_buckets: int
@@ -255,6 +259,38 @@ def _exact_labels(inputs: np.ndarray, scaled: np.ndarray, what: str) -> np.ndarr
 def _bucket_count(sorted_keys: np.ndarray) -> int:
     """Distinct keys in a nonempty sorted key array."""
     return int(np.count_nonzero(sorted_keys[1:] != sorted_keys[:-1])) + 1
+
+
+def _sort_entries(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(keys[order], order), for order the stable argsort of uint64 ``keys``.
+
+    The low b = bit_length(size - 1) bits of each key are replaced by its
+    position, so one in-place sort of these tagged keys, numpy's vectorised
+    quicksort, orders the entries by (high key bits, position), far faster
+    than a stable argsort; masking the tags back out of the same buffer
+    gives the order.  The gathered keys can be out of order only within a
+    slice of equal high bits that holds distinct keys; a stable argsort of
+    each such slice settles it.
+    """
+    bits = (keys.size - 1).bit_length()
+    mask = np.uint64((1 << bits) - 1)
+    tagged = keys & ~mask
+    tagged |= np.arange(keys.size, dtype=np.uint64)
+    tagged.sort()
+    tagged &= mask
+    order = tagged.view(np.int64)
+    keys = keys[order]
+    unsorted = np.flatnonzero(keys[1:] < keys[:-1])
+    # the high bits ascend along the keys, so binary search bounds the
+    # slice of each high-bit value an unsorted pair has
+    high = np.unique(keys[unsorted] & ~mask)
+    starts = np.searchsorted(keys, high)
+    stops = np.searchsorted(keys, high | mask, side="right")
+    for start, stop in zip(starts, stops):
+        fix = start + np.argsort(keys[start:stop], kind="stable")
+        keys[start:stop] = keys[fix]
+        order[start:stop] = order[fix]
+    return keys, order
 
 
 class _Fingerprinter:
@@ -325,7 +361,7 @@ class LshIndex:
 
     @property
     def unique_bucket_count(self) -> int:
-        return _bucket_count(self._entry_keys)
+        return self.stats.unique_buckets
 
     @classmethod
     def build(cls, points: np.ndarray, config: IndexConfig) -> "LshIndex":
@@ -334,7 +370,9 @@ class LshIndex:
         Deterministic in (points, config): per-level hash seeds derive from
         the master seed by counter, entries are sorted canonically by
         (key, id), so identical inputs give identical indexes regardless of
-        how the work would be split.
+        how the work would be split.  The sort is one vectorised sort of
+        position-tagged keys, with a stable repair of the rare slices where
+        distinct keys share their high bits (see ``_sort_entries``).
         """
         started = time.perf_counter()
         points = np.array(
@@ -379,11 +417,11 @@ class LshIndex:
         for start in range(0, n, chunk):
             block = fingerprinter.fold(labels[start : start + chunk], offsets)
             keys[start * replication : start * replication + block.size] = block.ravel()
-        # an entry's id is its position // replication, so a stable sort on
-        # the key alone orders the entries by (key, id)
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        ids = order // replication
+        # an entry's id is its position // replication, so the stable order
+        # of the keys is the (key, id) order; the ids are divided in the
+        # order's own buffer
+        keys, ids = _sort_entries(keys)
+        ids //= replication
         stats = BuildStats(
             seconds=time.perf_counter() - started,
             entries=total_entries,
@@ -489,7 +527,7 @@ class LshIndex:
                 config.max_entries,
                 1 if config.copy_points else 0,
             ),
-            _STATS_BLOCK.pack(*astuple(self.stats)),
+            _STATS_BLOCK.pack(*astuple(replace(self.stats, seconds=0.0))),
             struct.pack("<QI", self.points.shape[0], config.d),
         ])
         points = np.ascontiguousarray(self.points, dtype="<f8")

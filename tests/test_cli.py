@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from floorlsh import cli
 from floorlsh.cli import BENCH_COLUMNS, main
 from floorlsh.data import read_pairs_truth, read_points
 from floorlsh.estimation import BOUND_COLUMNS, CONJECTURE_COLUMNS, LEVY_COLUMNS
@@ -409,3 +410,77 @@ class TestEntryPoints:
         )
         assert result.returncode == 0
         assert result.stdout.strip()
+
+
+
+_BENCH_FLAGS = ["--dataset", "d", "--queries", "q", "--master-seeds", "1", "--out", "x"]
+_BENCH_PARAMS = {
+    "dataset": "d", "queries": "q", "kinds": "uniform_cube",
+    "variants": "fast_query,fast_preprocessing", "c_multipliers": "4", "levels": "auto",
+    "master_seeds": "1", "max_entries": 10000000, "calibrate_fp_trials": 0, "audit": True,
+    "out": "x", "format": "csv",
+}
+
+#: Each subcommand's parameter set for its required flags alone, as its
+#: runner receives it and its manifest records it; replaying a manifest
+#: reproduces its outputs only while these stay the same.
+_PARAMS = {
+    "gen-data": (
+        ["--shape", "gaussian", "--n", "5", "--d", "2", "--p", "2", "--seed", "1",
+         "--out", "x"],
+        {"shape": "gaussian", "n": 5, "d": 2, "p": "2", "seed": 1, "out": "x",
+         "scale": "1.0", "distances": "0.5,0.75,0.999", "pairs": 50, "spread": "6.0",
+         "truth_out": None, "c": None, "lo_factor": "1.05", "hi_factor": "1.5",
+         "max_norm_factor": "0.04"},
+    ),
+    "verify-bounds": (
+        ["--seeds", "1", "--out", "x"],
+        {"mode": "small-ball", "kinds": "uniform_cube", "ps": "2", "ds": "2,8,64",
+         "shapes": "axis,flat,two_coordinate", "alphas": "0.05,0.1,0.25,0.5",
+         "c_multipliers": "4,10,20", "q": "2", "trials": 100000, "seeds": "1",
+         "out": "x", "format": "csv", "self_test_bound_scale": "1.0"},
+    ),
+    "levy": (
+        ["--seed", "1", "--out", "x"],
+        {"ds": "4,16", "lambdas": "0.1,0.5,1.0", "trials": 100000, "seed": 1,
+         "out": "x", "format": "csv"},
+    ),
+    "probe-conjecture": (
+        ["--q", "2", "--seed", "1", "--out", "x"],
+        {"q": "2", "ds": "8,64", "epsilons": "0.01,0.02,0.05,0.1", "trials": 100000,
+         "seed": 1, "out": "x", "format": "csv"},
+    ),
+    "build": (
+        ["--dataset", "d", "--master-seed", "1", "--out", "x"],
+        {"dataset": "d", "kind": "uniform_cube", "variant": "fast_query", "c": None,
+         "c_multiplier": None, "levels": "auto", "master_seed": 1,
+         "max_entries": 10000000, "unsafe_override": False, "calibrate_fp_trials": 0,
+         "out": "x"},
+    ),
+    "query": (
+        ["--index", "i", "--queries", "q", "--out", "x"],
+        {"index": "i", "queries": "q", "out": "x", "audit": False},
+    ),
+    "bench-index": (_BENCH_FLAGS, _BENCH_PARAMS),
+    "bench-index --no-audit": (
+        [*_BENCH_FLAGS, "--no-audit"], {**_BENCH_PARAMS, "audit": False}
+    ),
+    "replay": (["--manifest", "m"], {"manifest": "m"}),
+}
+
+
+class TestParameters:
+    @pytest.mark.parametrize("name", list(_PARAMS))
+    def test_runners_receive_the_recorded_parameter_set(self, name, monkeypatch):
+        flags, expected = _PARAMS[name]
+        received = []
+
+        def record(params):
+            received.append(params)
+            return 0
+
+        for command in cli._RUNNERS:
+            monkeypatch.setitem(cli._RUNNERS, command, record)
+        monkeypatch.setattr(cli, "run_replay", record)
+        assert main([name.split()[0], *flags]) == 0
+        assert received == [expected]
