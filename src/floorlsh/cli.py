@@ -1,12 +1,17 @@
 """Command-line surface: dataset generation, bound verification, index
 benchmarking, and manifest-driven replay.
 
-Every command resolves its full parameter set up front, runs
-deterministically from explicit seeds, and writes ``<out>.manifest.json``
-echoing that resolved set.  Data tables (CSV / JSON / JSONL) never contain
-timestamps or wall-clock values, so replaying a manifest reproduces them
-byte for byte; creation time and timings live only in the manifest and on
-stdout.
+``build_parser`` is the one declaration of every option: its name, type and
+default.  The parsed namespace is the parameter set a runner reads, and
+every command writes ``<out>.manifest.json`` recording that set together
+with the values the run resolved from it (the canonical dataset shape, the
+factor ``c``, the level count, a dataset's ``n``/``d``/``p``).  ``replay``
+turns a manifest's parameters back into ``--flag=value`` arguments and
+parses them with the same parser, so a replayed run is typed and checked
+exactly like a fresh one.  Commands run deterministically from explicit
+seeds.  Data tables (CSV / JSON / JSONL) never contain timestamps or
+wall-clock values, so replaying a manifest reproduces them byte for byte;
+creation time and timings live only in the manifest and on stdout.
 
 Exit codes: 0 success, 1 a checked bound or recall guarantee failed,
 2 usage or configuration error.
@@ -16,10 +21,12 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import math
 import sys
 import time
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -92,44 +99,34 @@ _SHAPE_ALIASES = {
 }
 
 
-def _as_float(value: object) -> float:
-    """Coerce a CLI or manifest value to float, accepting 'inf'."""
-    if isinstance(value, str):
-        text = value.strip().lower()
-        if text in {"inf", "infinity"}:
-            return math.inf
-        if text in {"-inf", "-infinity"}:
-            return -math.inf
-        return float(text)
-    return float(value)  # type: ignore[arg-type]
+def _comma_list(convert):
+    """Argparse type: a nonempty comma-separated list of ``convert`` values."""
+
+    def parse(text: str) -> list:
+        try:
+            items = [convert(part.strip()) for part in text.split(",") if part.strip()]
+        except ValueError as error:
+            raise argparse.ArgumentTypeError(str(error)) from None
+        if not items:
+            raise argparse.ArgumentTypeError("expected a nonempty comma-separated list")
+        return items
+
+    return parse
 
 
-def _as_float_list(value: object) -> list[float]:
-    if isinstance(value, str):
-        return [_as_float(part) for part in value.split(",") if part.strip()]
-    return [_as_float(item) for item in value]  # type: ignore[union-attr]
+def _levels(text: str) -> str | int:
+    """Argparse type of ``--levels``: a label length or ``auto``."""
+    return text if text == "auto" else int(text)
 
 
-def _as_int_list(value: object) -> list[int]:
-    if isinstance(value, str):
-        return [int(part) for part in value.split(",") if part.strip()]
-    return [int(item) for item in value]  # type: ignore[union-attr]
-
-
-def _as_str_list(value: object) -> list[str]:
-    if isinstance(value, str):
-        return [part.strip() for part in value.split(",") if part.strip()]
-    return [str(item) for item in value]  # type: ignore[union-attr]
-
-
-def _as_levels(value: object) -> int | None:
-    if value is None or value == "auto":
-        return None
-    return int(value)  # type: ignore[arg-type]
+def _as_levels(value: str | int) -> int | None:
+    return None if value == "auto" else value
 
 
 def _manifest_value(value: object) -> object:
     """Recursively convert a parameter value to a JSON-safe form."""
+    if isinstance(value, Enum):
+        return value.value
     if isinstance(value, float) and math.isinf(value):
         return "inf" if value > 0 else "-inf"
     if isinstance(value, (list, tuple)):
@@ -168,8 +165,6 @@ def _write_manifest(
 
 def _emit_records(out: str, fmt: str, columns, records) -> list[str]:
     """Write records in the requested format(s); return written paths."""
-    if fmt not in {"csv", "json", "both"}:
-        raise ValueError(f"unknown format {fmt!r}")
     parent = Path(out).parent
     if parent != Path():
         parent.mkdir(parents=True, exist_ok=True)
@@ -192,46 +187,31 @@ def _emit_records(out: str, fmt: str, columns, records) -> list[str]:
 
 
 def run_gen_data(params: dict) -> int:
-    shape = _SHAPE_ALIASES.get(str(params["shape"]))
-    if shape is None:
-        raise ValueError(f"unknown dataset shape {params['shape']!r}")
-    n = int(params["n"])
-    d = int(params["d"])
-    p = check_exponent(_as_float(params["p"]))
-    seed = int(params["seed"])
-    out = str(params["out"])
-    resolved = {"shape": shape, "n": n, "d": d, "p": p, "seed": seed, "out": out}
+    shape = _SHAPE_ALIASES[params["shape"]]
+    n, d, seed, out = params["n"], params["d"], params["seed"], params["out"]
+    p = check_exponent(params["p"])
+    resolved = {**params, "shape": shape, "p": p}
 
     if shape in {"gaussian", "uniform_cube"}:
-        scale = _as_float(params.get("scale", 1.0))
-        resolved["scale"] = scale
         maker = gaussian_points if shape == "gaussian" else uniform_cube_points
-        points = maker(n, d, seed, scale=scale)
+        points = maker(n, d, seed, scale=params["scale"])
     elif shape == "planted_pairs":
-        distances = _as_float_list(params.get("distances", [0.5, 0.75, 0.999]))
-        pairs = int(params.get("pairs", 50))
-        spread = _as_float(params.get("spread", 6.0))
-        truth_out = str(params.get("truth_out") or f"{out}.pairs.csv")
-        resolved.update(
-            distances=distances, pairs=pairs, spread=spread, truth_out=truth_out
+        resolved["truth_out"] = params["truth_out"] or f"{out}.pairs.csv"
+        points, planted = planted_pairs_dataset(
+            n, d, p, params["distances"], params["pairs"], seed, params["spread"]
         )
-        points, planted = planted_pairs_dataset(n, d, p, distances, pairs, seed, spread)
-        write_pairs_truth(truth_out, planted)
+        write_pairs_truth(resolved["truth_out"], planted)
+    elif params["c"] is None:
+        raise ValueError(f"--c is required for shape {shape}")
     elif shape == "far_ring":
-        if params.get("c") is None:
-            raise ValueError("--c is required for shape far_ring")
-        c = _as_float(params["c"])
-        lo = _as_float(params.get("lo_factor", 1.05))
-        hi = _as_float(params.get("hi_factor", 1.5))
-        resolved.update(c=c, lo_factor=lo, hi_factor=hi)
-        points = far_ring_dataset(n, d, p, c, seed, lo_factor=lo, hi_factor=hi)
+        points = far_ring_dataset(
+            n, d, p, params["c"], seed,
+            lo_factor=params["lo_factor"], hi_factor=params["hi_factor"],
+        )
     else:  # near_queries
-        if params.get("c") is None:
-            raise ValueError("--c is required for shape near_queries")
-        c = _as_float(params["c"])
-        max_norm = _as_float(params.get("max_norm_factor", 0.04))
-        resolved.update(c=c, max_norm_factor=max_norm)
-        points = near_origin_queries(n, d, p, c, seed, max_norm_factor=max_norm)
+        points = near_origin_queries(
+            n, d, p, params["c"], seed, max_norm_factor=params["max_norm_factor"]
+        )
 
     write_points(out, points, p)
     _write_manifest(out, "gen-data", resolved)
@@ -253,93 +233,53 @@ def _scaled_verdict(bound: float | None, ci_low: float, scale: float):
     return scaled, vacuous, (not vacuous) and ci_low > scaled
 
 
+def _small_ball_grid(params: dict):
+    """(record, estimate) for every cell of the small-ball grid."""
+    for kind in params["kinds"]:
+        kwargs = {"q": params["q"]} if kind is FamilyKind.LQ_SPHERE_EXPERIMENTAL else {}
+        for d in params["ds"]:
+            for shape in params["shapes"]:
+                x = unit_direction(shape, 2.0, d)
+                for seed in params["seeds"]:
+                    curve = small_ball_curve(
+                        kind, d, x, params["alphas"], params["trials"], seed, **kwargs
+                    )
+                    for est in curve:
+                        yield small_ball_record(est), est
+
+
+def _false_positive_grid(params: dict):
+    """(record, estimate) for every cell of the false-positive grid."""
+    for kind in params["kinds"]:
+        for p in params["ps"]:
+            for d in params["ds"]:
+                tau = c_threshold(kind, p, d)
+                if tau is None:
+                    raise ValueError(f"family {kind.value} has no false-positive bound")
+                for mult in params["c_multipliers"]:
+                    for shape in params["shapes"]:
+                        for seed in params["seeds"]:
+                            est = estimate_false_positive_rate(
+                                kind, p, d, mult * tau, params["trials"], seed,
+                                shape=shape,
+                            )
+                            yield false_positive_record(est), est
+
+
 def run_verify_bounds(params: dict) -> int:
-    mode = str(params.get("mode", "small-ball"))
-    if mode not in {"small-ball", "false-positive"}:
-        raise ValueError(f"unknown verify-bounds mode {mode!r}")
-    kinds = [FamilyKind(k) for k in _as_str_list(params.get("kinds", "uniform_cube"))]
-    ds = _as_int_list(params.get("ds", "2,8,64"))
-    shapes = [FarPairShape(s) for s in
-              _as_str_list(params.get("shapes", "axis,flat,two_coordinate"))]
-    trials = int(params.get("trials", 100_000))
-    seeds = _as_int_list(params["seeds"])
-    out = str(params["out"])
-    fmt = str(params.get("format", "csv"))
-    scale = _as_float(params.get("self_test_bound_scale", 1.0))
-    q = _as_float(params.get("q", 2.0))
-    if not ds or not seeds or not kinds or not shapes:
-        raise ValueError("verify-bounds grids must be nonempty")
-
-    resolved = {
-        "mode": mode,
-        "kinds": [k.value for k in kinds],
-        "ds": ds,
-        "shapes": [s.value for s in shapes],
-        "trials": trials,
-        "seeds": seeds,
-        "out": out,
-        "format": fmt,
-        "self_test_bound_scale": scale,
-        "q": q,
-    }
-
+    mode = params["mode"]
+    scale = params["self_test_bound_scale"]
+    grid = _small_ball_grid if mode == "small-ball" else _false_positive_grid
     records = []
     violations = 0
-    if mode == "small-ball":
-        alphas = _as_float_list(params.get("alphas", "0.05,0.1,0.25,0.5"))
-        if not alphas:
-            raise ValueError("verify-bounds grids must be nonempty")
-        resolved["alphas"] = alphas
-        for kind in kinds:
-            for d in ds:
-                for shape in shapes:
-                    x = unit_direction(shape, 2.0, d)
-                    for seed in seeds:
-                        kwargs = {"q": q} if kind is FamilyKind.LQ_SPHERE_EXPERIMENTAL else {}
-                        curve = small_ball_curve(
-                            kind, d, x, alphas, trials, seed, **kwargs
-                        )
-                        for est in curve:
-                            record = small_ball_record(est)
-                            bound, vacuous, violated = _scaled_verdict(
-                                est.bound, est.ci_low, scale
-                            )
-                            record["bound"] = bound
-                            record["vacuous"] = vacuous
-                            violations += violated
-                            records.append(record)
-    else:
-        ps = _as_float_list(params.get("ps", "2"))
-        multipliers = _as_float_list(params.get("c_multipliers", "4,10,20"))
-        if not ps or not multipliers:
-            raise ValueError("verify-bounds grids must be nonempty")
-        resolved["ps"] = ps
-        resolved["c_multipliers"] = multipliers
-        for kind in kinds:
-            for p in ps:
-                for d in ds:
-                    tau = c_threshold(kind, p, d)
-                    if tau is None:
-                        raise ValueError(
-                            f"family {kind.value} has no false-positive bound"
-                        )
-                    for mult in multipliers:
-                        for shape in shapes:
-                            for seed in seeds:
-                                est = estimate_false_positive_rate(
-                                    kind, p, d, mult * tau, trials, seed, shape=shape
-                                )
-                                record = false_positive_record(est)
-                                bound, vacuous, violated = _scaled_verdict(
-                                    est.bound, est.ci_low, scale
-                                )
-                                record["bound"] = bound
-                                record["vacuous"] = vacuous
-                                violations += violated
-                                records.append(record)
+    for record, est in grid(params):
+        bound, vacuous, violated = _scaled_verdict(est.bound, est.ci_low, scale)
+        record.update(bound=bound, vacuous=vacuous)
+        violations += violated
+        records.append(record)
 
-    paths = _emit_records(out, fmt, BOUND_COLUMNS, records)
-    _write_manifest(out, "verify-bounds", resolved)
+    paths = _emit_records(params["out"], params["format"], BOUND_COLUMNS, records)
+    _write_manifest(params["out"], "verify-bounds", params)
     print(
         f"verify-bounds[{mode}]: {len(records)} rows -> {', '.join(paths)}; "
         f"violations={violations}"
@@ -353,32 +293,16 @@ def run_verify_bounds(params: dict) -> int:
 
 
 def run_levy(params: dict) -> int:
-    ds = _as_int_list(params.get("ds", "4,16"))
-    lambdas = _as_float_list(params.get("lambdas", "0.1,0.5,1.0"))
-    trials = int(params.get("trials", 100_000))
-    seed = int(params["seed"])
-    out = str(params["out"])
-    fmt = str(params.get("format", "csv"))
-    if not ds or not lambdas:
-        raise ValueError("levy grids must be nonempty")
-    resolved = {
-        "ds": ds,
-        "lambdas": lambdas,
-        "trials": trials,
-        "seed": seed,
-        "out": out,
-        "format": fmt,
-    }
-
+    trials = params["trials"]
     records = []
     violations = 0
-    for d in ds:
+    for d in params["ds"]:
         x = np.ones(d)
-        pool = sample_pool(FamilyKind.UNIFORM_CUBE, d, trials, seed)
+        pool = sample_pool(FamilyKind.UNIFORM_CUBE, d, trials, params["seed"])
         samples = pool @ x
         variances = x**2 / 3.0
         norm2 = math.sqrt(d)
-        for lam_rel in lambdas:
+        for lam_rel in params["lambdas"]:
             lam = lam_rel * norm2
             q_hat = levy_concentration(samples, lam)
             bound = theoretical_q_bound(variances, lam)
@@ -396,8 +320,8 @@ def run_levy(params: dict) -> int:
                 }
             )
 
-    paths = _emit_records(out, fmt, LEVY_COLUMNS, records)
-    _write_manifest(out, "levy", resolved)
+    paths = _emit_records(params["out"], params["format"], LEVY_COLUMNS, records)
+    _write_manifest(params["out"], "levy", params)
     print(
         f"levy: {len(records)} rows -> {', '.join(paths)}; violations={violations}"
     )
@@ -409,31 +333,15 @@ def run_levy(params: dict) -> int:
 
 
 def run_probe_conjecture(params: dict) -> int:
-    q = check_exponent(_as_float(params["q"]))
-    ds = _as_int_list(params.get("ds", "8,64"))
-    epsilons = _as_float_list(params.get("epsilons", "0.01,0.02,0.05,0.1"))
-    trials = int(params.get("trials", 100_000))
-    seed = int(params["seed"])
-    out = str(params["out"])
-    fmt = str(params.get("format", "csv"))
-    if not ds or not epsilons:
-        raise ValueError("probe-conjecture grids must be nonempty")
-    resolved = {
-        "q": q,
-        "ds": ds,
-        "epsilons": epsilons,
-        "trials": trials,
-        "seed": seed,
-        "out": out,
-        "format": fmt,
-    }
-
+    q = check_exponent(params["q"])
     records = []
-    for d in ds:
-        rows = conjecture_probe(q, d, epsilons, trials, seed)
+    for d in params["ds"]:
+        rows = conjecture_probe(
+            q, d, params["epsilons"], params["trials"], params["seed"]
+        )
         records.extend(conjecture_record(row) for row in rows)
-    paths = _emit_records(out, fmt, CONJECTURE_COLUMNS, records)
-    _write_manifest(out, "probe-conjecture", resolved)
+    paths = _emit_records(params["out"], params["format"], CONJECTURE_COLUMNS, records)
+    _write_manifest(params["out"], "probe-conjecture", params)
     max_ratio = max((record["ratio"] for record in records), default=0.0)
     print(
         f"probe-conjecture: {len(records)} rows -> {', '.join(paths)}; "
@@ -446,18 +354,16 @@ def run_probe_conjecture(params: dict) -> int:
 # build / query
 
 
-def _resolve_c(params: dict, kind: FamilyKind, p: float, d: int) -> float:
+def _resolve_c(params: dict, kind: str, p: float, d: int) -> float:
     """Resolve the approximation factor from --c or --c-multiplier."""
-    c_raw = params.get("c")
-    mult_raw = params.get("c_multiplier")
-    if (c_raw is None) == (mult_raw is None):
+    if (params["c"] is None) == (params["c_multiplier"] is None):
         raise ValueError("exactly one of --c and --c-multiplier is required")
-    if c_raw is not None:
-        return _as_float(c_raw)
+    if params["c"] is not None:
+        return params["c"]
     tau = c_threshold(kind, p, d)
     if tau is None:
-        raise ValueError(f"family {kind.value} has no collision threshold")
-    return _as_float(mult_raw) * tau
+        raise ValueError(f"family {kind} has no collision threshold")
+    return params["c_multiplier"] * tau
 
 
 def _calibrated_levels(
@@ -480,23 +386,16 @@ def _calibrated_levels(
 
 
 def run_build(params: dict) -> int:
-    dataset = str(params["dataset"])
-    kind = FamilyKind(str(params.get("kind", "uniform_cube")))
-    variant = Variant(str(params.get("variant", "fast_query")))
-    master_seed = int(params["master_seed"])
-    levels = _as_levels(params.get("levels", "auto"))
-    max_entries = int(params.get("max_entries", DEFAULT_MAX_ENTRIES))
-    unsafe = bool(params.get("unsafe_override", False))
-    calibrate = int(params.get("calibrate_fp_trials", 0))
-    out = str(params["out"])
+    kind, variant, master_seed = params["kind"], params["variant"], params["master_seed"]
+    levels = _as_levels(params["levels"])
+    calibrate = params["calibrate_fp_trials"]
+    out = params["out"]
 
-    points, p = read_points(dataset)
+    points, p = read_points(params["dataset"])
     n, d = points.shape
     c = _resolve_c(params, kind, p, d)
     if levels is None and calibrate > 0:
-        levels = _calibrated_levels(
-            variant, kind, p, d, n, c, calibrate, master_seed
-        )
+        levels = _calibrated_levels(variant, kind, p, d, n, c, calibrate, master_seed)
     config = IndexConfig(
         p=p,
         d=d,
@@ -505,32 +404,20 @@ def run_build(params: dict) -> int:
         variant=variant,
         levels=levels,
         master_seed=master_seed,
-        unsafe_override=unsafe,
-        max_entries=max_entries,
+        unsafe_override=params["unsafe_override"],
+        max_entries=params["max_entries"],
     )
     index = LshIndex.build(points, config)
     index.save(out)
+    # replay rebuilds from the resolved c and level count; n, d and p are
+    # recorded for readers of the manifest
     resolved = {
-        "dataset": dataset,
-        "kind": kind.value,
-        "variant": variant.value,
-        "p": p,
-        "d": d,
-        "n": n,
-        "c": c,
-        "levels": index.levels,
-        "master_seed": master_seed,
-        "max_entries": max_entries,
-        "unsafe_override": unsafe,
-        "calibrate_fp_trials": calibrate,
-        "out": out,
+        **params, "c": c, "levels": index.levels, "c_multiplier": None,
+        "n": n, "d": d, "p": p,
     }
     stats = index.stats
     _write_manifest(
-        out,
-        "build",
-        resolved,
-        extra={"timings": {"build_seconds": stats.seconds}},
+        out, "build", resolved, extra={"timings": {"build_seconds": stats.seconds}}
     )
     print(
         f"build: {n} points, levels={index.levels}, entries={stats.entries}, "
@@ -541,13 +428,9 @@ def run_build(params: dict) -> int:
 
 
 def run_query(params: dict) -> int:
-    index_path = str(params["index"])
-    queries_path = str(params["queries"])
-    out = str(params["out"])
-    audit = bool(params.get("audit", False))
-
-    index = LshIndex.load(index_path)
-    queries, qp = read_points(queries_path)
+    out, audit = params["out"], params["audit"]
+    index = LshIndex.load(params["index"])
+    queries, qp = read_points(params["queries"])
     config = index.config
     if queries.shape[1] != config.d:
         raise ValueError(
@@ -584,14 +467,8 @@ def run_query(params: dict) -> int:
         write_recall_jsonl(f"{out}.audit.jsonl", report)
         missing_total = sum(len(record.missing) for record in report)
 
-    resolved = {
-        "index": index_path,
-        "queries": queries_path,
-        "out": out,
-        "audit": audit,
-    }
     _write_manifest(
-        out, "query", resolved, extra={"timings": {"query_seconds": elapsed}}
+        out, "query", params, extra={"timings": {"query_seconds": elapsed}}
     )
     message = f"query: {len(results)} queries -> {out}"
     if audit:
@@ -605,62 +482,30 @@ def run_query(params: dict) -> int:
 
 
 def run_bench_index(params: dict) -> int:
-    dataset = str(params["dataset"])
-    queries_path = str(params["queries"])
-    kinds = [FamilyKind(k) for k in _as_str_list(params.get("kinds", "uniform_cube"))]
-    variants = [
-        Variant(v)
-        for v in _as_str_list(params.get("variants", "fast_query,fast_preprocessing"))
-    ]
-    multipliers = _as_float_list(params.get("c_multipliers", "4"))
-    levels = _as_levels(params.get("levels", "auto"))
-    master_seeds = _as_int_list(params["master_seeds"])
-    max_entries = int(params.get("max_entries", DEFAULT_MAX_ENTRIES))
-    calibrate = int(params.get("calibrate_fp_trials", 0))
-    audit = bool(params.get("audit", True))
-    out = str(params["out"])
-    fmt = str(params.get("format", "csv"))
-    if not kinds or not variants or not multipliers or not master_seeds:
-        raise ValueError("bench-index grids must be nonempty")
+    levels = _as_levels(params["levels"])
+    calibrate = params["calibrate_fp_trials"]
+    audit = params["audit"]
 
-    points, p = read_points(dataset)
-    queries, qp = read_points(queries_path)
+    points, p = read_points(params["dataset"])
+    queries, qp = read_points(params["queries"])
     if qp != p:
         raise ValueError(f"query exponent {qp} != dataset exponent {p}")
     n, d = points.shape
     if queries.shape[1] != d:
         raise ValueError(f"query dimension {queries.shape[1]} != dataset {d}")
 
-    resolved = {
-        "dataset": dataset,
-        "queries": queries_path,
-        "kinds": [k.value for k in kinds],
-        "variants": [v.value for v in variants],
-        "c_multipliers": multipliers,
-        "levels": "auto" if levels is None else levels,
-        "master_seeds": master_seeds,
-        "max_entries": max_entries,
-        "calibrate_fp_trials": calibrate,
-        "audit": audit,
-        "out": out,
-        "format": fmt,
-        "n": n,
-        "d": d,
-        "p": p,
-    }
-
     truth_cache: dict[float, list] = {}
     rows = []
     timings = []
     missing_grand_total = 0
-    for kind in kinds:
+    for kind in params["kinds"]:
         tau = c_threshold(kind, p, d)
         if tau is None:
             raise ValueError(f"family {kind.value} has no collision threshold")
-        for mult in multipliers:
+        for mult in params["c_multipliers"]:
             c = mult * tau
-            for variant in variants:
-                for master_seed in master_seeds:
+            for variant in params["variants"]:
+                for master_seed in params["master_seeds"]:
                     run_levels = levels
                     if run_levels is None and calibrate > 0:
                         run_levels = _calibrated_levels(
@@ -674,21 +519,15 @@ def run_bench_index(params: dict) -> int:
                         variant=variant,
                         levels=run_levels,
                         master_seed=master_seed,
-                        max_entries=max_entries,
+                        max_entries=params["max_entries"],
                     )
                     index = LshIndex.build(points, config)
                     started = time.perf_counter()
                     results = index.query_batch(queries)
                     query_seconds = time.perf_counter() - started
 
-                    candidates = np.array(
-                        [r.stats.candidates_scanned for r in results]
-                    )
-                    buckets = np.array([r.stats.buckets_probed for r in results])
-                    evals = np.array([r.stats.distance_evals for r in results])
-                    dupes = np.array(
-                        [r.stats.duplicates_suppressed for r in results]
-                    )
+                    def mean(counter: str) -> float:
+                        return float(np.mean([getattr(r.stats, counter) for r in results]))
 
                     row = {
                         "kind": kind.value,
@@ -705,10 +544,10 @@ def run_bench_index(params: dict) -> int:
                         "precision_min": None,
                         "precision_mean": None,
                         "missing_total": None,
-                        "mean_candidates": float(candidates.mean()),
-                        "mean_buckets_probed": float(buckets.mean()),
-                        "mean_distance_evals": float(evals.mean()),
-                        "mean_duplicates_suppressed": float(dupes.mean()),
+                        "mean_candidates": mean("candidates_scanned"),
+                        "mean_buckets_probed": mean("buckets_probed"),
+                        "mean_distance_evals": mean("distance_evals"),
+                        "mean_duplicates_suppressed": mean("duplicates_suppressed"),
                         "entries": index.stats.entries,
                         "unique_buckets": index.stats.unique_buckets,
                     }
@@ -741,7 +580,9 @@ def run_bench_index(params: dict) -> int:
                         }
                     )
 
-    paths = _emit_records(out, fmt, BENCH_COLUMNS, rows)
+    out = params["out"]
+    paths = _emit_records(out, params["format"], BENCH_COLUMNS, rows)
+    resolved = {**params, "n": n, "d": d, "p": p}
     _write_manifest(out, "bench-index", resolved, extra={"timings": timings})
     message = f"bench-index: {len(rows)} rows -> {', '.join(paths)}"
     if audit:
@@ -765,8 +606,28 @@ _RUNNERS = {
 }
 
 
+#: Keys that build and bench-index record for readers of the manifest: facts
+#: about the dataset, not options, so replay leaves them out.
+_DATASET_FACTS = ("n", "d", "p")
+
+
+def _flags(params: dict) -> list[str]:
+    """Recorded parameters as ``--flag=value`` arguments: lists joined with
+    commas, booleans as ``--flag`` / ``--no-flag``, None left out."""
+    flags = []
+    for key, value in params.items():
+        flag = "--" + key.replace("_", "-")
+        if isinstance(value, bool):
+            flags.append(flag if value else f"--no-{flag[2:]}")
+        elif isinstance(value, list):
+            flags.append(f"{flag}={','.join(map(str, value))}")
+        elif value is not None:
+            flags.append(f"{flag}={value}")
+    return flags
+
+
 def run_replay(params: dict) -> int:
-    manifest_path = str(params["manifest"])
+    manifest_path = params["manifest"]
     with open(manifest_path) as handle:
         manifest = json.load(handle)
     schema = manifest.get("schema_version")
@@ -776,11 +637,17 @@ def run_replay(params: dict) -> int:
             f"(expected {SCHEMA_VERSION})"
         )
     command = manifest.get("command")
-    runner = _RUNNERS.get(command)
-    if runner is None:
+    if command not in _RUNNERS:
         raise ValueError(f"manifest names unknown command {command!r}")
+    recorded = manifest["params"]
+    if command in {"build", "bench-index"}:
+        recorded = {k: v for k, v in recorded.items() if k not in _DATASET_FACTS}
+    # no abbreviations: a recorded key must name its option exactly
+    parser = build_parser(allow_abbrev=False)
+    replayed = vars(parser.parse_args([command, *_flags(recorded)]))
+    del replayed["command"]
     print(f"replay: {command} from {manifest_path}")
-    return runner(manifest["params"])
+    return _RUNNERS[command](replayed)
 
 
 # ---------------------------------------------------------------------------
@@ -794,7 +661,7 @@ def _add_format(sub: argparse.ArgumentParser) -> None:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(allow_abbrev: bool = True) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="floorlsh",
         description=(
@@ -802,13 +669,16 @@ def build_parser() -> argparse.ArgumentParser:
             "collision bounds empirically, and benchmark the exact-recall "
             "index.  Every command writes <out>.manifest.json for replay."
         ),
+        allow_abbrev=allow_abbrev,
     )
     parser.add_argument(
         "--version", action="version", version=f"floorlsh {__version__}"
     )
     commands = parser.add_subparsers(dest="command", required=True)
+    command = functools.partial(commands.add_parser, allow_abbrev=allow_abbrev)
+    ints, floats = _comma_list(int), _comma_list(float)
 
-    gen = commands.add_parser(
+    gen = command(
         "gen-data", help="generate a dataset or query file in the text format"
     )
     gen.add_argument(
@@ -817,25 +687,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     gen.add_argument("--n", type=int, required=True, help="number of points")
     gen.add_argument("--d", type=int, required=True, help="dimension")
-    gen.add_argument("--p", required=True, help="norm exponent (1 <= p, or inf)")
+    gen.add_argument(
+        "--p", type=float, required=True, help="norm exponent (1 <= p, or inf)"
+    )
     gen.add_argument("--seed", type=int, required=True, help="generation seed")
     gen.add_argument("--out", required=True, help="output dataset path")
-    gen.add_argument("--scale", default="1.0", help="gaussian/cube scale")
+    gen.add_argument("--scale", type=float, default=1.0, help="gaussian/cube scale")
     gen.add_argument(
-        "--distances", default="0.5,0.75,0.999",
+        "--distances", type=floats, default="0.5,0.75,0.999",
         help="planted pair distances, comma-separated",
     )
     gen.add_argument("--pairs", type=int, default=50, help="planted pair count")
-    gen.add_argument("--spread", default="6.0", help="background spread")
+    gen.add_argument("--spread", type=float, default=6.0, help="background spread")
     gen.add_argument("--truth-out", help="planted pairs truth CSV path")
-    gen.add_argument("--c", help="approximation factor (far_ring, near_queries)")
-    gen.add_argument("--lo-factor", default="1.05", help="far ring inner radius / c")
-    gen.add_argument("--hi-factor", default="1.5", help="far ring outer radius / c")
     gen.add_argument(
-        "--max-norm-factor", default="0.04", help="near query max norm / c"
+        "--c", type=float, help="approximation factor (far_ring, near_queries)"
+    )
+    gen.add_argument(
+        "--lo-factor", type=float, default=1.05, help="far ring inner radius / c"
+    )
+    gen.add_argument(
+        "--hi-factor", type=float, default=1.5, help="far ring outer radius / c"
+    )
+    gen.add_argument(
+        "--max-norm-factor", type=float, default=0.04, help="near query max norm / c"
     )
 
-    verify = commands.add_parser(
+    verify = command(
         "verify-bounds",
         help="estimate collision probabilities over a grid and check bounds",
     )
@@ -843,37 +721,43 @@ def build_parser() -> argparse.ArgumentParser:
         "--mode", choices=("small-ball", "false-positive"), default="small-ball"
     )
     verify.add_argument(
-        "--kinds", default="uniform_cube", help="comma-separated family kinds"
-    )
-    verify.add_argument("--ps", default="2", help="norm exponents (false-positive)")
-    verify.add_argument("--ds", default="2,8,64", help="dimensions")
-    verify.add_argument(
-        "--shapes", default="axis,flat,two_coordinate", help="direction shapes"
+        "--kinds", type=_comma_list(FamilyKind), default="uniform_cube",
+        help="comma-separated family kinds",
     )
     verify.add_argument(
-        "--alphas", default="0.05,0.1,0.25,0.5", help="small-ball radii"
+        "--ps", type=floats, default="2", help="norm exponents (false-positive)"
+    )
+    verify.add_argument("--ds", type=ints, default="2,8,64", help="dimensions")
+    verify.add_argument(
+        "--shapes", type=_comma_list(FarPairShape),
+        default="axis,flat,two_coordinate", help="direction shapes",
     )
     verify.add_argument(
-        "--c-multipliers", default="4,10,20",
+        "--alphas", type=floats, default="0.05,0.1,0.25,0.5", help="small-ball radii"
+    )
+    verify.add_argument(
+        "--c-multipliers", type=floats, default="4,10,20",
         help="c as multiples of the collision threshold (false-positive)",
     )
-    verify.add_argument("--q", default="2", help="sphere exponent for the "
-                        "experimental family")
+    verify.add_argument(
+        "--q", type=float, default=2.0,
+        help="sphere exponent for the experimental family",
+    )
     verify.add_argument("--trials", type=int, default=100_000)
-    verify.add_argument("--seeds", required=True, help="comma-separated seeds")
+    verify.add_argument("--seeds", type=ints, required=True, help="comma-separated seeds")
     verify.add_argument("--out", required=True)
     verify.add_argument(
-        "--self-test-bound-scale", default="1.0",
+        "--self-test-bound-scale", type=float, default=1.0,
         help="multiply every bound before comparison; 0.1 should fail",
     )
     _add_format(verify)
 
-    levy = commands.add_parser(
+    levy = command(
         "levy", help="check concentration-function bounds for cube projections"
     )
-    levy.add_argument("--ds", default="4,16", help="dimensions")
+    levy.add_argument("--ds", type=ints, default="4,16", help="dimensions")
     levy.add_argument(
-        "--lambdas", default="0.1,0.5,1.0",
+        "--lambdas", type=floats, default="0.1,0.5,1.0",
         help="window widths as multiples of the vector l2 norm",
     )
     levy.add_argument("--trials", type=int, default=100_000)
@@ -881,22 +765,22 @@ def build_parser() -> argparse.ArgumentParser:
     levy.add_argument("--out", required=True)
     _add_format(levy)
 
-    probe = commands.add_parser(
+    probe = command(
         "probe-conjecture",
         help="measure small-ball rates for the experimental sphere family",
     )
     probe.add_argument(
-        "--q", required=True,
+        "--q", type=float, required=True,
         help="hash exponent; random directions live on the dual sphere",
     )
-    probe.add_argument("--ds", default="8,64", help="dimensions")
-    probe.add_argument("--epsilons", default="0.01,0.02,0.05,0.1")
+    probe.add_argument("--ds", type=ints, default="8,64", help="dimensions")
+    probe.add_argument("--epsilons", type=floats, default="0.01,0.02,0.05,0.1")
     probe.add_argument("--trials", type=int, default=100_000)
     probe.add_argument("--seed", type=int, required=True)
     probe.add_argument("--out", required=True)
     _add_format(probe)
 
-    build = commands.add_parser("build", help="build and serialize an index")
+    build = command("build", help="build and serialize an index")
     build.add_argument("--dataset", required=True, help="points file")
     build.add_argument(
         "--kind", default="uniform_cube",
@@ -906,15 +790,18 @@ def build_parser() -> argparse.ArgumentParser:
         "--variant", default="fast_query",
         choices=("fast_query", "fast_preprocessing"),
     )
-    build.add_argument("--c", help="approximation factor")
+    build.add_argument("--c", type=float, help="approximation factor")
     build.add_argument(
-        "--c-multiplier", help="approximation factor as multiple of the threshold"
+        "--c-multiplier", type=float,
+        help="approximation factor as multiple of the threshold",
     )
-    build.add_argument("--levels", default="auto", help="label length or 'auto'")
+    build.add_argument(
+        "--levels", type=_levels, default="auto", help="label length or 'auto'"
+    )
     build.add_argument("--master-seed", type=int, required=True)
     build.add_argument("--max-entries", type=int, default=DEFAULT_MAX_ENTRIES)
     build.add_argument(
-        "--unsafe-override", action="store_true",
+        "--unsafe-override", action=argparse.BooleanOptionalAction, default=False,
         help="allow c at or below the collision threshold (guarantee void)",
     )
     build.add_argument(
@@ -924,47 +811,47 @@ def build_parser() -> argparse.ArgumentParser:
     )
     build.add_argument("--out", required=True, help="index image path")
 
-    query = commands.add_parser("query", help="query a serialized index")
+    query = command("query", help="query a serialized index")
     query.add_argument("--index", required=True, help="index image path")
     query.add_argument("--queries", required=True, help="query points file")
     query.add_argument("--out", required=True, help="results JSONL path")
     query.add_argument(
-        "--audit", action="store_true",
+        "--audit", action=argparse.BooleanOptionalAction, default=False,
         help="compare against exact search; exit 1 on any missed neighbor",
     )
 
-    bench = commands.add_parser(
+    bench = command(
         "bench-index", help="build/query a config grid and report recall + cost"
     )
     bench.add_argument("--dataset", required=True)
     bench.add_argument("--queries", required=True)
-    bench.add_argument("--kinds", default="uniform_cube")
-    bench.add_argument("--variants", default="fast_query,fast_preprocessing")
-    bench.add_argument("--c-multipliers", default="4")
-    bench.add_argument("--levels", default="auto")
-    bench.add_argument("--master-seeds", required=True)
+    bench.add_argument("--kinds", type=_comma_list(FamilyKind), default="uniform_cube")
+    bench.add_argument(
+        "--variants", type=_comma_list(Variant),
+        default="fast_query,fast_preprocessing",
+    )
+    bench.add_argument("--c-multipliers", type=floats, default="4")
+    bench.add_argument("--levels", type=_levels, default="auto")
+    bench.add_argument("--master-seeds", type=ints, required=True)
     bench.add_argument("--max-entries", type=int, default=DEFAULT_MAX_ENTRIES)
     bench.add_argument("--calibrate-fp-trials", type=int, default=0)
     bench.add_argument(
-        "--no-audit", dest="audit", action="store_false",
-        help="skip the exact-search comparison columns",
+        "--audit", action=argparse.BooleanOptionalAction, default=True,
+        help="compare against exact search (--no-audit skips the recall columns)",
     )
     bench.add_argument("--out", required=True)
     _add_format(bench)
 
-    replay = commands.add_parser(
-        "replay", help="re-run a command from its manifest"
-    )
+    replay = command("replay", help="re-run a command from its manifest")
     replay.add_argument("--manifest", required=True)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     # every option's destination is its parameter name, so the parsed
-    # namespace is the parameter set that manifests record and replay
-    params = vars(parser.parse_args(argv))
+    # namespace is the parameter set the runner reads and the manifest records
+    params = vars(build_parser().parse_args(argv))
     runner = _RUNNERS.get(params.pop("command"), run_replay)
     try:
         return runner(params)

@@ -32,8 +32,6 @@ def format_exponent(p: float) -> str:
 
 def parse_exponent(text: str) -> float:
     """Inverse of :func:`format_exponent`."""
-    if text.strip().lower() in ("inf", "infinity"):
-        return math.inf
     return check_exponent(float(text))
 
 

@@ -42,6 +42,8 @@ import numpy as np
 
 from .exact import lp_distances
 from .families import (
+    _KIND_TAGS,
+    _TAG_KINDS,
     PROVEN_ADJACENCY_KINDS,
     FamilyKind,
     HashFunction,
@@ -89,12 +91,6 @@ class Variant(str, Enum):
 
 _VARIANT_TAGS = {Variant.FAST_QUERY: 0, Variant.FAST_PREPROCESSING: 1}
 _TAG_VARIANTS = {tag: variant for variant, tag in _VARIANT_TAGS.items()}
-_KIND_TAGS = {
-    FamilyKind.RADEMACHER: 0,
-    FamilyKind.UNIFORM_CUBE: 1,
-    FamilyKind.UNIT_SPHERE: 2,
-}
-_TAG_KINDS = {tag: kind for kind, tag in _KIND_TAGS.items()}
 
 
 @dataclass(frozen=True)
@@ -117,8 +113,6 @@ class IndexConfig:
             no-false-negative guarantee still holds; only the false-positive
             bound is forfeited.
         max_entries: memory guard on stored (key, id) entries.
-        copy_points: store an owned copy of the dataset (default) rather
-            than a reference.
     """
 
     p: float
@@ -130,7 +124,6 @@ class IndexConfig:
     master_seed: int = 0
     unsafe_override: bool = False
     max_entries: int = DEFAULT_MAX_ENTRIES
-    copy_points: bool = True
 
     def __post_init__(self) -> None:
         check_exponent(self.p)
@@ -375,9 +368,7 @@ class LshIndex:
         distinct keys share their high bits (see ``_sort_entries``).
         """
         started = time.perf_counter()
-        points = np.array(
-            points, dtype=np.float64, copy=True if config.copy_points else None, order="C"
-        )
+        points = np.array(points, dtype=np.float64, copy=True, order="C")
         if points.ndim != 2:
             raise ValueError("points must be a 2-d array")
         n, d = points.shape
@@ -525,7 +516,7 @@ class LshIndex:
                 config.master_seed,
                 1 if config.unsafe_override else 0,
                 config.max_entries,
-                1 if config.copy_points else 0,
+                1,  # points-copied flag: the build always stores its own copy
             ),
             _STATS_BLOCK.pack(*astuple(replace(self.stats, seconds=0.0))),
             struct.pack("<QI", self.points.shape[0], config.d),
@@ -596,7 +587,7 @@ class LshIndex:
             master_seed,
             unsafe,
             max_entries,
-            copy_points,
+            _,
         ) = _CONFIG_BLOCK.unpack_from(payload, cursor)
         cursor += _CONFIG_BLOCK.size
         stats = BuildStats(*_STATS_BLOCK.unpack_from(payload, cursor))
@@ -626,6 +617,10 @@ class LshIndex:
             raise ValueError("index image has trailing or missing bytes")
         keys = _entry_view(payload, "<u8", entry_count, cursor)
         ids = _entry_view(payload, "<i8", entry_count, cursor + 8 * entry_count)
+        if kind_tag not in _TAG_KINDS:
+            raise ValueError(f"index image has unknown family tag {kind_tag}")
+        if variant_tag not in _TAG_VARIANTS:
+            raise ValueError(f"index image has unknown variant tag {variant_tag}")
         config = IndexConfig(
             p=math.inf if p_tag else p_value,
             d=d,
@@ -636,7 +631,6 @@ class LshIndex:
             master_seed=master_seed,
             unsafe_override=bool(unsafe),
             max_entries=max_entries,
-            copy_points=bool(copy_points),
         )
         return cls(config, levels, hash_functions, points, keys, ids, stats)
 

@@ -1,17 +1,28 @@
 """End-to-end tests of the command-line interface, run in process."""
 
+import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import floorlsh
 from floorlsh import cli
 from floorlsh.cli import BENCH_COLUMNS, main
 from floorlsh.data import read_pairs_truth, read_points
-from floorlsh.estimation import BOUND_COLUMNS, CONJECTURE_COLUMNS, LEVY_COLUMNS
-from floorlsh.index import LshIndex
+from floorlsh.estimation import (
+    BOUND_COLUMNS,
+    CONJECTURE_COLUMNS,
+    LEVY_COLUMNS,
+    FarPairShape,
+)
+from floorlsh.families import FamilyKind
+from floorlsh.index import _HEADER as _IMAGE_HEADER
+from floorlsh.index import LshIndex, Variant
 
 
 def _manifest(path):
@@ -296,6 +307,24 @@ class TestBuildQueryAudit:
             assert main(argv) == 2
             assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, message", [(0, "family tag"), (1, "variant tag")])
+    def test_an_image_with_an_unknown_tag_is_a_usage_error(
+        self, tmp_path, capsys, field, message
+    ):
+        dataset = _gen_gaussian(tmp_path)
+        index_path = self._build(tmp_path, dataset)
+        blob = bytearray(index_path.read_bytes())
+        # retag (after the p tag and p), then recompute the payload digest
+        # that ends the header, so that only the tag is wrong
+        start = _IMAGE_HEADER.size
+        blob[start + 9 + field] = 7
+        blob[start - 32 : start] = hashlib.sha256(blob[start:]).digest()
+        index_path.write_bytes(blob)
+        code = main(["query", "--index", str(index_path), "--queries", str(dataset),
+                     "--out", str(tmp_path / "r.jsonl")])
+        assert code == 2
+        assert f"unknown {message} 7" in capsys.readouterr().err
+
     def test_mismatched_norms_are_a_usage_error(self, tmp_path, capsys):
         dataset = _gen_gaussian(tmp_path)
         index_path = self._build(tmp_path, dataset)
@@ -396,6 +425,18 @@ class TestBenchIndex:
         assert "timings" in manifest
 
 
+def _floorlsh(*args):
+    """Run the command in a child process that imports this same package."""
+    source = str(Path(floorlsh.__file__).parent.parent)
+    paths = [source, *filter(None, [os.environ.get("PYTHONPATH")])]
+    return subprocess.run(
+        [sys.executable, "-m", "floorlsh", *map(str, args)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)},
+    )
+
+
 class TestEntryPoints:
     def test_missing_required_flag_exits_with_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:
@@ -403,51 +444,143 @@ class TestEntryPoints:
         assert excinfo.value.code == 2
 
     def test_module_invocation(self):
-        result = subprocess.run(
-            [sys.executable, "-m", "floorlsh", "--version"],
-            capture_output=True,
-            text=True,
-        )
+        result = _floorlsh("--version")
         assert result.returncode == 0
         assert result.stdout.strip()
 
 
 
+def _write_manifest(path, command, params):
+    """A manifest as an earlier release wrote it: only the recorded keys."""
+    manifest = {"schema_version": 1, "tool": "floorlsh", "command": command,
+                "params": params}
+    path.write_text(json.dumps(manifest))
+    return path
+
+
+class TestReplayContract:
+    """Manifests replay through the command-line parser: a replay is typed
+    and checked like a fresh run and writes the same bytes."""
+
+    def _replay(self, tmp_path, command, params):
+        manifest = _write_manifest(tmp_path / "m.manifest.json", command, params)
+        return main(["replay", "--manifest", str(manifest)])
+
+    def test_planted_pairs_with_only_its_shape_keys(self, tmp_path):
+        flags_out, replay_out = tmp_path / "flags.txt", tmp_path / "replay.txt"
+        assert main(["gen-data", "--shape", "planted_pairs", "--n", "40", "--d", "5",
+                     "--p", "2", "--seed", "3", "--pairs", "8", "--distances",
+                     "0.5,0.9", "--spread", "4", "--out", str(flags_out)]) == 0
+        params = {"shape": "planted_pairs", "n": 40, "d": 5, "p": 2.0, "seed": 3,
+                  "out": str(replay_out), "distances": [0.5, 0.9], "pairs": 8,
+                  "spread": 4.0, "truth_out": f"{tmp_path}/truth.csv"}
+        assert self._replay(tmp_path, "gen-data", params) == 0
+        assert replay_out.read_bytes() == flags_out.read_bytes()
+        truth = (tmp_path / "truth.csv").read_bytes()
+        assert truth == (tmp_path / "flags.txt.pairs.csv").read_bytes()
+
+    def test_false_positive_grid_with_an_infinite_exponent(self, tmp_path):
+        flags_out, replay_out = tmp_path / "flags.csv", tmp_path / "replay.csv"
+        common = ["verify-bounds", "--mode", "false-positive", "--ds", "4",
+                  "--c-multipliers", "3", "--shapes", "axis", "--trials", "500",
+                  "--seeds", "2"]
+        assert main([*common, "--ps", "2,inf", "--out", str(flags_out)]) == 0
+        params = {"mode": "false-positive", "kinds": ["uniform_cube"], "ds": [4],
+                  "shapes": ["axis"], "trials": 500, "seeds": [2],
+                  "out": str(replay_out), "format": "csv",
+                  "self_test_bound_scale": 1.0, "q": 2.0, "ps": [2.0, "inf"],
+                  "c_multipliers": [3.0]}
+        assert self._replay(tmp_path, "verify-bounds", params) == 0
+        assert replay_out.read_bytes() == flags_out.read_bytes()
+
+    def test_build_with_resolved_factor_and_levels(self, tmp_path):
+        dataset = _gen_gaussian(tmp_path)
+        flags_out, replay_out = tmp_path / "flags.bin", tmp_path / "replay.bin"
+        assert main(["build", "--dataset", str(dataset), "--variant",
+                     "fast_preprocessing", "--c", "30.0", "--levels", "3",
+                     "--master-seed", "11", "--out", str(flags_out)]) == 0
+        # n, d and p are recorded for readers; replayed as flags, --d would
+        # abbreviate --dataset
+        params = {"dataset": str(dataset), "kind": "uniform_cube",
+                  "variant": "fast_preprocessing", "p": 2.0, "d": 6, "n": 60,
+                  "c": 30.0, "levels": 3, "master_seed": 11, "max_entries": 10000000,
+                  "unsafe_override": False, "calibrate_fp_trials": 0,
+                  "out": str(replay_out)}
+        assert self._replay(tmp_path, "build", params) == 0
+        assert replay_out.read_bytes() == flags_out.read_bytes()
+
+    def test_bench_index_with_auto_levels_and_no_audit(self, tmp_path):
+        dataset = _gen_gaussian(tmp_path)
+        queries = _gen_gaussian(tmp_path, name="queries.txt", n=5, seed="9")
+        flags_out, replay_out = tmp_path / "flags.csv", tmp_path / "replay.csv"
+        assert main(["bench-index", "--dataset", str(dataset), "--queries",
+                     str(queries), "--variants", "fast_preprocessing",
+                     "--c-multipliers", "2", "--levels", "auto", "--master-seeds",
+                     "1", "--no-audit", "--out", str(flags_out)]) == 0
+        params = {"dataset": str(dataset), "queries": str(queries),
+                  "kinds": ["uniform_cube"], "variants": ["fast_preprocessing"],
+                  "c_multipliers": [2.0], "levels": "auto", "master_seeds": [1],
+                  "max_entries": 10000000, "calibrate_fp_trials": 0, "audit": False,
+                  "out": str(replay_out), "format": "csv", "n": 60, "d": 6, "p": 2.0}
+        assert self._replay(tmp_path, "bench-index", params) == 0
+        assert replay_out.read_bytes() == flags_out.read_bytes()
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [({"trials": "abc"}, "--trials: invalid int value: 'abc'"),
+         ({"bogus": 1}, "unrecognized arguments: --bogus=1"),
+         # a key that abbreviates an option is still unknown
+         ({"tri": 5}, "unrecognized arguments: --tri=5")],
+    )
+    def test_a_bad_manifest_is_a_usage_error(self, tmp_path, change, message):
+        params = {"ds": [4], "lambdas": [0.5], "trials": 100, "seed": 1,
+                  "out": str(tmp_path / "levy.csv"), "format": "csv", **change}
+        manifest = _write_manifest(tmp_path / "m.manifest.json", "levy", params)
+        result = _floorlsh("replay", "--manifest", manifest)
+        assert result.returncode == 2
+        assert message in result.stderr
+        assert "Traceback" not in result.stderr
+        assert not (tmp_path / "levy.csv").exists()
+
+
 _BENCH_FLAGS = ["--dataset", "d", "--queries", "q", "--master-seeds", "1", "--out", "x"]
 _BENCH_PARAMS = {
-    "dataset": "d", "queries": "q", "kinds": "uniform_cube",
-    "variants": "fast_query,fast_preprocessing", "c_multipliers": "4", "levels": "auto",
-    "master_seeds": "1", "max_entries": 10000000, "calibrate_fp_trials": 0, "audit": True,
-    "out": "x", "format": "csv",
+    "dataset": "d", "queries": "q", "kinds": [FamilyKind.UNIFORM_CUBE],
+    "variants": [Variant.FAST_QUERY, Variant.FAST_PREPROCESSING], "c_multipliers": [4.0],
+    "levels": "auto", "master_seeds": [1], "max_entries": 10000000,
+    "calibrate_fp_trials": 0, "audit": True, "out": "x", "format": "csv",
 }
 
-#: Each subcommand's parameter set for its required flags alone, as its
-#: runner receives it and its manifest records it; replaying a manifest
-#: reproduces its outputs only while these stay the same.
+#: Each subcommand's parameter set for its required flags alone, typed by the
+#: parser, as its runner receives it.  Manifests record this set together
+#: with the values the run resolved from it, and replay parses the recorded
+#: set back through the same parser.
 _PARAMS = {
     "gen-data": (
         ["--shape", "gaussian", "--n", "5", "--d", "2", "--p", "2", "--seed", "1",
          "--out", "x"],
-        {"shape": "gaussian", "n": 5, "d": 2, "p": "2", "seed": 1, "out": "x",
-         "scale": "1.0", "distances": "0.5,0.75,0.999", "pairs": 50, "spread": "6.0",
-         "truth_out": None, "c": None, "lo_factor": "1.05", "hi_factor": "1.5",
-         "max_norm_factor": "0.04"},
+        {"shape": "gaussian", "n": 5, "d": 2, "p": 2.0, "seed": 1, "out": "x",
+         "scale": 1.0, "distances": [0.5, 0.75, 0.999], "pairs": 50, "spread": 6.0,
+         "truth_out": None, "c": None, "lo_factor": 1.05, "hi_factor": 1.5,
+         "max_norm_factor": 0.04},
     ),
     "verify-bounds": (
         ["--seeds", "1", "--out", "x"],
-        {"mode": "small-ball", "kinds": "uniform_cube", "ps": "2", "ds": "2,8,64",
-         "shapes": "axis,flat,two_coordinate", "alphas": "0.05,0.1,0.25,0.5",
-         "c_multipliers": "4,10,20", "q": "2", "trials": 100000, "seeds": "1",
-         "out": "x", "format": "csv", "self_test_bound_scale": "1.0"},
+        {"mode": "small-ball", "kinds": [FamilyKind.UNIFORM_CUBE], "ps": [2.0],
+         "ds": [2, 8, 64], "shapes": [FarPairShape.AXIS, FarPairShape.FLAT,
+                                      FarPairShape.TWO_COORDINATE],
+         "alphas": [0.05, 0.1, 0.25, 0.5],
+         "c_multipliers": [4.0, 10.0, 20.0], "q": 2.0, "trials": 100000, "seeds": [1],
+         "out": "x", "format": "csv", "self_test_bound_scale": 1.0},
     ),
     "levy": (
         ["--seed", "1", "--out", "x"],
-        {"ds": "4,16", "lambdas": "0.1,0.5,1.0", "trials": 100000, "seed": 1,
+        {"ds": [4, 16], "lambdas": [0.1, 0.5, 1.0], "trials": 100000, "seed": 1,
          "out": "x", "format": "csv"},
     ),
     "probe-conjecture": (
         ["--q", "2", "--seed", "1", "--out", "x"],
-        {"q": "2", "ds": "8,64", "epsilons": "0.01,0.02,0.05,0.1", "trials": 100000,
+        {"q": 2.0, "ds": [8, 64], "epsilons": [0.01, 0.02, 0.05, 0.1], "trials": 100000,
          "seed": 1, "out": "x", "format": "csv"},
     ),
     "build": (
@@ -469,6 +602,16 @@ _PARAMS = {
 }
 
 
+def _typed(value):
+    """``value`` with the type of every scalar, so that 2 and 2.0 differ and
+    a family kind differs from its name."""
+    if isinstance(value, dict):
+        return {key: _typed(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_typed(item) for item in value]
+    return type(value), value
+
+
 class TestParameters:
     @pytest.mark.parametrize("name", list(_PARAMS))
     def test_runners_receive_the_recorded_parameter_set(self, name, monkeypatch):
@@ -484,3 +627,4 @@ class TestParameters:
         monkeypatch.setattr(cli, "run_replay", record)
         assert main([name.split()[0], *flags]) == 0
         assert received == [expected]
+        assert _typed(received[0]) == _typed(expected)

@@ -1,6 +1,7 @@
 """Tests for the bucket index: level selection, storage layouts, the
 no-false-negative query guarantee, and the binary image format."""
 
+import hashlib
 import itertools
 import math
 import struct
@@ -36,6 +37,17 @@ def _config(**overrides):
     )
     base.update(overrides)
     return IndexConfig(**base)
+
+
+def _retagged(blob, field, tag):
+    """``blob`` with its family (``field`` 0) or variant (``field`` 1) tag
+    byte set to ``tag`` and the checksum recomputed, so only the tag is bad."""
+    header = index_module._HEADER
+    magic, version, length, _ = header.unpack_from(blob)
+    payload = bytearray(blob[header.size :])
+    # the config block opens with the p tag (1 byte) and p (8 bytes)
+    payload[9 + field] = tag
+    return header.pack(magic, version, length, hashlib.sha256(payload).digest()) + payload
 
 
 def _cloud(n=400, d=6, seed=0, spread=0.5):
@@ -449,6 +461,17 @@ class TestSerialization:
     def test_foreign_bytes_are_rejected(self):
         with pytest.raises(ValueError, match="not an index image"):
             LshIndex.from_bytes(b"\x00" * 64)
+
+    @pytest.mark.parametrize(
+        "field, tag, message",
+        [(0, 7, "unknown family tag 7"), (1, 7, "unknown variant tag 7"),
+         (0, 3, "lq_sphere_experimental")],
+    )
+    def test_bad_tags_are_rejected(self, field, tag, message):
+        blob = LshIndex.build(_cloud(n=15), _config()).to_bytes()
+        assert LshIndex.from_bytes(_retagged(blob, 0, 1)).config == _config()
+        with pytest.raises(ValueError, match=message):
+            LshIndex.from_bytes(_retagged(blob, field, tag))
 
     def test_version_1_images_ask_for_a_rebuild(self):
         header = struct.pack("<8sHQ32s", b"FLSHIDX1", 1, 8, bytes(32))
