@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.stats import beta as _beta_dist
+from scipy.special import betaincinv
 
 from .families import (
     FamilyKind,
@@ -59,8 +59,8 @@ def clopper_pearson(hits: int, trials: int, confidence: float = 0.99) -> tuple[f
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
     tail = (1.0 - confidence) / 2.0
-    lo = 0.0 if hits == 0 else float(_beta_dist.ppf(tail, hits, trials - hits + 1))
-    hi = 1.0 if hits == trials else float(_beta_dist.ppf(1.0 - tail, hits + 1, trials - hits))
+    lo = 0.0 if hits == 0 else float(betaincinv(hits, trials - hits + 1, tail))
+    hi = 1.0 if hits == trials else float(betaincinv(hits + 1, trials - hits, 1.0 - tail))
     return lo, hi
 
 

@@ -30,7 +30,11 @@ def lp_distances(points: np.ndarray, query: np.ndarray, p: float) -> np.ndarray:
         return diff.sum(axis=1)
     if p == 2.0:
         return np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    return (diff**p).sum(axis=1) ** (1.0 / p)
+    # factor out each row's largest |diff| to keep |diff|^p in range for
+    # large p, as lp_norm does; a row of zeros stays 0
+    peak = diff.max(axis=1, keepdims=True, initial=0.0)
+    scaled = np.divide(diff, peak, out=np.zeros_like(diff), where=peak > 0.0)
+    return peak[:, 0] * (scaled**p).sum(axis=1) ** (1.0 / p)
 
 
 def range_search_exact(

@@ -67,11 +67,6 @@ _CHUNK_ENTRIES = 1 << 20
 _MIX_MULT_1 = np.uint64(0xFF51AFD7ED558CCD)
 _MIX_MULT_2 = np.uint64(0xC4CEB9FE1A85EC53)
 
-#: Per-level label offsets a fast_query entry is stored under, and a
-#: fast_preprocessing query probes; the other side folds its own label only.
-_NEIGHBOURHOOD = np.array([-1, 0, 1], dtype=np.int64)
-_OWN_LABEL = np.zeros(1, dtype=np.int64)
-
 #: Doubles hold every integer below 2^53, so floored labels are exact there.
 _EXACT_LABEL_LIMIT = 2.0**53
 
@@ -91,6 +86,15 @@ class Variant(str, Enum):
 
 _VARIANT_TAGS = {Variant.FAST_QUERY: 0, Variant.FAST_PREPROCESSING: 1}
 _TAG_VARIANTS = {tag: variant for variant, tag in _VARIANT_TAGS.items()}
+
+_NEIGHBOURHOOD = np.array([-1, 0, 1], dtype=np.int64)
+_OWN_LABEL = np.zeros(1, dtype=np.int64)
+#: Per-level label offsets of each variant, as (stored, probed): one side
+#: folds the 3-label neighbourhood of every level, the other its own label.
+_OFFSETS = {
+    Variant.FAST_QUERY: (_NEIGHBOURHOOD, _OWN_LABEL),
+    Variant.FAST_PREPROCESSING: (_OWN_LABEL, _NEIGHBOURHOOD),
+}
 
 
 @dataclass(frozen=True)
@@ -340,11 +344,7 @@ class LshIndex:
         self._w_matrix = np.vstack([h.w for h in hash_functions])
         self._scale = hash_scale(config.kind, config.p, config.d)
         self._fingerprinter = _Fingerprinter(config.master_seed, levels)
-        self._probe_offsets = (
-            _NEIGHBOURHOOD
-            if config.variant is Variant.FAST_PREPROCESSING
-            else _OWN_LABEL
-        )
+        _, self._probe_offsets = _OFFSETS[config.variant]
 
     @property
     def entry_count(self) -> int:
@@ -385,7 +385,7 @@ class LshIndex:
                     "explicit level count"
                 )
             levels = choose_levels(config.variant, n, d, fp_bound)
-        offsets = _NEIGHBOURHOOD if config.variant is Variant.FAST_QUERY else _OWN_LABEL
+        offsets, _ = _OFFSETS[config.variant]
         replication = offsets.size**levels
         total_entries = n * replication
         if total_entries > config.max_entries:

@@ -3,8 +3,8 @@
 All hash families in this package floor a scaled scalar product.  The scale
 factors, the norm-comparison constants relating l_p norms to the Euclidean
 norm, and the family thresholds on the approximation factor ``c`` live here,
-together with the regularized incomplete beta function needed for exact
-spherical cap probabilities.
+together with the exact spherical cap probability, the Beta(1/2, (d-1)/2)
+law evaluated by ``scipy.special``.
 
 Exponents are plain floats; ``math.inf`` is the max norm.  Exponent
 arithmetic (``1/p``, ``1 - 1/p``) is exact for the anchor values 1, 2 and
@@ -17,12 +17,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 SQRT3 = math.sqrt(3.0)
-
-_BETA_MAX_ITER = 500
-_BETA_EPS = 1e-15
-_BETA_TINY = 1e-300
 
 
 def check_exponent(p: float) -> float:
@@ -209,95 +206,11 @@ def bound_constants(p: float, d: int) -> BoundConstants:
     )
 
 
-def _beta_continued_fraction(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta, by the modified Lentz
-    method.  Converges fast for x < (a + 1) / (a + b + 2)."""
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _BETA_TINY:
-        d = _BETA_TINY
-    d = 1.0 / d
-    h = d
-    for m in range(1, _BETA_MAX_ITER + 1):
-        m2 = 2 * m
-        # even step
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _BETA_TINY:
-            d = _BETA_TINY
-        c = 1.0 + aa / c
-        if abs(c) < _BETA_TINY:
-            c = _BETA_TINY
-        d = 1.0 / d
-        h *= d * c
-        # odd step
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _BETA_TINY:
-            d = _BETA_TINY
-        c = 1.0 + aa / c
-        if abs(c) < _BETA_TINY:
-            c = _BETA_TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _BETA_EPS:
-            return h
-    raise ArithmeticError(
-        f"incomplete beta continued fraction failed to converge for "
-        f"a={a}, b={b}, x={x}"
-    )
-
-
-def regularized_incomplete_beta(x: float, a: float, b: float) -> float:
-    """Regularized incomplete beta function I_x(a, b).
-
-    Evaluated through the continued fraction, switching to the symmetric
-    tail I_x(a, b) = 1 - I_{1-x}(b, a) when x exceeds the crossover point
-    (a + 1) / (a + b + 2), so either branch converges quickly.  Absolute
-    accuracy is around 1e-14 over the validated domain.
-
-    Args:
-        x: point in [0, 1].
-        a: first shape parameter, > 0.
-        b: second shape parameter, > 0.
-
-    Returns:
-        I_x(a, b) in [0, 1].
-    """
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x must be in [0, 1], got {x}")
-    if a <= 0.0 or b <= 0.0:
-        raise ValueError(f"shape parameters must be positive, got a={a}, b={b}")
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-    log_front = (
-        math.lgamma(a + b)
-        - math.lgamma(a)
-        - math.lgamma(b)
-        + a * math.log(x)
-        + b * math.log1p(-x)
-    )
-    front = math.exp(log_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        value = front * _beta_continued_fraction(a, b, x) / a
-    else:
-        value = 1.0 - front * _beta_continued_fraction(b, a, 1.0 - x) / b
-    return min(max(value, 0.0), 1.0)
-
-
 def beta_function_half(d: int) -> float:
-    """B(1/2, (d - 1)/2), computed through log-gamma for stability."""
+    """B(1/2, (d - 1)/2)."""
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
-    a = 0.5
-    b = (d - 1.0) / 2.0
-    return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
+    return float(special.beta(0.5, (d - 1.0) / 2.0))
 
 
 def cap_probability(alpha: float, d: int) -> float:
@@ -319,7 +232,7 @@ def cap_probability(alpha: float, d: int) -> float:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
-    return regularized_incomplete_beta(alpha * alpha, 0.5, (d - 1.0) / 2.0)
+    return float(special.betainc(0.5, (d - 1.0) / 2.0, alpha * alpha))
 
 
 def beta_lower_bound_margin(d: int) -> float:

@@ -425,16 +425,24 @@ class TestBenchIndex:
         assert "timings" in manifest
 
 
-def _floorlsh(*args):
-    """Run the command in a child process that imports this same package."""
+def _python(*args, cwd=None):
+    """Run Python in a child process that imports this same package."""
     source = str(Path(floorlsh.__file__).parent.parent)
     paths = [source, *filter(None, [os.environ.get("PYTHONPATH")])]
     return subprocess.run(
-        [sys.executable, "-m", "floorlsh", *map(str, args)],
+        [sys.executable, *map(str, args)],
         capture_output=True,
         text=True,
+        cwd=cwd,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)},
     )
+
+
+def _floorlsh(*args):
+    return _python("-m", "floorlsh", *args)
+
+
+DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
 
 
 class TestEntryPoints:
@@ -447,6 +455,22 @@ class TestEntryPoints:
         result = _floorlsh("--version")
         assert result.returncode == 0
         assert result.stdout.strip()
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        """Importing scipy.stats takes about a second, most of a command's
+        start-up, and the package needs nothing from it."""
+        result = _python(
+            "-c",
+            "import sys, floorlsh, floorlsh.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'stats']))",
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
+    def test_demo_runs(self, demo, tmp_path):
+        result = _python(demo, cwd=tmp_path)
+        assert result.returncode == 0, result.stderr
 
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special, stats
 
 from floorlsh.estimation import (
     BOUND_COLUMNS,
@@ -29,7 +30,7 @@ from floorlsh.estimation import (
     write_records_json,
 )
 from floorlsh.families import FamilyKind, false_positive_bound
-from floorlsh.lpspace import SQRT3, cap_probability, lp_norm, regularized_incomplete_beta
+from floorlsh.lpspace import SQRT3, cap_probability, lp_norm
 
 
 class TestClopperPearson:
@@ -53,8 +54,23 @@ class TestClopperPearson:
         lo, hi = clopper_pearson(17, 100)
         assert lo == pytest.approx(0.08594725992390392, rel=1e-12)
         assert hi == pytest.approx(0.28675950576026876, rel=1e-12)
-        assert regularized_incomplete_beta(lo, 17, 84) == pytest.approx(0.005, abs=1e-9)
-        assert regularized_incomplete_beta(hi, 18, 83) == pytest.approx(0.995, abs=1e-9)
+        assert special.betainc(17, 84, lo) == pytest.approx(0.005, abs=1e-9)
+        assert special.betainc(18, 83, hi) == pytest.approx(0.995, abs=1e-9)
+
+    def test_ends_equal_the_beta_distribution_quantiles(self):
+        """The ends are exactly scipy.stats.beta's quantiles, so intervals
+        (and every verdict drawn from them) match the ones computed through
+        the distribution object, bit for bit."""
+        tail = (1.0 - 0.99) / 2.0
+        rng = np.random.default_rng(6)
+        cells = [(hits, trials) for trials in range(1, 61) for hits in range(trials + 1)]
+        for trials in (1_000, 100_000, 200_000):
+            sampled = rng.integers(0, trials + 1, size=200)
+            cells += [(int(hits), trials) for hits in (0, 1, trials - 1, trials, *sampled)]
+        for hits, trials in cells:
+            lo = 0.0 if hits == 0 else stats.beta.ppf(tail, hits, trials - hits + 1)
+            hi = 1.0 if hits == trials else stats.beta.ppf(1.0 - tail, hits + 1, trials - hits)
+            assert clopper_pearson(hits, trials) == (lo, hi), (hits, trials)
 
     @given(st.integers(min_value=1, max_value=400), st.data())
     @settings(deadline=2000, max_examples=40)

@@ -45,6 +45,25 @@ class TestLpDistances:
         expected = [lp_norm(row - query, p) for row in points]
         np.testing.assert_allclose(got, expected, rtol=1e-12)
 
+    @given(
+        # p = 2 keeps its plain sum of squares, as lp_norm does, which
+        # overflows beyond ~1e154; every other p rescales each row
+        st.floats(min_value=1.0, max_value=2000.0).filter(lambda p: p != 2.0),
+        st.integers(min_value=-200, max_value=200),
+        st.integers(min_value=0, max_value=2**32),
+    )
+    @settings(deadline=2000, max_examples=60)
+    def test_large_exponents_and_extreme_magnitudes(self, p, exponent, seed):
+        """|diff|^p neither underflows nor overflows: every row matches the
+        rescaled scalar norm, and a row equal to the query gives 0."""
+        rng = np.random.default_rng(seed)
+        query = rng.standard_normal(4) * 10.0**exponent
+        points = np.vstack([query, query + rng.uniform(-1.0, 1.0, (8, 4)) * 10.0**exponent])
+        got = lp_distances(points, query, p)
+        expected = [lp_norm(row - query, p) for row in points]
+        assert got[0] == 0.0
+        np.testing.assert_allclose(got, expected, rtol=1e-12)
+
 
 class TestRangeSearch:
     def test_radius_boundary_is_inclusive(self):
