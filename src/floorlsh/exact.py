@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .lpspace import check_exponent
+from .lpspace import SQRT_TINY, check_exponent
 
 
 def lp_distances(points: np.ndarray, query: np.ndarray, p: float) -> np.ndarray:
@@ -29,9 +29,30 @@ def lp_distances(points: np.ndarray, query: np.ndarray, p: float) -> np.ndarray:
     if p == 1.0:
         return diff.sum(axis=1)
     if p == 2.0:
-        return np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    # factor out each row's largest |diff| to keep |diff|^p in range for
-    # large p, as lp_norm does; a row of zeros stays 0
+        distances = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        # the squares overflow above ~1e154 and underflow below ~1e-154, so
+        # rows whose norm is inf, or under 2^-511 while the row is nonzero,
+        # are redone rescaled and every other row keeps its bits.  The gate
+        # runs on every verified query, so it uses argmax/argmin and counts,
+        # which cost less than reductions; a nonzero row under 2^-511 has an
+        # entry in (0, 2^-511), unlike a stored point queried as itself.
+        if distances.size and (
+            not distances[distances.argmax()] < math.inf
+            or distances[distances.argmin()] < SQRT_TINY
+            and np.count_nonzero(diff) != np.count_nonzero(diff >= SQRT_TINY)
+        ):
+            peak = diff.max(axis=1)
+            redo = (distances == math.inf) & (peak < math.inf)
+            redo |= (distances < SQRT_TINY) & (peak > 0.0)
+            distances[redo] = _rescaled_norms(diff[redo], p)
+        return distances
+    return _rescaled_norms(diff, p)
+
+
+def _rescaled_norms(diff: np.ndarray, p: float) -> np.ndarray:
+    """Row l_p norms of the nonnegative ``diff``, each row's largest entry
+    factored out to keep |diff|^p in range, as lp_norm does; a row of zeros
+    stays 0."""
     peak = diff.max(axis=1, keepdims=True, initial=0.0)
     scaled = np.divide(diff, peak, out=np.zeros_like(diff), where=peak > 0.0)
     return peak[:, 0] * (scaled**p).sum(axis=1) ** (1.0 / p)

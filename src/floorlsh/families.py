@@ -19,7 +19,9 @@ on concrete inputs.
 from __future__ import annotations
 
 import math
+import os
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -37,6 +39,7 @@ from .lpspace import (
 from .streams import stream
 
 _POOL_BLOCK_ROWS = 8192
+_CHUNK_BYTES = 1 << 18  # 256 KiB
 
 _RECORD_MAGIC = b"FLHF"
 _RECORD_VERSION = 1
@@ -226,19 +229,40 @@ def lp_sphere_block(rng: np.random.Generator, d: int, q: float, rows: int) -> np
     return g / norms
 
 
-def _draw_block(
-    kind: FamilyKind, d: int, rows: int, rng: np.random.Generator, q: float | None
-) -> np.ndarray:
-    """Draw a (rows, d) block of hash vectors from one substream."""
-    if kind is FamilyKind.RADEMACHER:
-        return (2.0 * rng.integers(0, 2, size=(rows, d)) - 1.0).astype(np.float64)
+def _fill_block(
+    kind: FamilyKind, rows: np.ndarray, rng: np.random.Generator, q: float | None
+) -> None:
+    """Fill ``rows``, a C-contiguous slice of the pool, from one substream.
+    Single-phase draws are prefix-stable, so a partial block draws only its
+    own rows; row chunks bound each temporary to _CHUNK_BYTES."""
+    if kind is FamilyKind.LQ_SPHERE_EXPERIMENTAL:
+        # signs, then magnitudes: prefix-stable only at the fixed block shape
+        rows[...] = lp_sphere_block(rng, rows.shape[1], q, _POOL_BLOCK_ROWS)[: len(rows)]
+        return
     if kind is FamilyKind.UNIFORM_CUBE:
-        return rng.uniform(-1.0, 1.0, size=(rows, d))
+        # the same bits as rng.uniform(-1, 1), which computes -1 + 2 * r
+        rng.random(out=rows)
+        rows *= 2.0
+        rows -= 1.0
+        return
     if kind is FamilyKind.UNIT_SPHERE:
-        g = rng.standard_normal(size=(rows, d))
-        norms = np.linalg.norm(g, axis=1, keepdims=True)
-        return g / norms
-    return lp_sphere_block(rng, d, q, rows)
+        rng.standard_normal(out=rows)
+    step = max(1, _CHUNK_BYTES // rows[0].nbytes)
+    for lo in range(0, len(rows), step):
+        chunk = rows[lo : lo + step]
+        if kind is FamilyKind.RADEMACHER:
+            chunk[...] = rng.integers(0, 2, size=chunk.shape)
+            chunk *= 2.0
+            chunk -= 1.0
+        else:
+            chunk /= np.linalg.norm(chunk, axis=1, keepdims=True)
+
+
+def _fill_workers(blocks: int) -> int:
+    """Threads that fill ``blocks`` pool blocks: at most one per usable CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return max(1, min(blocks, len(os.sched_getaffinity(0))))
+    return max(1, min(blocks, os.cpu_count() or 1))
 
 
 def sample_pool(
@@ -247,9 +271,11 @@ def sample_pool(
     """Draw ``count`` hash vectors as a (count, d) matrix.
 
     Rows are produced in fixed blocks of 8192, block j coming from substream
-    (seed, j), so the pool is deterministic in (kind, d, count, seed) and
-    independent of how work is split across workers.  Row i of a longer pool
-    equals row i of a shorter one.
+    (seed, j) and written straight into its own rows.  Blocks are filled
+    concurrently across the usable CPUs; each owns its generator and its
+    rows, so the pool is deterministic in (kind, d, count, seed) and its
+    bytes do not depend on the core count.  Row i of a longer pool equals
+    row i of a shorter one.
     """
     kind = FamilyKind(kind)
     if d < 1:
@@ -263,14 +289,19 @@ def sample_pool(
     elif q is not None:
         raise ValueError("q is only meaningful for the experimental l_q family")
     out = np.empty((count, d), dtype=np.float64)
-    for block_index in range(0, (count + _POOL_BLOCK_ROWS - 1) // _POOL_BLOCK_ROWS):
+
+    def fill(block_index: int) -> None:
         lo = block_index * _POOL_BLOCK_ROWS
-        hi = min(lo + _POOL_BLOCK_ROWS, count)
-        rng = stream(seed, block_index)
-        # always draw the full block: multi-phase draws (signs, then
-        # magnitudes) are only prefix-stable at fixed block shape
-        block = _draw_block(kind, d, _POOL_BLOCK_ROWS, rng, q)
-        out[lo:hi] = block[: hi - lo]
+        _fill_block(kind, out[lo : lo + _POOL_BLOCK_ROWS], stream(seed, block_index), q)
+
+    blocks = -(-count // _POOL_BLOCK_ROWS)
+    workers = _fill_workers(blocks)
+    if workers == 1:
+        for block_index in range(blocks):
+            fill(block_index)
+    else:
+        with ThreadPoolExecutor(workers) as executor:
+            list(executor.map(fill, range(blocks)))  # re-raises a worker's error
     return out
 
 

@@ -20,6 +20,8 @@ import numpy as np
 from scipy import special
 
 SQRT3 = math.sqrt(3.0)
+#: Smallest Euclidean norm whose square is a normal double (2^-511).
+SQRT_TINY = math.sqrt(np.finfo(np.float64).tiny)
 
 
 def check_exponent(p: float) -> float:
@@ -36,7 +38,7 @@ def lp_norm(x: np.ndarray, p: float) -> float:
     Returns 0 exactly when x is the zero vector.  Raises on empty input.
     """
     p = check_exponent(p)
-    x = np.asarray(x, dtype=np.float64)
+    x = np.ascontiguousarray(x, dtype=np.float64)
     if x.size == 0:
         raise ValueError("norm of an empty vector is undefined")
     if math.isinf(p):
@@ -44,12 +46,18 @@ def lp_norm(x: np.ndarray, p: float) -> float:
     if p == 1.0:
         return float(np.sum(np.abs(x)))
     if p == 2.0:
-        return float(np.linalg.norm(x))
+        # np.vdot of a contiguous x is the dot np.linalg.norm takes, bit for
+        # bit, without its overflow warning.  The squares overflow above
+        # ~1e154 and underflow below ~1e-154; only then is the sum rescaled
+        # below, so every other vector keeps its bits
+        norm = math.sqrt(np.vdot(x, x))
+        if SQRT_TINY <= norm < math.inf:
+            return norm
     # factor out the max to keep |x_i|^p in range for large p
     magnitudes = np.abs(x)
     peak = float(np.max(magnitudes))
-    if peak == 0.0:
-        return 0.0
+    if peak == 0.0 or math.isinf(peak):
+        return peak
     return peak * float(np.sum((magnitudes / peak) ** p) ** (1.0 / p))
 
 

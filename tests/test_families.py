@@ -1,12 +1,15 @@
 """Tests for the four projection-hash families."""
 
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from floorlsh import families
 from floorlsh.families import (
     PROVEN_ADJACENCY_KINDS,
     FamilyKind,
@@ -34,6 +37,28 @@ KINDS = st.sampled_from(list(FamilyKind))
 PROVEN = st.sampled_from(list(PROVEN_ADJACENCY_KINDS))
 EXPONENTS = st.one_of(st.floats(min_value=1.0, max_value=32.0), st.just(math.inf))
 SEEDS = st.integers(min_value=0, max_value=2**63 - 1)
+
+#: SHA-256 of the bytes of sample_pool(kind, d, count, 7, q) for count in
+#: POOL_COUNTS, concatenated in that order; recorded from the sequential
+#: one-block-at-a-time implementation that the block-parallel fill replaced.
+POOL_COUNTS = (0, 1, 8191, 8192, 8193, 20000)
+GOLDEN_POOLS = [
+    ("rademacher", None, 1, "df80b775c3e319bccceffee40287d88d5c57d52bdd3821c2b253b461ae09c837"),
+    ("rademacher", None, 8, "d065b7c801903ab5b62a324e8779bef74dd097d9c64bd8b2962fdc06062a028f"),
+    ("rademacher", None, 64, "42dccfd6e8653dcd9e08f6cc555c76242d420e7a7fddfcfd4f8bb7efc9e4567b"),
+    ("uniform_cube", None, 1, "7c8979182976bd05bbe245555bb3b397dc54c19be266ea1a117877f0999a0a41"),
+    ("uniform_cube", None, 8, "6beee00cc717fe58df87665db7344eb8a8fa955f6360766f395e3edf013278a9"),
+    ("uniform_cube", None, 64, "3f6f15dd72db68ba93ccfbef6c9ded307911723f8d0942606072d97d41d4f674"),
+    ("unit_sphere", None, 1, "7efcc64f97aa2113e6d7942696f9280c3f8df2974d7bfb8fcf56b6f87450a00e"),
+    ("unit_sphere", None, 8, "075f2f2d76560ed85329cf42c58fa91a6611944780657683bd6ed9ae2ba6757c"),
+    ("unit_sphere", None, 64, "050a34dbacceee367dcc03c4eb17c6f2057ab5a9be88be2626f2215407e5d486"),
+    ("lq_sphere_experimental", 1.5, 1, "1ac35d17c7b8279a54c0126da6bdbf4dcb8cd1851a21d99940d4ef7d9ce8536f"),
+    ("lq_sphere_experimental", 1.5, 8, "9a047d282998696738928e90208a7b9c6cb2c2293578d6ce46887d94eeecf102"),
+    ("lq_sphere_experimental", 1.5, 64, "c3481f325fde0815fe8a0a035f18f7399e5710a587080a8e732201b61e0a8d24"),
+    ("lq_sphere_experimental", math.inf, 1, "2b7276e4fa835cfde6d941269bdef89f238b653789908f746e2615e639934f68"),
+    ("lq_sphere_experimental", math.inf, 8, "41b7a1f43ad16d1f13342b37f80525d64d9c82d840d9f40dae4790f11bf96876"),
+    ("lq_sphere_experimental", math.inf, 64, "c9c145dd4de7d52087dc8780fd6e91fb72351115f451eb8b5669611f0414fe5a"),
+]
 
 
 class TestHashScale:
@@ -148,6 +173,51 @@ class TestSampling:
         small = sample_pool(kind, d, 100, seed, q=q)
         large = sample_pool(kind, d, 9000, seed, q=q)
         np.testing.assert_array_equal(large[:100], small)
+
+    @pytest.mark.parametrize("kind, q, d, digest", GOLDEN_POOLS)
+    def test_pool_bytes_are_golden_for_any_worker_count(self, kind, q, d, digest, monkeypatch):
+        """Block-parallel filling draws the recorded bytes, also when one
+        worker fills every block or more workers than cores share them."""
+        def pool_digest():
+            h = hashlib.sha256()
+            for count in POOL_COUNTS:
+                pool = sample_pool(kind, d, count, 7, q=q)
+                assert pool.shape == (count, d)
+                h.update(pool.tobytes())
+            return h.hexdigest()
+
+        assert pool_digest() == digest
+        for workers in (1, 8):
+            monkeypatch.setattr(families, "_fill_workers", lambda blocks, w=workers: w)
+            assert pool_digest() == digest
+
+    @pytest.mark.parametrize("kind", [FamilyKind.UNIFORM_CUBE, FamilyKind.UNIT_SPHERE])
+    def test_pool_fill_allocates_little_beside_the_pool(self, kind, monkeypatch):
+        """Blocks are filled in place: a 200,000-row pool allocates under
+        1 MiB beyond its own buffer.  Two workers pin the bound, which grows
+        with the thread count; tracemalloc sees numpy buffers in every
+        thread."""
+        monkeypatch.setattr(families, "_fill_workers", lambda blocks: min(blocks, 2))
+        sample_pool(kind, 64, 10, 0)
+        tracemalloc.start()
+        try:
+            pool = sample_pool(kind, 64, 200_000, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - pool.nbytes < 2**20
+
+    @pytest.mark.parametrize("kind, q", [
+        (FamilyKind.RADEMACHER, None),
+        (FamilyKind.UNIFORM_CUBE, None),
+        (FamilyKind.UNIT_SPHERE, None),
+        (FamilyKind.LQ_SPHERE_EXPERIMENTAL, 1.5),
+        (FamilyKind.LQ_SPHERE_EXPERIMENTAL, math.inf),
+    ])
+    @pytest.mark.parametrize("d", [1, 8, 64])
+    def test_vector_is_row_zero_of_the_pool(self, kind, q, d):
+        h = sample_vector(kind, 2.0, d, 31, q=q)
+        np.testing.assert_array_equal(h.w, sample_pool(kind, d, 9000, 31, q=q)[0])
 
     def test_q_rejected_for_non_experimental(self):
         with pytest.raises(ValueError):

@@ -69,6 +69,15 @@ class TestLpNorm:
         with pytest.raises(ValueError):
             lp_norm(np.array([]), 2)
 
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
+    @pytest.mark.parametrize("magnitude", [1e200, 1e-170])
+    def test_extreme_magnitudes_neither_overflow_nor_underflow(self, p, magnitude):
+        """The squares of 1e200 overflow and those of 1e-170 underflow; the
+        norm of (3m, 4m) is still exact to rounding."""
+        z = np.array([3.0, -4.0]) * magnitude
+        expected = {1.0: 7.0, 2.0: 5.0, 3.0: 91.0 ** (1 / 3), math.inf: 4.0}[p]
+        assert lp_norm(z, p) == pytest.approx(expected * magnitude, rel=1e-14, abs=0.0)
+
     @given(VECTORS, EXPONENTS)
     @settings(deadline=2000)
     def test_nonincreasing_in_p(self, z, p):
