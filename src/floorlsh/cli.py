@@ -26,8 +26,6 @@ import json
 import math
 import sys
 import time
-from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
@@ -35,12 +33,16 @@ from . import __version__
 from .data import (
     far_ring_dataset,
     gaussian_points,
+    jsonable,
     near_origin_queries,
+    open_output,
     planted_pairs_dataset,
     read_points,
     uniform_cube_points,
+    write_jsonl,
     write_pairs_truth,
     write_points,
+    write_table,
 )
 from .estimation import (
     BOUND_COLUMNS,
@@ -56,8 +58,6 @@ from .estimation import (
     small_ball_record,
     theoretical_q_bound,
     unit_direction,
-    write_records_csv,
-    write_records_json,
 )
 from .exact import audit_results, ground_truth, write_recall_jsonl
 from .families import FamilyKind, c_threshold, sample_pool
@@ -123,19 +123,6 @@ def _as_levels(value: str | int) -> int | None:
     return None if value == "auto" else value
 
 
-def _manifest_value(value: object) -> object:
-    """Recursively convert a parameter value to a JSON-safe form."""
-    if isinstance(value, Enum):
-        return value.value
-    if isinstance(value, float) and math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    if isinstance(value, (list, tuple)):
-        return [_manifest_value(item) for item in value]
-    if isinstance(value, dict):
-        return {key: _manifest_value(item) for key, item in value.items()}
-    return value
-
-
 def _write_manifest(
     out: str, command: str, params: dict, extra: dict | None = None
 ) -> str:
@@ -144,42 +131,21 @@ def _write_manifest(
     The manifest is the only artifact allowed to carry wall-clock data
     (``created_utc`` and any timing entries in ``extra``).
     """
-    path = Path(f"{out}.manifest.json")
-    if path.parent != Path():
-        path.parent.mkdir(parents=True, exist_ok=True)
+    path = f"{out}.manifest.json"
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "tool": "floorlsh",
         "tool_version": __version__,
         "command": command,
-        "params": _manifest_value(params),
+        "params": params,
         "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
     if extra:
-        manifest.update(_manifest_value(extra))
-    with open(path, "w") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True)
+        manifest.update(extra)
+    with open_output(path) as handle:
+        json.dump(jsonable(manifest), handle, indent=2, sort_keys=True)
         handle.write("\n")
-    return str(path)
-
-
-def _emit_records(out: str, fmt: str, columns, records) -> list[str]:
-    """Write records in the requested format(s); return written paths."""
-    parent = Path(out).parent
-    if parent != Path():
-        parent.mkdir(parents=True, exist_ok=True)
-    written = []
-    if fmt in {"csv", "both"}:
-        write_records_csv(out, columns, records)
-        written.append(out)
-    if fmt == "json":
-        write_records_json(out, columns, records)
-        written.append(out)
-    elif fmt == "both":
-        json_path = f"{out}.json"
-        write_records_json(json_path, columns, records)
-        written.append(json_path)
-    return written
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +235,10 @@ def _false_positive_grid(params: dict):
 def run_verify_bounds(params: dict) -> int:
     mode = params["mode"]
     scale = params["self_test_bound_scale"]
+    if not 0.0 < scale < math.inf:
+        raise ValueError(
+            f"--self-test-bound-scale must be positive and finite, got {scale}"
+        )
     grid = _small_ball_grid if mode == "small-ball" else _false_positive_grid
     records = []
     violations = 0
@@ -278,7 +248,7 @@ def run_verify_bounds(params: dict) -> int:
         violations += violated
         records.append(record)
 
-    paths = _emit_records(params["out"], params["format"], BOUND_COLUMNS, records)
+    paths = write_table(params["out"], params["format"], BOUND_COLUMNS, records)
     _write_manifest(params["out"], "verify-bounds", params)
     print(
         f"verify-bounds[{mode}]: {len(records)} rows -> {', '.join(paths)}; "
@@ -320,7 +290,7 @@ def run_levy(params: dict) -> int:
                 }
             )
 
-    paths = _emit_records(params["out"], params["format"], LEVY_COLUMNS, records)
+    paths = write_table(params["out"], params["format"], LEVY_COLUMNS, records)
     _write_manifest(params["out"], "levy", params)
     print(
         f"levy: {len(records)} rows -> {', '.join(paths)}; violations={violations}"
@@ -340,7 +310,7 @@ def run_probe_conjecture(params: dict) -> int:
             q, d, params["epsilons"], params["trials"], params["seed"]
         )
         records.extend(conjecture_record(row) for row in rows)
-    paths = _emit_records(params["out"], params["format"], CONJECTURE_COLUMNS, records)
+    paths = write_table(params["out"], params["format"], CONJECTURE_COLUMNS, records)
     _write_manifest(params["out"], "probe-conjecture", params)
     max_ratio = max((record["ratio"] for record in records), default=0.0)
     print(
@@ -443,21 +413,11 @@ def run_query(params: dict) -> int:
     results = index.query_batch(queries)
     elapsed = time.perf_counter() - started
 
-    parent = Path(out).parent
-    if parent != Path():
-        parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w") as handle:
-        for query_id, result in enumerate(results):
-            stats = result.stats
-            line = {
-                "query_id": query_id,
-                "neighbors": [[i, dist] for i, dist in result.neighbors],
-                "buckets_probed": stats.buckets_probed,
-                "candidates_scanned": stats.candidates_scanned,
-                "distance_evals": stats.distance_evals,
-                "duplicates_suppressed": stats.duplicates_suppressed,
-            }
-            handle.write(json.dumps(line) + "\n")
+    lines = (
+        {"query_id": query_id, "neighbors": result.neighbors, **vars(result.stats)}
+        for query_id, result in enumerate(results)
+    )
+    write_jsonl(out, lines)
 
     missing_total = 0
     if audit:
@@ -581,7 +541,7 @@ def run_bench_index(params: dict) -> int:
                     )
 
     out = params["out"]
-    paths = _emit_records(out, params["format"], BENCH_COLUMNS, rows)
+    paths = write_table(out, params["format"], BENCH_COLUMNS, rows)
     resolved = {**params, "n": n, "d": d, "p": p}
     _write_manifest(out, "bench-index", resolved, extra={"timings": timings})
     message = f"bench-index: {len(rows)} rows -> {', '.join(paths)}"

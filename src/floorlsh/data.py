@@ -1,16 +1,21 @@
-"""Dataset generation and the plain-text point file format.
+"""Dataset generation, the plain-text point file format, and the one writer
+of every table, JSON Lines file and manifest.
 
 File layout: the first line is ``n d p`` (p written as ``inf`` for the max
 norm), followed by n lines of d coordinates.  Floats are written with
-shortest round-trip repr, so read(write(X)) is bit-exact.
+shortest round-trip repr, so read(write(X)) is bit-exact, and every other
+output file spells values the same way (see the record files section).
 """
 
 from __future__ import annotations
 
+import csv
+import json
 import math
 from dataclasses import dataclass
+from enum import Enum
 from pathlib import Path
-from typing import Sequence
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 
@@ -23,11 +28,12 @@ _STREAM_POINTS = 0
 _STREAM_DIRECTIONS = 1
 _STREAM_RADII = 2
 
+_PAIRS_COLUMNS = ("pair_id", "anchor_id", "partner_id", "distance")
+
 
 def format_exponent(p: float) -> str:
     """Serialize a norm exponent: ``inf`` or its decimal repr."""
-    p = check_exponent(p)
-    return "inf" if math.isinf(p) else repr(float(p))
+    return repr(check_exponent(p))
 
 
 def parse_exponent(text: str) -> float:
@@ -41,7 +47,7 @@ def write_points(path: str | Path, points: np.ndarray, p: float) -> None:
     if points.ndim != 2:
         raise ValueError("points must be a 2-d array")
     n, d = points.shape
-    with open(path, "w") as handle:
+    with open_output(path) as handle:
         handle.write(f"{n} {d} {format_exponent(p)}\n")
         for row in points:
             handle.write(" ".join(repr(float(v)) for v in row))
@@ -67,11 +73,15 @@ def read_points(path: str | Path) -> tuple[np.ndarray, float]:
 
 def gaussian_points(n: int, d: int, seed: int, scale: float = 1.0) -> np.ndarray:
     """n standard Gaussian points scaled by ``scale``."""
+    if not math.isfinite(scale):
+        raise ValueError(f"scale must be finite, got {scale}")
     return stream(seed, _STREAM_POINTS).standard_normal((n, d)) * scale
 
 
 def uniform_cube_points(n: int, d: int, seed: int, scale: float = 1.0) -> np.ndarray:
     """n points uniform on the cube (-scale, scale)^d."""
+    if not math.isfinite(scale):
+        raise ValueError(f"scale must be finite, got {scale}")
     return stream(seed, _STREAM_POINTS).uniform(-scale, scale, size=(n, d))
 
 
@@ -110,8 +120,10 @@ def planted_pairs_dataset(
         raise ValueError(f"n={n} is too small for {n_pairs} planted pairs")
     if n_pairs > 0 and not distances:
         raise ValueError("distances must be nonempty when planting pairs")
-    if any(t <= 0.0 for t in distances):
-        raise ValueError("planted distances must be positive")
+    if not all(0.0 < t < math.inf for t in distances):
+        raise ValueError("planted distances must be positive and finite")
+    if not math.isfinite(spread):
+        raise ValueError(f"spread must be finite, got {spread}")
     rng = stream(seed, _STREAM_POINTS)
     points = rng.standard_normal((n, d)) * spread
     pairs = []
@@ -149,8 +161,8 @@ def far_ring_dataset(
     scanning: no query has any point to return.
     """
     p = check_exponent(p)
-    if c <= 0.0:
-        raise ValueError("c must be positive")
+    if not 0.0 < c < math.inf:
+        raise ValueError(f"c must be positive and finite, got {c}")
     if not 1.0 < lo_factor <= hi_factor:
         raise ValueError("need 1 < lo_factor <= hi_factor")
     directions = lp_sphere_block(stream(seed, _STREAM_DIRECTIONS), d, p, n)
@@ -163,6 +175,10 @@ def near_origin_queries(
 ) -> np.ndarray:
     """n query points with l_p norm at most ``max_norm_factor * c``."""
     p = check_exponent(p)
+    if not 0.0 < c < math.inf:
+        raise ValueError(f"c must be positive and finite, got {c}")
+    if not max_norm_factor >= 0.0:
+        raise ValueError("max_norm_factor must be nonnegative")
     directions = lp_sphere_block(stream(seed, _STREAM_DIRECTIONS + 10), d, p, n)
     radii = stream(seed, _STREAM_RADII + 10).uniform(0.0, max_norm_factor * c, size=n)
     return directions * radii[:, None]
@@ -171,12 +187,11 @@ def near_origin_queries(
 def write_pairs_truth(path: str | Path, pairs: Sequence[PlantedPair]) -> None:
     """CSV companion for planted pairs: pair_id, anchor_id, partner_id,
     distance (exact realized value, shortest repr)."""
-    with open(path, "w") as handle:
-        handle.write("pair_id,anchor_id,partner_id,distance\n")
-        for pair_id, pair in enumerate(pairs):
-            handle.write(
-                f"{pair_id},{pair.anchor_id},{pair.partner_id},{pair.distance!r}\n"
-            )
+    write_csv(
+        path,
+        _PAIRS_COLUMNS,
+        ({"pair_id": pair_id, **vars(pair)} for pair_id, pair in enumerate(pairs)),
+    )
 
 
 def read_pairs_truth(path: str | Path) -> list[PlantedPair]:
@@ -184,7 +199,7 @@ def read_pairs_truth(path: str | Path) -> list[PlantedPair]:
     pairs = []
     with open(path) as handle:
         header = handle.readline().strip()
-        if header != "pair_id,anchor_id,partner_id,distance":
+        if header != ",".join(_PAIRS_COLUMNS):
             raise ValueError(f"malformed pairs truth header in {path}")
         for line in handle:
             _, anchor, partner, distance = line.strip().split(",")
@@ -196,3 +211,76 @@ def read_pairs_truth(path: str | Path) -> list[PlantedPair]:
                 )
             )
     return pairs
+
+
+# ---------------------------------------------------------------------------
+# record files
+
+
+def jsonable(value: object) -> object:
+    """``value`` with every enum replaced by its value, every infinity by
+    ``"inf"`` or ``"-inf"`` and every tuple by a list, recursively, so that
+    ``json.dump`` writes strict JSON."""
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, float) and math.isinf(value):
+        return "inf" if value > 0 else "-inf"
+    if isinstance(value, (list, tuple)):
+        return [jsonable(item) for item in value]
+    if isinstance(value, dict):
+        return {key: jsonable(item) for key, item in value.items()}
+    return value
+
+
+def _cell(value: object) -> str:
+    """A CSV cell: None is empty, booleans are lowercase, anything else is
+    its ``str``, which for a float is its shortest repr, ``inf`` included."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
+
+
+def open_output(path: str | Path) -> IO[str]:
+    """Open ``path`` for writing text, creating its parent directory; lines
+    end in LF on every platform."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    return open(path, "w", newline="")
+
+
+def write_csv(path: str | Path, columns: Sequence[str], records: Iterable[dict]) -> None:
+    """Write records as CSV in the given fixed column order, each value
+    spelled by :func:`_cell`."""
+    with open_output(path) as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(columns)
+        for record in records:
+            writer.writerow([_cell(record.get(col)) for col in columns])
+
+
+def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
+    """Write each record as one line of JSON, keys in the record's order."""
+    with open_output(path) as handle:
+        for record in records:
+            handle.write(json.dumps(jsonable(record)) + "\n")
+
+
+def write_table(
+    path: str | Path, fmt: str, columns: Sequence[str], records: Sequence[dict]
+) -> list[str]:
+    """Write records as ``csv``, ``json`` (an array of objects with the same
+    fields), or ``both``, the JSON then going to ``<path>.json``; return the
+    paths written."""
+    written = []
+    if fmt in {"csv", "both"}:
+        write_csv(path, columns, records)
+        written.append(str(path))
+    if fmt in {"json", "both"}:
+        json_path = f"{path}.json" if fmt == "both" else str(path)
+        payload = [{col: jsonable(record.get(col)) for col in columns} for record in records]
+        with open_output(json_path) as handle:
+            json.dump(payload, handle, indent=2)
+            handle.write("\n")
+        written.append(json_path)
+    return written

@@ -14,13 +14,10 @@ clears it, never on the point estimate alone.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -129,7 +126,7 @@ def small_ball_curve(
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     alphas = [float(a) for a in alphas]
-    if any(a < 0.0 for a in alphas):
+    if not all(a >= 0.0 for a in alphas):
         raise ValueError("alpha thresholds must be nonnegative")
     norm2 = lp_norm(x, 2.0)
     if norm2 == 0.0:
@@ -157,19 +154,6 @@ def small_ball_curve(
     return estimates
 
 
-def estimate_small_ball(
-    kind: FamilyKind,
-    d: int,
-    x: np.ndarray,
-    alpha: float,
-    trials: int,
-    seed: int,
-    q: float | None = None,
-) -> AntiConcEstimate:
-    """Single-threshold convenience wrapper around :func:`small_ball_curve`."""
-    return small_ball_curve(kind, d, x, [alpha], trials, seed, q=q)[0]
-
-
 def levy_concentration(samples: np.ndarray, lam: float) -> float:
     """Largest fraction of samples inside any closed window of length lam.
 
@@ -180,7 +164,7 @@ def levy_concentration(samples: np.ndarray, lam: float) -> float:
     samples = np.asarray(samples, dtype=np.float64).ravel()
     if samples.size == 0:
         raise ValueError("concentration of an empty sample is undefined")
-    if lam < 0.0:
+    if not lam >= 0.0:
         raise ValueError(f"window length must be nonnegative, got {lam}")
     ordered = np.sort(samples)
     right = np.searchsorted(ordered, ordered + lam, side="right")
@@ -198,10 +182,10 @@ def theoretical_q_bound(variances: Iterable[float], lam: float) -> float:
     total = 0.0
     for v in variances:
         v = float(v)
-        if v < 0.0:
+        if not v >= 0.0:
             raise ValueError(f"variances must be nonnegative, got {v}")
         total += v
-    if lam < 0.0:
+    if not lam >= 0.0:
         raise ValueError(f"window length must be nonnegative, got {lam}")
     if lam == 0.0:
         return 0.0
@@ -245,7 +229,7 @@ def far_pair(
     centered on the origin.
     """
     p = check_exponent(p)
-    if norm <= 0.0:
+    if not norm > 0.0:
         raise ValueError(f"pair separation must be positive, got {norm}")
     z = unit_direction(shape, p, d) * norm
     base = stream(seed, _AUX_STREAM_BASE).standard_normal(d)
@@ -297,8 +281,6 @@ def estimate_false_positive_rate(
     seed: int,
     shape: FarPairShape = FarPairShape.TWO_COORDINATE,
     pair: tuple[np.ndarray, np.ndarray] | None = None,
-    pair_norm: float | None = None,
-    q: float | None = None,
 ) -> FalsePositiveEstimate:
     """Estimate the collision probability of a far pair under one family.
 
@@ -310,9 +292,9 @@ def estimate_false_positive_rate(
             is still produced but its bound is flagged vacuous (and a
             warning is emitted).
         shape: far-pair direction profile, used when ``pair`` is None.
-        pair: explicit (x, y) overriding the generated pair.
-        pair_norm: separation of the generated pair; defaults to
-            c * (1 + 1e-9), just beyond the far threshold.
+        pair: explicit (x, y) overriding the generated pair, which is
+            otherwise separated by c * (1 + 1e-9), just beyond the far
+            threshold.
 
     Returns:
         A :class:`FalsePositiveEstimate` with exact and dominating rates.
@@ -321,11 +303,10 @@ def estimate_false_positive_rate(
     p = check_exponent(p)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if c <= 0.0:
+    if not c > 0.0:
         raise ValueError(f"approximation factor must be positive, got {c}")
     if pair is None:
-        separation = c * (1.0 + 1e-9) if pair_norm is None else float(pair_norm)
-        x, y = far_pair(shape, p, d, separation, seed)
+        x, y = far_pair(shape, p, d, c * (1.0 + 1e-9), seed)
     else:
         x = np.asarray(pair[0], dtype=np.float64)
         y = np.asarray(pair[1], dtype=np.float64)
@@ -342,7 +323,7 @@ def estimate_false_positive_rate(
             stacklevel=2,
         )
     scale = hash_scale(kind, p, d)
-    pool = sample_pool(kind, d, trials, seed, q=q)
+    pool = sample_pool(kind, d, trials, seed)
     s_x = scale * (pool @ x)
     s_y = scale * (pool @ y)
     exact = np.abs(np.floor(s_x) - np.floor(s_y)) <= 1.0
@@ -410,7 +391,7 @@ def conjecture_probe(
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     epsilons = [float(e) for e in epsilons]
-    if any(e < 0.0 for e in epsilons):
+    if not all(e >= 0.0 for e in epsilons):
         raise ValueError("epsilon grid must be nonnegative")
     s = dual_exponent(q)
     pool = sample_pool(FamilyKind.LQ_SPHERE_EXPERIMENTAL, d, trials, seed, q=s)
@@ -493,55 +474,5 @@ def false_positive_record(estimate: FalsePositiveEstimate) -> dict:
 
 
 def conjecture_record(row: ConjectureRow) -> dict:
-    return {
-        "q": row.q,
-        "d": row.d,
-        "epsilon": row.epsilon,
-        "trials": row.trials,
-        "hits": row.hits,
-        "p_hat": row.p_hat,
-        "ratio": row.ratio,
-    }
-
-
-def _format_cell(value: object) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        return repr(value)
-    return str(value)
-
-
-def _jsonable(value: object) -> object:
-    if isinstance(value, float) and math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    return value
-
-
-def write_records_csv(
-    path: str | Path, columns: Sequence[str], records: Iterable[dict]
-) -> None:
-    """Write records as CSV with the given fixed column order.
-
-    Output is byte-deterministic: floats use shortest round-trip repr,
-    None is empty, booleans are lowercase, newlines are LF.
-    """
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(columns)
-        for record in records:
-            writer.writerow([_format_cell(record.get(col)) for col in columns])
-
-
-def write_records_json(
-    path: str | Path, columns: Sequence[str], records: Iterable[dict]
-) -> None:
-    """Write the same records as a JSON array with identical fields."""
-    payload = [{col: _jsonable(record.get(col)) for col in columns} for record in records]
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
+    """A conjecture row's fields, which are the conjecture columns."""
+    return asdict(row)

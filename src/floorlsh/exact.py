@@ -7,7 +7,6 @@ independent answer.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -15,6 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .data import write_jsonl
 from .lpspace import SQRT_TINY, check_exponent
 
 
@@ -66,7 +66,7 @@ def range_search_exact(
     Returned sorted ascending; the query point itself is included when it
     is part of the dataset (distance 0).
     """
-    if radius < 0.0:
+    if not radius >= 0.0:
         raise ValueError(f"radius must be nonnegative, got {radius}")
     distances = lp_distances(points, query, p)
     return np.flatnonzero(distances <= radius)
@@ -95,7 +95,7 @@ def ground_truth(
     r: float = 1.0,
 ) -> list[GroundTruth]:
     """Exact neighborhoods for every query row."""
-    if c < r:
+    if not c >= r:
         raise ValueError(f"approximation factor c={c} must be >= r={r}")
     points = np.asarray(points, dtype=np.float64)
     queries = np.asarray(queries, dtype=np.float64)
@@ -179,35 +179,16 @@ def audit_results(results: Sequence, truths: Sequence[GroundTruth]) -> list[Reca
 
 def write_ground_truth_jsonl(path: str | Path, truths: Sequence[GroundTruth]) -> None:
     """Emit ground truth as JSON lines, one query per line."""
-    with open(path, "w") as handle:
-        for truth in truths:
-            json.dump(
-                {
-                    "query_id": truth.query_id,
-                    "within_r": list(truth.within_r),
-                    "within_c": list(truth.within_c),
-                    "nearest_id": truth.nearest_id,
-                    "nearest_distance": truth.nearest_distance,
-                },
-                handle,
-            )
-            handle.write("\n")
+    # vars, not asdict, which would copy every id of the id tuples one by one
+    write_jsonl(path, map(vars, truths))
 
 
 def write_recall_jsonl(path: str | Path, records: Sequence[RecallRecord]) -> None:
-    """Emit per-query recall audits as JSON lines."""
-    with open(path, "w") as handle:
-        for record in records:
-            json.dump(
-                {
-                    "query_id": record.query_id,
-                    "returned": list(record.returned),
-                    "recall": record.recall,
-                    "precision": record.precision,
-                    "missing": list(record.missing),
-                    "extraneous": list(record.extraneous),
-                    "candidates_scanned": record.candidates_scanned,
-                },
-                handle,
-            )
-            handle.write("\n")
+    """Emit per-query recall audits as JSON lines, without the truth sets
+    ``within_r`` and ``within_c``."""
+    truth_sets = ("within_r", "within_c")
+    lines = (
+        {key: value for key, value in vars(record).items() if key not in truth_sets}
+        for record in records
+    )
+    write_jsonl(path, lines)

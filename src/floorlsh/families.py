@@ -43,6 +43,7 @@ _CHUNK_BYTES = 1 << 18  # 256 KiB
 
 _RECORD_MAGIC = b"FLHF"
 _RECORD_VERSION = 1
+_RECORD_HEADER = struct.Struct("<4sBBBdBdIQd")
 
 
 class FamilyKind(str, Enum):
@@ -101,7 +102,7 @@ def false_positive_bound(
     so None is returned there.  The experimental family has no bound.
     """
     kind = FamilyKind(kind)
-    if c <= 0.0:
+    if not c > 0.0:
         raise ValueError(f"approximation factor must be positive, got {c}")
     threshold = c_threshold(kind, p, d)
     if threshold is None:
@@ -158,8 +159,7 @@ class HashFunction:
             q_tag, q_value = 2, 0.0
         else:
             q_tag, q_value = 1, float(self.q)
-        header = struct.pack(
-            "<4sBBBdBdIQd",
+        header = _RECORD_HEADER.pack(
             _RECORD_MAGIC,
             _RECORD_VERSION,
             _KIND_TAGS[FamilyKind(self.kind)],
@@ -173,9 +173,6 @@ class HashFunction:
         )
         body = np.ascontiguousarray(self.w, dtype="<f8").tobytes()
         return header + body
-
-
-_RECORD_HEADER = struct.Struct("<4sBBBdBdIQd")
 
 
 def hash_function_from_bytes(blob: bytes) -> HashFunction:

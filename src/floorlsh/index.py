@@ -140,7 +140,7 @@ class IndexConfig:
             )
         if self.d < 1:
             raise ValueError(f"dimension must be >= 1, got {self.d}")
-        if self.c < 1.0:
+        if not self.c >= 1.0:
             raise ValueError(f"approximation factor must be >= 1, got {self.c}")
         if self.levels is not None and self.levels < 1:
             raise ValueError(f"levels must be >= 1, got {self.levels}")
@@ -327,7 +327,6 @@ class LshIndex:
     def __init__(
         self,
         config: IndexConfig,
-        levels: int,
         hash_functions: list[HashFunction],
         points: np.ndarray,
         entry_keys: np.ndarray,
@@ -335,7 +334,6 @@ class LshIndex:
         stats: BuildStats,
     ) -> None:
         self.config = config
-        self.levels = levels
         self.hash_functions = hash_functions
         self.points = points
         self.stats = stats
@@ -343,8 +341,13 @@ class LshIndex:
         self._entry_ids = entry_ids
         self._w_matrix = np.vstack([h.w for h in hash_functions])
         self._scale = hash_scale(config.kind, config.p, config.d)
-        self._fingerprinter = _Fingerprinter(config.master_seed, levels)
+        self._fingerprinter = _Fingerprinter(config.master_seed, config.levels)
         _, self._probe_offsets = _OFFSETS[config.variant]
+
+    @property
+    def levels(self) -> int:
+        """Label length L, as resolved by the build."""
+        return self.config.levels
 
     @property
     def entry_count(self) -> int:
@@ -420,7 +423,7 @@ class LshIndex:
             approx_bytes=points.nbytes + w_matrix.nbytes + keys.nbytes + ids.nbytes,
         )
         resolved = replace(config, levels=levels)
-        return cls(resolved, levels, hash_functions, points, keys, ids, stats)
+        return cls(resolved, hash_functions, points, keys, ids, stats)
 
     def query(self, query: np.ndarray) -> QueryResult:
         """All indexed points within distance c that hashing can reach.
@@ -519,7 +522,7 @@ class LshIndex:
                 1,  # points-copied flag: the build always stores its own copy
             ),
             _STATS_BLOCK.pack(*astuple(replace(self.stats, seconds=0.0))),
-            struct.pack("<QI", self.points.shape[0], config.d),
+            struct.pack("<QI", *self.points.shape),
         ])
         points = np.ascontiguousarray(self.points, dtype="<f8")
         tail = [struct.pack("<I", len(records))]
@@ -593,6 +596,8 @@ class LshIndex:
         stats = BuildStats(*_STATS_BLOCK.unpack_from(payload, cursor))
         cursor += _STATS_BLOCK.size
         n, d_points = struct.unpack_from("<QI", payload, cursor)
+        if d_points != d:
+            raise ValueError(f"index image stores {d_points}-d points, config says {d}")
         cursor += struct.calcsize("<QI")
         points = (
             np.frombuffer(payload, dtype="<f8", count=n * d_points, offset=cursor)
@@ -601,6 +606,10 @@ class LshIndex:
         )
         cursor += n * d_points * 8
         (function_count,) = struct.unpack_from("<I", payload, cursor)
+        if function_count != levels:
+            raise ValueError(
+                f"index image has {function_count} hash records for {levels} levels"
+            )
         cursor += 4
         hash_functions = []
         for _ in range(function_count):
@@ -632,7 +641,13 @@ class LshIndex:
             unsafe_override=bool(unsafe),
             max_entries=max_entries,
         )
-        return cls(config, levels, hash_functions, points, keys, ids, stats)
+        expected = (config.kind, config.p, d, None, hash_scale(config.kind, config.p, d))
+        if any((h.kind, h.p, h.d, h.q, h.scale) != expected for h in hash_functions):
+            raise ValueError(
+                "index image has a hash record whose family, p, d, q or scale "
+                "disagrees with its config"
+            )
+        return cls(config, hash_functions, points, keys, ids, stats)
 
     def save(self, path: str | Path) -> None:
         with open(path, "wb") as handle:

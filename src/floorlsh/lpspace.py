@@ -14,7 +14,6 @@ infinity because ``1/inf == 0.0`` in IEEE arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -27,7 +26,7 @@ SQRT_TINY = math.sqrt(np.finfo(np.float64).tiny)
 def check_exponent(p: float) -> float:
     """Validate a norm exponent: a float in [1, inf]. Returns it unchanged."""
     p = float(p)
-    if math.isnan(p) or p < 1.0:
+    if not p >= 1.0:
         raise ValueError(f"norm exponent must be in [1, inf], got {p}")
     return p
 
@@ -162,56 +161,6 @@ def sign_c_threshold(p: float, d: int) -> float:
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
     return math.sqrt(8.0) * max(float(d) ** 0.5, float(d) ** (1.0 - 1.0 / p))
-
-
-@dataclass(frozen=True)
-class BoundConstants:
-    """All scale and threshold constants for one (p, d) pair.
-
-    Attributes:
-        p: norm exponent in [1, inf].
-        q: dual exponent of p.
-        d: dimension.
-        delta_p: d^{min(1/2 - 1/p, 0)}, lower norm-sandwich constant.
-        delta_q: same constant for the dual exponent (upper sandwich side,
-            and the unit-sphere hash scale).
-        scale_cube: d^{1/p - 1}, hash scale for cube and sign vectors.
-        scale_sphere: hash scale for unit-sphere vectors (= delta_q).
-        tau_cube: minimum c for the uniform-cube false-positive bound.
-        tau_sphere: minimum c for the unit-sphere false-positive bound.
-        tau_sign: minimum c for the legacy sign-vector bound.
-    """
-
-    p: float
-    q: float
-    d: int
-    delta_p: float
-    delta_q: float
-    scale_cube: float
-    scale_sphere: float
-    tau_cube: float
-    tau_sphere: float
-    tau_sign: float
-
-
-def bound_constants(p: float, d: int) -> BoundConstants:
-    """Assemble the :class:`BoundConstants` for (p, d)."""
-    p = check_exponent(p)
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
-    q = dual_exponent(p)
-    return BoundConstants(
-        p=p,
-        q=q,
-        d=d,
-        delta_p=norm_sandwich_factor(p, d),
-        delta_q=norm_sandwich_factor(q, d),
-        scale_cube=cube_scale(p, d),
-        scale_sphere=sphere_scale(p, d),
-        tau_cube=cube_c_threshold(p, d),
-        tau_sphere=sphere_c_threshold(p, d),
-        tau_sign=sign_c_threshold(p, d),
-    )
 
 
 def beta_function_half(d: int) -> float:

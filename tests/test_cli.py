@@ -2,9 +2,11 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +24,7 @@ from floorlsh.estimation import (
 )
 from floorlsh.families import FamilyKind
 from floorlsh.index import _HEADER as _IMAGE_HEADER
-from floorlsh.index import LshIndex, Variant
+from floorlsh.index import IndexConfig, LshIndex, Variant
 
 
 def _manifest(path):
@@ -325,6 +327,44 @@ class TestBuildQueryAudit:
         assert code == 2
         assert f"unknown {message} 7" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "craft, message",
+        [
+            (lambda ix: {"hash_functions": ix.hash_functions[:1]}, "1 hash records for 2"),
+            (lambda ix: _each_record(ix, kind=FamilyKind.UNIT_SPHERE), "disagrees"),
+            (lambda ix: _each_record(ix, p=1.0), "disagrees"),
+            (lambda ix: {"hash_functions": [
+                replace(h, d=7, w=np.append(h.w, 0.0)) for h in ix.hash_functions
+            ]}, "disagrees"),
+            (lambda ix: _each_record(ix, q=2.0), "disagrees"),
+            (lambda ix: _each_record(ix, scale=2 * ix.hash_functions[0].scale), "disagrees"),
+            (lambda ix: {"points": np.hstack([ix.points, ix.points[:, :1]])},
+             "7-d points, config says 6"),
+        ],
+        ids=["record-count", "family", "p", "d", "q", "scale", "points-width"],
+    )
+    def test_an_image_whose_records_disagree_is_a_usage_error(
+        self, tmp_path, capsys, craft, message
+    ):
+        """A checksummed image whose hash records or points block contradict
+        its config is rejected on load, not at query time."""
+        dataset = _gen_gaussian(tmp_path)
+        points, _ = read_points(dataset)
+        config = IndexConfig(p=2.0, d=6, c=30.0, kind=FamilyKind.UNIFORM_CUBE,
+                             variant=Variant.FAST_PREPROCESSING, levels=2)
+        index = LshIndex.build(points, config)
+        parts = {"hash_functions": index.hash_functions, "points": index.points,
+                 **craft(index)}
+        crafted = LshIndex(config, parts["hash_functions"], parts["points"],
+                           index._entry_keys, index._entry_ids, index.stats)
+        index_path = tmp_path / "crafted.bin"
+        index_path.write_bytes(crafted.to_bytes())
+        code = main(["query", "--index", str(index_path), "--queries", str(dataset),
+                     "--out", str(tmp_path / "r.jsonl")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "r.jsonl").exists()
+
     def test_mismatched_norms_are_a_usage_error(self, tmp_path, capsys):
         dataset = _gen_gaussian(tmp_path)
         index_path = self._build(tmp_path, dataset)
@@ -362,6 +402,52 @@ class TestBuildQueryAudit:
         )
         assert code == 2
         assert "exactly one" in capsys.readouterr().err
+
+
+def _each_record(index, **changes):
+    return {"hash_functions": [replace(h, **changes) for h in index.hash_functions]}
+
+
+_GEN = "gen-data --n 20 --d 3 --p 2 --seed 0 --out {out}/g.txt"
+_VERIFY = "verify-bounds --ds 4 --trials 100 --seeds 0 --out {out}/v.csv"
+
+#: Command lines that pass NaN (or an infinity where only finite values
+#: make sense) to a range check, each of which must fail before anything is
+#: written.
+_NAN_RUNS = {
+    "build --c": "build --dataset {data} --c nan --levels 2 --master-seed 0 "
+    "--out {out}/x.bin",
+    "build --c-multiplier": "build --dataset {data} --c-multiplier nan --levels 2 "
+    "--master-seed 0 --out {out}/x.bin",
+    "bench-index --c-multipliers": "bench-index --dataset {data} --queries {data} "
+    "--c-multipliers nan --levels 2 --master-seeds 0 --out {out}/b.csv",
+    "verify-bounds --alphas": f"{_VERIFY} --alphas 0.1,nan",
+    "verify-bounds --c-multipliers": f"{_VERIFY} --mode false-positive --c-multipliers nan",
+    "verify-bounds --self-test-bound-scale": f"{_VERIFY} --self-test-bound-scale nan",
+    "levy --lambdas": "levy --lambdas nan --trials 100 --seed 0 --out {out}/l.csv",
+    "probe-conjecture --epsilons": "probe-conjecture --q 1.5 --epsilons nan --trials 100 "
+    "--seed 0 --out {out}/p.csv",
+    "gen-data --distances": f"{_GEN} --shape planted_pairs --pairs 4 --distances nan",
+    "gen-data --spread": f"{_GEN} --shape planted_pairs --pairs 4 --spread nan",
+    "gen-data --scale": f"{_GEN} --shape gaussian --scale nan",
+    "gen-data cube --scale": f"{_GEN} --shape uniform_cube --scale inf",
+    "gen-data far_ring --c": f"{_GEN} --shape far_ring --c nan",
+    "gen-data far_ring --c inf": f"{_GEN} --shape far_ring --c inf",
+    "gen-data near_queries --c": f"{_GEN} --shape near_queries --c nan",
+}
+
+
+@pytest.mark.parametrize("name", list(_NAN_RUNS))
+def test_a_nan_value_is_a_usage_error_that_writes_nothing(name, tmp_path, capsys):
+    """NaN passes every comparison written as ``x < lo``; each range check
+    is written so that NaN fails it instead."""
+    data = _gen_gaussian(tmp_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = _NAN_RUNS[name].format(data=data, out=out).split()
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not any(out.iterdir())
 
 
 class TestBenchIndex:
@@ -480,6 +566,34 @@ def _write_manifest(path, command, params):
                 "params": params}
     path.write_text(json.dumps(manifest))
     return path
+
+
+def test_the_manifest_spells_values_as_the_tables_do(tmp_path):
+    """A manifest shares the record files' grammar: an enum is its value, an
+    infinity is "inf" or "-inf" and a tuple is a list, so it is strict JSON."""
+    params = {"kinds": [FamilyKind.UNIT_SPHERE], "ps": (2.0, math.inf), "c": -math.inf}
+    path = cli._write_manifest(str(tmp_path / "run"), "levy", params,
+                               extra={"timings": {"seconds": 1.5}})
+    assert path == f"{tmp_path}/run.manifest.json"
+    text = Path(path).read_text()
+    assert (
+        '  "params": {\n'
+        '    "c": "-inf",\n'
+        '    "kinds": [\n'
+        '      "unit_sphere"\n'
+        '    ],\n'
+        '    "ps": [\n'
+        '      2.0,\n'
+        '      "inf"\n'
+        '    ]\n'
+        '  },\n'
+    ) in text
+    assert text.endswith("}\n")
+
+    def reject(constant):
+        raise AssertionError(f"{constant} is not JSON")
+
+    assert json.loads(text, parse_constant=reject)["timings"] == {"seconds": 1.5}
 
 
 class TestReplayContract:

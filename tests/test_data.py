@@ -1,5 +1,7 @@
-"""Tests for dataset generators and the plain-text point file format."""
+"""Tests for dataset generators, the plain-text point file format, and the
+writers of every table, JSON Lines file and manifest."""
 
+import json
 import math
 
 import numpy as np
@@ -18,10 +20,14 @@ from floorlsh.data import (
     read_pairs_truth,
     read_points,
     uniform_cube_points,
+    write_csv,
+    write_jsonl,
     write_pairs_truth,
     write_points,
+    write_table,
 )
 from floorlsh.exact import lp_distances
+from floorlsh.families import FamilyKind
 from floorlsh.lpspace import lp_norm
 
 
@@ -163,3 +169,64 @@ class TestPairsTruthFile:
         path.write_text("a,b,c\n")
         with pytest.raises(ValueError, match="header"):
             read_pairs_truth(path)
+
+
+def _strict(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+class TestRecordFiles:
+    def test_csv_bytes_are_pinned(self, tmp_path):
+        """The CSV grammar: repr floats, empty None, lowercase booleans,
+        'inf' for infinities, LF line endings."""
+        columns = ("kind", "p", "d", "bound", "vacuous")
+        records = [
+            {"kind": "uniform_cube", "p": math.inf, "d": 8, "bound": None, "vacuous": False},
+            {"kind": "unit_sphere", "p": 2.0, "d": 4, "bound": 0.5, "vacuous": True},
+            {"kind": "x", "p": -math.inf, "d": 1, "bound": 0.125, "vacuous": False},
+        ]
+        path = tmp_path / "rows.csv"
+        write_csv(path, columns, records)
+        expected = (
+            b"kind,p,d,bound,vacuous\n"
+            b"uniform_cube,inf,8,,false\n"
+            b"unit_sphere,2.0,4,0.5,true\n"
+            b"x,-inf,1,0.125,false\n"
+        )
+        assert path.read_bytes() == expected
+
+    def test_json_mirrors_the_csv_fields(self, tmp_path):
+        columns = ("kind", "p", "bound")
+        records = [{"kind": "uniform_cube", "p": math.inf, "bound": None}]
+        path = tmp_path / "rows.json"
+        assert write_table(path, "json", columns, records) == [str(path)]
+        payload = json.loads(path.read_text())
+        assert payload == [{"kind": "uniform_cube", "p": "inf", "bound": None}]
+        assert path.read_text().endswith("\n")
+
+    def test_jsonl_bytes_are_pinned(self, tmp_path):
+        """JSON Lines spell infinities as the tables do, an enum as its
+        value and a tuple as a list, keeping each record's key order."""
+        records = [
+            {"query_id": 0, "neighbors": [(3, 0.5), (7, math.inf)], "recall": 1.0},
+            {"query_id": 1, "kind": FamilyKind.UNIT_SPHERE, "bound": -math.inf,
+             "missing": (), "p": None},
+        ]
+        path = tmp_path / "rows.jsonl"
+        write_jsonl(path, records)
+        expected = (
+            b'{"query_id": 0, "neighbors": [[3, 0.5], [7, "inf"]], "recall": 1.0}\n'
+            b'{"query_id": 1, "kind": "unit_sphere", "bound": "-inf", '
+            b'"missing": [], "p": null}\n'
+        )
+        assert path.read_bytes() == expected
+        for line in path.read_text().splitlines():
+            json.loads(line, parse_constant=_strict)
+
+    def test_both_formats_create_the_directory_and_name_the_json(self, tmp_path):
+        path = tmp_path / "new" / "rows.csv"
+        records = [{"d": 2, "lam": 0.5}]
+        written = write_table(path, "both", ("d", "lam"), records)
+        assert written == [str(path), f"{path}.json"]
+        assert path.read_text() == "d,lam\n2,0.5\n"
+        assert json.loads((tmp_path / "new" / "rows.csv.json").read_text()) == records

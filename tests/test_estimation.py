@@ -1,6 +1,5 @@
-"""Tests for the Monte Carlo estimators and their file emitters."""
+"""Tests for the Monte Carlo estimators and their result records."""
 
-import json
 import math
 
 import numpy as np
@@ -17,7 +16,6 @@ from floorlsh.estimation import (
     conjecture_probe,
     conjecture_record,
     estimate_false_positive_rate,
-    estimate_small_ball,
     false_positive_record,
     far_pair,
     levy_concentration,
@@ -26,8 +24,6 @@ from floorlsh.estimation import (
     small_ball_record,
     theoretical_q_bound,
     unit_direction,
-    write_records_csv,
-    write_records_json,
 )
 from floorlsh.families import FamilyKind, false_positive_bound
 from floorlsh.lpspace import SQRT3, cap_probability, lp_norm
@@ -126,15 +122,9 @@ class TestSmallBallCurve:
                 FamilyKind.UNIFORM_CUBE, e.alpha, 6, lp_norm(x, 2.0)
             )
 
-    def test_single_threshold_wrapper_matches_curve(self):
-        x = np.ones(5)
-        single = estimate_small_ball(FamilyKind.UNIT_SPHERE, 5, x, 0.3, 2000, 7)
-        from_curve = small_ball_curve(FamilyKind.UNIT_SPHERE, 5, x, [0.3], 2000, 7)[0]
-        assert single == from_curve
-
     def test_large_threshold_is_vacuous(self):
         x = np.ones(4)
-        est = estimate_small_ball(FamilyKind.UNIFORM_CUBE, 4, x, 50.0, 100, 3)
+        est = small_ball_curve(FamilyKind.UNIFORM_CUBE, 4, x, [50.0], 100, 3)[0]
         assert est.vacuous
         assert not est.violated
 
@@ -424,7 +414,7 @@ class TestConjectureProbe:
 
 class TestRecordEmission:
     def test_small_ball_record_fields(self):
-        est = estimate_small_ball(FamilyKind.UNIFORM_CUBE, 4, np.ones(4), 0.2, 300, 1)
+        est = small_ball_curve(FamilyKind.UNIFORM_CUBE, 4, np.ones(4), [0.2], 300, 1)[0]
         record = small_ball_record(est)
         assert set(record) == set(BOUND_COLUMNS)
         assert record["kind"] == "uniform_cube"
@@ -446,31 +436,3 @@ class TestRecordEmission:
         record = conjecture_record(row)
         assert record["epsilon"] == 0.2
         assert record["ratio"] == row.ratio
-
-    def test_csv_bytes_are_pinned(self, tmp_path):
-        """The CSV grammar: repr floats, empty None, lowercase booleans,
-        'inf' for infinities, LF line endings."""
-        columns = ("kind", "p", "d", "bound", "vacuous")
-        records = [
-            {"kind": "uniform_cube", "p": math.inf, "d": 8, "bound": None, "vacuous": False},
-            {"kind": "unit_sphere", "p": 2.0, "d": 4, "bound": 0.5, "vacuous": True},
-            {"kind": "x", "p": -math.inf, "d": 1, "bound": 0.125, "vacuous": False},
-        ]
-        path = tmp_path / "rows.csv"
-        write_records_csv(path, columns, records)
-        expected = (
-            b"kind,p,d,bound,vacuous\n"
-            b"uniform_cube,inf,8,,false\n"
-            b"unit_sphere,2.0,4,0.5,true\n"
-            b"x,-inf,1,0.125,false\n"
-        )
-        assert path.read_bytes() == expected
-
-    def test_json_mirrors_the_csv_fields(self, tmp_path):
-        columns = ("kind", "p", "bound")
-        records = [{"kind": "uniform_cube", "p": math.inf, "bound": None}]
-        path = tmp_path / "rows.json"
-        write_records_json(path, columns, records)
-        payload = json.loads(path.read_text())
-        assert payload == [{"kind": "uniform_cube", "p": "inf", "bound": None}]
-        assert path.read_text().endswith("\n")

@@ -118,6 +118,11 @@ class TestIndexConfig:
         with pytest.raises(ValueError):
             _config(max_entries=0)
 
+    def test_a_nan_factor_is_rejected_and_an_infinite_one_kept(self):
+        with pytest.raises(ValueError, match="approximation factor"):
+            _config(c=math.nan)
+        assert _config(c=math.inf).c == math.inf
+
     def test_derived_properties_match_the_family_formulas(self):
         cfg = _config()
         assert cfg.c_threshold == c_threshold(cfg.kind, cfg.p, cfg.d)

@@ -15,10 +15,8 @@ from hypothesis import strategies as st
 
 from floorlsh.lpspace import (
     SQRT3,
-    BoundConstants,
     beta_function_half,
     beta_lower_bound_margin,
-    bound_constants,
     cap_probability,
     check_exponent,
     cube_c_threshold,
@@ -173,20 +171,6 @@ class TestScalesAndThresholds:
         for threshold in (cube_c_threshold, sphere_c_threshold, sign_c_threshold):
             assert threshold(p, d) > 0.0
             assert threshold(p, 4 * d) > threshold(p, d)
-
-    @given(EXPONENTS, st.integers(min_value=1, max_value=4096))
-    @settings(deadline=2000)
-    def test_bound_constants_coherent(self, p, d):
-        constants = bound_constants(p, d)
-        assert isinstance(constants, BoundConstants)
-        assert constants.q == pytest.approx(dual_exponent(p), rel=1e-12)
-        assert constants.scale_cube == pytest.approx(cube_scale(p, d), rel=1e-12)
-        assert constants.scale_sphere == pytest.approx(sphere_scale(p, d), rel=1e-12)
-        assert constants.tau_cube == pytest.approx(cube_c_threshold(p, d), rel=1e-12)
-        assert constants.tau_sphere == pytest.approx(
-            sphere_c_threshold(p, d), rel=1e-12
-        )
-        assert constants.tau_sign == pytest.approx(sign_c_threshold(p, d), rel=1e-12)
 
 
 class TestBetaFunctionHalf:
