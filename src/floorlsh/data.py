@@ -73,15 +73,19 @@ def read_points(path: str | Path) -> tuple[np.ndarray, float]:
 
 def gaussian_points(n: int, d: int, seed: int, scale: float = 1.0) -> np.ndarray:
     """n standard Gaussian points scaled by ``scale``."""
-    if not math.isfinite(scale):
-        raise ValueError(f"scale must be finite, got {scale}")
-    return stream(seed, _STREAM_POINTS).standard_normal((n, d)) * scale
+    with np.errstate(over="ignore"):
+        points = stream(seed, _STREAM_POINTS).standard_normal((n, d)) * scale
+    if not np.isfinite(points).all():
+        raise ValueError(f"points scaled by {scale} are not all finite")
+    return points
 
 
 def uniform_cube_points(n: int, d: int, seed: int, scale: float = 1.0) -> np.ndarray:
     """n points uniform on the cube (-scale, scale)^d."""
-    if not math.isfinite(scale):
-        raise ValueError(f"scale must be finite, got {scale}")
+    # a draw is -scale plus a fraction of the width 2 * scale, so every
+    # coordinate is finite exactly when the width is
+    if not math.isfinite(2.0 * scale):
+        raise ValueError(f"points scaled by {scale} are not all finite")
     return stream(seed, _STREAM_POINTS).uniform(-scale, scale, size=(n, d))
 
 
@@ -122,10 +126,7 @@ def planted_pairs_dataset(
         raise ValueError("distances must be nonempty when planting pairs")
     if not all(0.0 < t < math.inf for t in distances):
         raise ValueError("planted distances must be positive and finite")
-    if not math.isfinite(spread):
-        raise ValueError(f"spread must be finite, got {spread}")
-    rng = stream(seed, _STREAM_POINTS)
-    points = rng.standard_normal((n, d)) * spread
+    points = gaussian_points(n, d, seed, scale=spread)
     pairs = []
     if n_pairs > 0:
         directions = lp_sphere_block(stream(seed, _STREAM_DIRECTIONS), d, p, n_pairs)

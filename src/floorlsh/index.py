@@ -16,12 +16,12 @@ Two storage layouts trade preprocessing against query cost:
 Both return identical distance <= 1 results for the same configuration and
 master seed; the variants can differ only on the optional band (1, c].
 
-Each label tuple is folded to one mixed 64-bit key, and the entries live in
-one array of keys sorted by (key, id) beside one array of point ids; a
-bucket is a run of equal keys, found by binary search.  Two label tuples
-that fold to the same key share a run; that can only add candidates, and
-distance verification checks every candidate, so correctness does not
-depend on the key, only bucket sizes do.
+Each label tuple is folded to one 64-bit key, the XOR of one mixed value per
+level, and the entries live in one array of keys sorted by (key, id) beside
+one array of point ids; a bucket is a run of equal keys, found by binary
+search.  Two label tuples that fold to the same key share a run; that can
+only add candidates, and distance verification checks every candidate, so
+correctness does not depend on the key, only bucket sizes do.
 
 Labels are exact only while |scale * <w, x>| < 2^53, the range in which a
 double holds every integer, so build and query reject inputs beyond it and
@@ -70,10 +70,11 @@ _MIX_MULT_2 = np.uint64(0xC4CEB9FE1A85EC53)
 #: Doubles hold every integer below 2^53, so floored labels are exact there.
 _EXACT_LABEL_LIMIT = 2.0**53
 
-_FILE_MAGIC = b"FLSHIDX2"
-_FILE_VERSION = 2
-#: The two-lane format before it, recognised only to ask for a rebuild.
-_RETIRED_MAGIC = b"FLSHIDX1"
+_FILE_MAGIC = b"FLSHIDX3"
+_FILE_VERSION = 3
+#: Earlier formats, recognised only to ask for a rebuild: FLSHIDX1 stored
+#: two key lanes, FLSHIDX2 keys folded over key prefixes.
+_RETIRED_MAGICS = (b"FLSHIDX1", b"FLSHIDX2")
 _HEADER = struct.Struct("<8sHQ32s")
 _CONFIG_BLOCK = struct.Struct("<BdBBIdIQBQB")
 _STATS_BLOCK = struct.Struct("<dQQQ")
@@ -303,21 +304,21 @@ class _Fingerprinter:
 
     def fold(self, labels: np.ndarray, offsets: np.ndarray) -> np.ndarray:
         """labels: (m, L) int64 -> (m, k^L) uint64 keys of the label tuples
-        ``labels + o`` for every o in offsets^L (k offsets), o in
+        ``t = labels + o`` for every o in offsets^L (k offsets), o in
         lexicographic order.
 
-        Folds level by level: each key prefix is mixed once and then fans
-        out over the next level's offsets, so a row costs sum_i k^i mixes
-        rather than L * k^L, with keys bit-identical to folding every
-        offset tuple from the start.
+        key(t) is the XOR over levels l of mix64((t_l * mult_l) ^ init), so a
+        row costs L * k mixes; each level value is a bijection of its label,
+        so tuples that differ in one level never share a key.
         """
         m = labels.shape[0]
         # values[r, i, j]: level i of row r's label moved by offsets[j], times
         # that level's multiplier
         values = (labels[:, :, None] + offsets).astype(np.uint64) * self.mults[:, None]
-        keys = np.full((m, 1), self.init, dtype=np.uint64)
-        for level in range(values.shape[1]):
-            keys = _mix64((keys[:, :, None] ^ values[:, level, None, :]).reshape(m, -1))
+        mixed = _mix64(values ^ self.init)
+        keys = mixed[:, 0]
+        for level in range(1, mixed.shape[1]):
+            keys = (keys[:, :, None] ^ mixed[:, level, None, :]).reshape(m, -1)
         return keys
 
 
@@ -561,10 +562,10 @@ class LshIndex:
         if image.nbytes < _HEADER.size:
             raise ValueError("index image is truncated")
         magic, version, payload_length, digest = _HEADER.unpack_from(image, 0)
-        if magic == _RETIRED_MAGIC:
+        if magic in _RETIRED_MAGICS:
             raise ValueError(
-                "index image format FLSHIDX1 (version 1) is no longer "
-                "supported; rebuild the index to write FLSHIDX2"
+                f"index image format {magic.decode()} (version {version}) is no "
+                "longer supported; rebuild the index to write FLSHIDX3"
             )
         if magic != _FILE_MAGIC:
             raise ValueError("not an index image")
@@ -650,6 +651,7 @@ class LshIndex:
         return cls(config, hash_functions, points, keys, ids, stats)
 
     def save(self, path: str | Path) -> None:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
         with open(path, "wb") as handle:
             for part in self._image():
                 handle.write(part)

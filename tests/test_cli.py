@@ -225,8 +225,8 @@ class TestSmallCommands:
 
 
 class TestBuildQueryAudit:
-    def _build(self, tmp_path, dataset):
-        out = tmp_path / "index.bin"
+    def _build(self, tmp_path, dataset, out=None):
+        out = out or tmp_path / "index.bin"
         code = main(
             [
                 "build",
@@ -258,6 +258,10 @@ class TestBuildQueryAudit:
         assert isinstance(manifest["params"]["c"], float)
         assert manifest["params"]["levels"] == 3
         assert manifest["params"]["c"] == pytest.approx(index.config.c)
+
+    def test_build_creates_the_output_directory(self, tmp_path):
+        out = self._build(tmp_path, _gen_gaussian(tmp_path), tmp_path / "ix" / "a.bin")
+        assert LshIndex.load(out).levels == 3
 
     def test_query_emits_jsonl_and_audit_passes(self, tmp_path):
         dataset = _gen_gaussian(tmp_path)
@@ -412,8 +416,8 @@ _GEN = "gen-data --n 20 --d 3 --p 2 --seed 0 --out {out}/g.txt"
 _VERIFY = "verify-bounds --ds 4 --trials 100 --seeds 0 --out {out}/v.csv"
 
 #: Command lines that pass NaN (or an infinity where only finite values
-#: make sense) to a range check, each of which must fail before anything is
-#: written.
+#: make sense, or a scale that makes generated coordinates overflow) to a
+#: range check, each of which must fail before anything is written.
 _NAN_RUNS = {
     "build --c": "build --dataset {data} --c nan --levels 2 --master-seed 0 "
     "--out {out}/x.bin",
@@ -431,6 +435,9 @@ _NAN_RUNS = {
     "gen-data --spread": f"{_GEN} --shape planted_pairs --pairs 4 --spread nan",
     "gen-data --scale": f"{_GEN} --shape gaussian --scale nan",
     "gen-data cube --scale": f"{_GEN} --shape uniform_cube --scale inf",
+    "gen-data --scale overflow": f"{_GEN} --shape gaussian --scale 1e308",
+    "gen-data cube --scale overflow": f"{_GEN} --shape uniform_cube --scale 1e308",
+    "gen-data --spread overflow": f"{_GEN} --shape planted_pairs --pairs 4 --spread 1e308",
     "gen-data far_ring --c": f"{_GEN} --shape far_ring --c nan",
     "gen-data far_ring --c inf": f"{_GEN} --shape far_ring --c inf",
     "gen-data near_queries --c": f"{_GEN} --shape near_queries --c nan",

@@ -222,22 +222,50 @@ class TestFold:
     def test_level_by_level_fold_matches_the_explicit_offset_grid(
         self, levels, master_seed, label
     ):
-        """Keys of the 3^L neighbourhood, folded one level at a time, equal
-        folding each offset tuple of the grid from the start."""
+        """Keys of the 3^L neighbourhood equal, for each offset tuple of the
+        grid, the XOR over levels of the mixed level value."""
         fingerprinter = _Fingerprinter(master_seed, levels)
         label = np.array(label[:levels], dtype=np.int64)
         grid = np.array(list(itertools.product((-1, 0, 1), repeat=levels)))
         expected = []
         with np.errstate(over="ignore"):
             for offset in grid:
-                key = fingerprinter.init
+                key = np.uint64(0)
                 for value, mult in zip((label + offset).astype(np.uint64), fingerprinter.mults):
-                    key = _mix_scalar(key ^ (value * mult))
+                    key ^= _mix_scalar((value * mult) ^ fingerprinter.init)
                 expected.append(key)
         folded = fingerprinter.fold(label[None, :], np.array([-1, 0, 1]))
         assert folded.tolist() == [[int(key) for key in expected]]
         own = fingerprinter.fold(label[None, :], np.array([0]))
         assert own.tolist() == [[int(expected[len(grid) // 2])]]
+
+    @given(
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=0, max_value=2**64 - 1),
+        st.sampled_from([[0], [-1, 0, 1]]),
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=0, max_value=2**32),
+    )
+    @settings(deadline=None, max_examples=60)
+    def test_a_batch_folds_as_its_rows_one_by_one(
+        self, levels, master_seed, offsets, rows, seed
+    ):
+        fingerprinter = _Fingerprinter(master_seed, levels)
+        offsets = np.array(offsets)
+        labels = np.random.default_rng(seed).integers(-(2**40), 2**40, (rows, levels))
+        batch = fingerprinter.fold(labels, offsets)
+        assert batch.shape == (rows, offsets.size**levels)
+        for row, keys in zip(labels, batch):
+            np.testing.assert_array_equal(fingerprinter.fold(row[None, :], offsets)[0], keys)
+
+    def test_fast_query_buckets_are_the_distinct_stored_label_tuples(self):
+        """No two distinct stored label tuples share a key."""
+        points = _cloud(n=200)
+        index = LshIndex.build(points, _config(variant=Variant.FAST_QUERY))
+        labels = np.floor(index._scale * (points @ index._w_matrix.T)).astype(np.int64)
+        grid = np.array(list(itertools.product((-1, 0, 1), repeat=index.levels)))
+        stored = (labels[:, None, :] + grid).reshape(-1, index.levels)
+        assert index.unique_bucket_count == np.unique(stored, axis=0).shape[0]
 
 
 _TOP = 2**64 - 1
@@ -478,9 +506,10 @@ class TestSerialization:
         with pytest.raises(ValueError, match=message):
             LshIndex.from_bytes(_retagged(blob, field, tag))
 
-    def test_version_1_images_ask_for_a_rebuild(self):
-        header = struct.pack("<8sHQ32s", b"FLSHIDX1", 1, 8, bytes(32))
-        with pytest.raises(ValueError, match="FLSHIDX1.*version 1.*rebuild"):
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_retired_images_ask_for_a_rebuild(self, version):
+        header = struct.pack("<8sHQ32s", b"FLSHIDX%d" % version, version, 8, bytes(32))
+        with pytest.raises(ValueError, match=f"FLSHIDX{version}.*version {version}.*rebuild"):
             LshIndex.from_bytes(header + bytes(8))
 
     @pytest.mark.parametrize("variant", list(Variant))
