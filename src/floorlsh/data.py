@@ -220,8 +220,10 @@ def read_pairs_truth(path: str | Path) -> list[PlantedPair]:
 
 def jsonable(value: object) -> object:
     """``value`` with every enum replaced by its value, every infinity by
-    ``"inf"`` or ``"-inf"`` and every tuple by a list, recursively, so that
-    ``json.dump`` writes strict JSON."""
+    ``"inf"`` or ``"-inf"`` and every tuple or numpy array by a list,
+    recursively, so that ``json.dump`` writes strict JSON."""
+    if isinstance(value, np.ndarray):
+        return jsonable(value.tolist())
     if isinstance(value, Enum):
         return value.value
     if isinstance(value, float) and math.isinf(value):

@@ -132,10 +132,10 @@ def small_ball_curve(
     if norm2 == 0.0:
         raise ValueError("small-ball estimation requires a nonzero point")
     pool = sample_pool(kind, d, trials, seed, q=q)
-    magnitudes = np.sort(np.abs(pool @ x))
+    magnitudes = np.abs(pool @ x)
     estimates = []
     for alpha in alphas:
-        hits = int(np.searchsorted(magnitudes, alpha, side="left"))
+        hits = int(np.count_nonzero(magnitudes < alpha))
         ci_low, ci_high = clopper_pearson(hits, trials)
         estimates.append(
             AntiConcEstimate(

@@ -77,12 +77,13 @@ class GroundTruth:
     """Exact neighborhoods of one query.
 
     ``within_r`` are the must-return ids (distance <= r), ``within_c`` the
-    acceptable ids (distance <= c); nearest is the closest point overall.
+    acceptable ids (distance <= c), each a sorted, read-only int64 array;
+    nearest is the closest point overall.
     """
 
     query_id: int
-    within_r: tuple[int, ...]
-    within_c: tuple[int, ...]
+    within_r: np.ndarray
+    within_c: np.ndarray
     nearest_id: int
     nearest_distance: float
 
@@ -103,11 +104,14 @@ def ground_truth(
     for query_id, query in enumerate(queries):
         distances = lp_distances(points, query, p)
         nearest = int(np.argmin(distances))
+        within_r = np.flatnonzero(distances <= r)
+        within_c = np.flatnonzero(distances <= c)
+        within_r.flags.writeable = within_c.flags.writeable = False
         truths.append(
             GroundTruth(
                 query_id=query_id,
-                within_r=tuple(np.flatnonzero(distances <= r).tolist()),
-                within_c=tuple(np.flatnonzero(distances <= c).tolist()),
+                within_r=within_r,
+                within_c=within_c,
                 nearest_id=nearest,
                 nearest_distance=float(distances[nearest]),
             )
@@ -122,13 +126,14 @@ class RecallRecord:
     ``recall`` is against the must-return set (1.0 when that set is empty);
     ``precision`` is against the acceptable set.  ``missing`` lists any
     must-return ids the index failed to produce: each one is a concrete
-    counterexample to the no-false-negative guarantee.
+    counterexample to the no-false-negative guarantee.  ``within_r`` and
+    ``within_c`` are the ground truth's arrays.
     """
 
     query_id: int
     returned: tuple[int, ...]
-    within_r: tuple[int, ...]
-    within_c: tuple[int, ...]
+    within_r: np.ndarray
+    within_c: np.ndarray
     recall: float
     precision: float
     missing: tuple[int, ...]
@@ -154,13 +159,15 @@ def audit_results(results: Sequence, truths: Sequence[GroundTruth]) -> list[Reca
     records = []
     for truth, result in zip(truths, results, strict=True):
         returned = tuple(sorted(point_id for point_id, _ in result.neighbors))
-        must = set(truth.within_r)
-        acceptable = set(truth.within_c)
-        got = set(returned)
-        missing = tuple(sorted(must - got))
-        extraneous = tuple(sorted(got - acceptable))
-        recall = 1.0 if not must else len(must & got) / len(must)
-        precision = 1.0 if not got else len(got & acceptable) / len(got)
+        got = np.array(returned, dtype=np.int64)
+        missing = tuple(np.setdiff1d(truth.within_r, got, assume_unique=True).tolist())
+        # an id is in the sorted within_c when its two insertion points differ
+        within_c = truth.within_c
+        accepted = np.searchsorted(within_c, got, "right") > np.searchsorted(within_c, got)
+        extraneous = tuple(got[~accepted].tolist())
+        must = len(truth.within_r)
+        recall = 1.0 if not must else (must - len(missing)) / must
+        precision = 1.0 if not returned else int(accepted.sum()) / len(returned)
         records.append(
             RecallRecord(
                 query_id=truth.query_id,
@@ -179,7 +186,7 @@ def audit_results(results: Sequence, truths: Sequence[GroundTruth]) -> list[Reca
 
 def write_ground_truth_jsonl(path: str | Path, truths: Sequence[GroundTruth]) -> None:
     """Emit ground truth as JSON lines, one query per line."""
-    # vars, not asdict, which would copy every id of the id tuples one by one
+    # vars, not asdict, which would deep-copy the id arrays
     write_jsonl(path, map(vars, truths))
 
 

@@ -17,10 +17,11 @@ Both return identical distance <= 1 results for the same configuration and
 master seed; the variants can differ only on the optional band (1, c].
 
 Each label tuple is folded to one 64-bit key, the XOR of one mixed value per
-level, and the entries live in one array of keys sorted by (key, id) beside
-one array of point ids; a bucket is a run of equal keys, found by binary
-search.  Two label tuples that fold to the same key share a run; that can
-only add candidates, and distance verification checks every candidate, so
+level, of which a bucket keeps the high 64 - b bits, for
+b = bit_length(entries - 1).  The entries live in one array of these keys
+sorted by (key, id) beside one array of 4-byte point ids; a bucket is a run
+of equal keys, found by binary search.  Two label tuples whose keys agree share a run; that can only
+add candidates, and distance verification checks every candidate, so
 correctness does not depend on the key, only bucket sizes do.
 
 Labels are exact only while |scale * <w, x>| < 2^53, the range in which a
@@ -70,11 +71,15 @@ _MIX_MULT_2 = np.uint64(0xC4CEB9FE1A85EC53)
 #: Doubles hold every integer below 2^53, so floored labels are exact there.
 _EXACT_LABEL_LIMIT = 2.0**53
 
-_FILE_MAGIC = b"FLSHIDX3"
-_FILE_VERSION = 3
+#: Ids are int32, so an index holds fewer than 2^31 points.
+_MAX_POINTS = 2**31
+
+_FILE_MAGIC = b"FLSHIDX4"
+_FILE_VERSION = 4
 #: Earlier formats, recognised only to ask for a rebuild: FLSHIDX1 stored
-#: two key lanes, FLSHIDX2 keys folded over key prefixes.
-_RETIRED_MAGICS = (b"FLSHIDX1", b"FLSHIDX2")
+#: two key lanes, FLSHIDX2 keys folded over key prefixes, FLSHIDX3 whole
+#: keys and 8-byte ids.
+_RETIRED_MAGICS = (b"FLSHIDX1", b"FLSHIDX2", b"FLSHIDX3")
 _HEADER = struct.Struct("<8sHQ32s")
 _CONFIG_BLOCK = struct.Struct("<BdBBIdIQBQB")
 _STATS_BLOCK = struct.Struct("<dQQQ")
@@ -259,36 +264,10 @@ def _bucket_count(sorted_keys: np.ndarray) -> int:
     return int(np.count_nonzero(sorted_keys[1:] != sorted_keys[:-1])) + 1
 
 
-def _sort_entries(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(keys[order], order), for order the stable argsort of uint64 ``keys``.
-
-    The low b = bit_length(size - 1) bits of each key are replaced by its
-    position, so one in-place sort of these tagged keys, numpy's vectorised
-    quicksort, orders the entries by (high key bits, position), far faster
-    than a stable argsort; masking the tags back out of the same buffer
-    gives the order.  The gathered keys can be out of order only within a
-    slice of equal high bits that holds distinct keys; a stable argsort of
-    each such slice settles it.
-    """
-    bits = (keys.size - 1).bit_length()
-    mask = np.uint64((1 << bits) - 1)
-    tagged = keys & ~mask
-    tagged |= np.arange(keys.size, dtype=np.uint64)
-    tagged.sort()
-    tagged &= mask
-    order = tagged.view(np.int64)
-    keys = keys[order]
-    unsorted = np.flatnonzero(keys[1:] < keys[:-1])
-    # the high bits ascend along the keys, so binary search bounds the
-    # slice of each high-bit value an unsorted pair has
-    high = np.unique(keys[unsorted] & ~mask)
-    starts = np.searchsorted(keys, high)
-    stops = np.searchsorted(keys, high | mask, side="right")
-    for start, stop in zip(starts, stops):
-        fix = start + np.argsort(keys[start:stop], kind="stable")
-        keys[start:stop] = keys[fix]
-        order[start:stop] = order[fix]
-    return keys, order
+def _tag_mask(entries: int) -> np.uint64:
+    """The low b = bit_length(entries - 1) bits, which a bucket key leaves
+    out so that the build can tag each key with its entry's position."""
+    return np.uint64((1 << (entries - 1).bit_length()) - 1)
 
 
 class _Fingerprinter:
@@ -343,6 +322,7 @@ class LshIndex:
         self._w_matrix = np.vstack([h.w for h in hash_functions])
         self._scale = hash_scale(config.kind, config.p, config.d)
         self._fingerprinter = _Fingerprinter(config.master_seed, config.levels)
+        self._key_mask = ~_tag_mask(entry_ids.size)
         _, self._probe_offsets = _OFFSETS[config.variant]
 
     @property
@@ -367,17 +347,20 @@ class LshIndex:
         Deterministic in (points, config): per-level hash seeds derive from
         the master seed by counter, entries are sorted canonically by
         (key, id), so identical inputs give identical indexes regardless of
-        how the work would be split.  The sort is one vectorised sort of
-        position-tagged keys, with a stable repair of the rare slices where
-        distinct keys share their high bits (see ``_sort_entries``).
+        how the work would be split.  Each key's low bits, which buckets
+        leave out, hold its entry's position while one in-place sort orders
+        the entries by (key, position), that is by (key, id).
         """
         started = time.perf_counter()
-        points = np.array(points, dtype=np.float64, copy=True, order="C")
+        points = np.asarray(points, dtype=np.float64)
         if points.ndim != 2:
             raise ValueError("points must be a 2-d array")
         n, d = points.shape
         if n < 1:
             raise ValueError("cannot index an empty dataset")
+        if n >= _MAX_POINTS:
+            raise ValueError(f"cannot index {n} points: ids are 4 bytes, so n < 2^31")
+        points = np.array(points, copy=True, order="C")
         if d != config.d:
             raise ValueError(f"points have dimension {d}, config says {config.d}")
         levels = config.levels
@@ -407,16 +390,22 @@ class LshIndex:
         scale = hash_scale(config.kind, config.p, d)
         labels = _exact_labels(points, scale * (points @ w_matrix.T), "points")
         fingerprinter = _Fingerprinter(config.master_seed, levels)
+        tags = _tag_mask(total_entries)
         keys = np.empty(total_entries, dtype=np.uint64)
         chunk = max(1, _CHUNK_ENTRIES // replication)
         for start in range(0, n, chunk):
-            block = fingerprinter.fold(labels[start : start + chunk], offsets)
-            keys[start * replication : start * replication + block.size] = block.ravel()
-        # an entry's id is its position // replication, so the stable order
-        # of the keys is the (key, id) order; the ids are divided in the
-        # order's own buffer
-        keys, ids = _sort_entries(keys)
-        ids //= replication
+            block = fingerprinter.fold(labels[start : start + chunk], offsets).ravel()
+            first = start * replication
+            part = keys[first : first + block.size]
+            np.bitwise_and(block, ~tags, out=part)
+            part |= np.arange(first, first + part.size, dtype=np.uint64)
+        keys.sort()
+        # an entry's id is its position // replication
+        ids = np.empty(total_entries, dtype=np.int32)
+        for start in range(0, total_entries, _CHUNK_ENTRIES):
+            stop = start + _CHUNK_ENTRIES
+            ids[start:stop] = (keys[start:stop] & tags) // replication
+        keys &= ~tags
         stats = BuildStats(
             seconds=time.perf_counter() - started,
             entries=total_entries,
@@ -472,9 +461,11 @@ class LshIndex:
         and the bounds of each row's run in them."""
         entry_keys = self._entry_keys
         probes = self._fingerprinter.fold(labels, self._probe_offsets)
+        probes &= self._key_mask
         width = probes.shape[1]
         # sorted probes let each binary search start from the one before
-        probes = np.sort(probes, axis=1).ravel()
+        probes.sort(axis=1)
+        probes = probes.ravel()
         first = np.searchsorted(entry_keys, probes)
         hits = np.flatnonzero(entry_keys[np.minimum(first, entry_keys.size - 1)] == probes)
         starts = first[hits]
@@ -538,7 +529,7 @@ class LshIndex:
             points,
             tail,
             self._entry_keys.astype("<u8", copy=False),
-            self._entry_ids.astype("<i8", copy=False),
+            self._entry_ids.astype("<i4", copy=False),
         ]
         digest = hashlib.sha256()
         for section in sections:
@@ -565,7 +556,7 @@ class LshIndex:
         if magic in _RETIRED_MAGICS:
             raise ValueError(
                 f"index image format {magic.decode()} (version {version}) is no "
-                "longer supported; rebuild the index to write FLSHIDX3"
+                f"longer supported; rebuild the index to write {_FILE_MAGIC.decode()}"
             )
         if magic != _FILE_MAGIC:
             raise ValueError("not an index image")
@@ -623,10 +614,10 @@ class LshIndex:
         (entry_count,) = struct.unpack_from("<Q", payload, cursor)
         cursor += 8
         cursor += -(_HEADER.size + cursor) % 8
-        if cursor + 16 * entry_count != payload.nbytes:
+        if cursor + 12 * entry_count != payload.nbytes:
             raise ValueError("index image has trailing or missing bytes")
         keys = _entry_view(payload, "<u8", entry_count, cursor)
-        ids = _entry_view(payload, "<i8", entry_count, cursor + 8 * entry_count)
+        ids = _entry_view(payload, "<i4", entry_count, cursor + 8 * entry_count)
         if kind_tag not in _TAG_KINDS:
             raise ValueError(f"index image has unknown family tag {kind_tag}")
         if variant_tag not in _TAG_VARIANTS:

@@ -87,10 +87,19 @@ class TestGroundTruth:
         truths = ground_truth(POINTS, np.array([[3.0, 3.0]]), c=5.0, p=2.0, r=1.0)
         truth = truths[0]
         assert truth.query_id == 0
-        assert truth.within_r == (1,)
-        assert truth.within_c == (0, 1)
+        assert truth.within_r.tolist() == [1]
+        assert truth.within_c.tolist() == [0, 1]
         assert truth.nearest_id == 1
         assert truth.nearest_distance == 1.0
+
+    def test_neighborhoods_are_sorted_read_only_int64_arrays(self):
+        rng = np.random.default_rng(3)
+        points = rng.standard_normal((60, 3))
+        for truth in ground_truth(points, rng.standard_normal((4, 3)), c=2.5, p=1.0):
+            for ids in (truth.within_r, truth.within_c):
+                assert ids.dtype == np.int64
+                assert not ids.flags.writeable
+                assert np.all(ids[1:] > ids[:-1])
 
     def test_must_return_ids_are_acceptable_too(self):
         rng = np.random.default_rng(8)
@@ -152,16 +161,30 @@ class TestRecallReport:
     def test_empty_must_return_set_counts_as_full_recall(self):
         index = _stub_index([[]], c=1.0)
         record = recall_report(index, POINTS, np.array([[50.0, 50.0]]))[0]
-        assert record.within_r == ()
+        assert record.within_r.tolist() == []
         assert record.recall == 1.0
         assert record.precision == 1.0
 
 
 class TestJsonlWriters:
+    def test_ground_truth_bytes_are_pinned(self, tmp_path):
+        """Array-valued truths write the bytes that tuple-valued ones did."""
+        queries = np.array([[3.0, 3.0], [50.0, 50.0], [0.0, 0.0]])
+        path = tmp_path / "truth.jsonl"
+        write_ground_truth_jsonl(path, ground_truth(POINTS, queries, c=5.0, p=2.0))
+        assert path.read_bytes() == (
+            b'{"query_id": 0, "within_r": [1], "within_c": [0, 1], "nearest_id": 1, '
+            b'"nearest_distance": 1.0}\n'
+            b'{"query_id": 1, "within_r": [], "within_c": [], "nearest_id": 2, '
+            b'"nearest_distance": 60.8276253029822}\n'
+            b'{"query_id": 2, "within_r": [0], "within_c": [0, 1], "nearest_id": 0, '
+            b'"nearest_distance": 0.0}\n'
+        )
+
     def test_ground_truth_round_trips(self, tmp_path):
         truths = [
-            GroundTruth(0, (1,), (0, 1), 1, 1.0),
-            GroundTruth(1, (), (2,), 2, 3.5),
+            GroundTruth(0, np.array([1]), np.array([0, 1]), 1, 1.0),
+            GroundTruth(1, np.array([], dtype=np.int64), np.array([2]), 2, 3.5),
         ]
         path = tmp_path / "truth.jsonl"
         write_ground_truth_jsonl(path, truths)
@@ -177,7 +200,9 @@ class TestJsonlWriters:
         }
 
     def test_recall_round_trips(self, tmp_path):
-        records = [RecallRecord(3, (5,), (5,), (5, 6), 1.0, 1.0, (), (), 9)]
+        records = [
+            RecallRecord(3, (5,), np.array([5]), np.array([5, 6]), 1.0, 1.0, (), (), 9)
+        ]
         path = tmp_path / "audit.jsonl"
         write_recall_jsonl(path, records)
         payload = json.loads(path.read_text().splitlines()[0])

@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import math
 import struct
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -20,7 +21,6 @@ from floorlsh.index import (
     LshIndex,
     Variant,
     _Fingerprinter,
-    _sort_entries,
     choose_levels,
 )
 
@@ -190,6 +190,19 @@ class TestStorageLayout:
         with pytest.raises(ValueError, match="finite"):
             LshIndex.build(points, _config())
 
+    def test_rejects_2_to_the_31_points_before_copying_them(self):
+        """Ids are 4 bytes; a zero-stride view of 2^31 rows is refused
+        without allocating the 103 GB a copy of it would take."""
+        points = np.broadcast_to(np.zeros(6), (2**31, 6))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="2\\^31"):
+                LshIndex.build(points, _config())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_rejects_labels_beyond_exact_integers(self):
         points = _cloud(n=20)
         points[3] = 1e20
@@ -271,42 +284,42 @@ class TestFold:
 _TOP = 2**64 - 1
 
 
-@st.composite
-def _entry_keys(draw):
-    """uint64 keys of size 1, 2, 2^k or 2^k + 1, which set the tag width b:
-    random, differing only in their low b bits over one to three shared
-    high parts, all equal, or only 0 and 2^64 - 1."""
-    k = draw(st.integers(min_value=1, max_value=13))
-    size = draw(st.sampled_from([1, 2, 2**k, 2**k + 1]))
-    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32)))
-    bits = (size - 1).bit_length()
-    style = draw(st.sampled_from(["random", "low_bits", "equal", "extremes"]))
-    if style == "random":
-        return rng.integers(0, _TOP, size, dtype=np.uint64, endpoint=True)
-    if style == "low_bits":
-        highs = draw(st.lists(st.integers(0, _TOP >> bits), min_size=1, max_size=3))
-        high = np.array(highs, dtype=np.uint64)[rng.integers(0, len(highs), size)]
-        return (high << np.uint64(bits)) | rng.integers(0, 2**bits, size, dtype=np.uint64)
-    if style == "equal":
-        return np.full(size, draw(st.sampled_from([0, _TOP, 12345])), dtype=np.uint64)
-    return rng.choice(np.array([0, _TOP], dtype=np.uint64), size)
-
-
-class TestSortEntries:
-    @given(_entry_keys())
-    @example(np.array([3, 2, 1, 0], dtype=np.uint64))
-    @example(np.array([_TOP, 0, _TOP - 1, 1, _TOP], dtype=np.uint64))
-    @settings(deadline=None, max_examples=300)
-    def test_matches_the_stable_argsort(self, keys):
-        """The tagged sort, with its repair of slices of equal high bits,
-        gives exactly the stable argsort and the keys it sorts."""
-        original = keys.copy()
-        sorted_keys, order = _sort_entries(keys)
-        reference = np.argsort(keys, kind="stable")
-        assert order.dtype == np.int64
-        np.testing.assert_array_equal(order, reference)
-        np.testing.assert_array_equal(sorted_keys, keys[reference])
-        np.testing.assert_array_equal(keys, original)
+class TestEntryLayout:
+    @given(
+        st.sampled_from(list(Variant)),
+        st.integers(min_value=1, max_value=7),
+        st.sampled_from(["1", "2", "2^k", "2^k+1"]),
+        st.integers(min_value=1, max_value=3),
+        st.sampled_from([_TOP, 0xC000000000000000, 0xC0000000000000FF]),
+        st.integers(min_value=0, max_value=2**32),
+    )
+    @example(Variant.FAST_QUERY, 3, "2^k+1", 2, 0xC0000000000000FF, 0)
+    @settings(deadline=None, max_examples=60)
+    def test_entries_are_the_lexsorted_truncated_keys(
+        self, variant, k, size, levels, keep, seed
+    ):
+        """Keys and ids equal the np.lexsort order of (folded key without its
+        low bit_length(entries - 1) bits, position // replication), for
+        n in {1, 2, 2^k, 2^k + 1}.  Folds cut down to the bits of ``keep``
+        make many entries share a key, or differ only in the low bits that
+        buckets leave out, so ids must order each run."""
+        n = {"1": 1, "2": 2, "2^k": 2**k, "2^k+1": 2**k + 1}[size]
+        points = _cloud(n=n, seed=seed)
+        cut = np.uint64(keep)
+        fold = _Fingerprinter.fold
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_Fingerprinter, "fold", lambda self, *args: fold(self, *args) & cut)
+            index = LshIndex.build(points, _config(variant=variant, levels=levels))
+            labels = np.floor(index._scale * (points @ index._w_matrix.T)).astype(np.int64)
+            stored, _ = index_module._OFFSETS[variant]
+            keys = index._fingerprinter.fold(labels, stored).ravel()
+        replication = stored.size**levels
+        keys &= ~np.uint64((1 << (keys.size - 1).bit_length()) - 1)
+        positions = np.arange(keys.size)
+        order = np.lexsort((positions // replication, keys))
+        assert index._entry_ids.dtype == np.int32
+        np.testing.assert_array_equal(index._entry_keys, keys[order])
+        np.testing.assert_array_equal(index._entry_ids, positions[order] // replication)
 
 
 def _mix_scalar(value):
@@ -441,9 +454,23 @@ class TestVariantEquivalence:
         assert not np.array_equal(one.hash_functions[0].w, two.hash_functions[0].w)
 
 
+#: SHA-256 of the image of a 60-point cloud (seed 1) built with _config().
+GOLDEN_IMAGES = [
+    (Variant.FAST_QUERY, "e4f43da1c008c71318bdd8edc460130d6cac9cb406941f0c1641817713072925"),
+    (Variant.FAST_PREPROCESSING,
+     "b1da068c1191b26721c899ef9339e802f6f727aee8cd569fa9b2a6293e1569a1"),
+]
+
+
 class TestSerialization:
     def _round_trip(self, index):
         return LshIndex.from_bytes(index.to_bytes())
+
+    @pytest.mark.parametrize("variant, digest", GOLDEN_IMAGES)
+    def test_image_bytes_are_golden(self, variant, digest):
+        """Any drift in the image layout, the keys or the ids shows here."""
+        index = LshIndex.build(_cloud(n=60, seed=1), _config(variant=variant))
+        assert hashlib.sha256(index.to_bytes()).hexdigest() == digest
 
     def test_image_round_trips_with_identical_answers(self):
         points = _cloud(n=90, seed=2)
@@ -506,7 +533,7 @@ class TestSerialization:
         with pytest.raises(ValueError, match=message):
             LshIndex.from_bytes(_retagged(blob, field, tag))
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_retired_images_ask_for_a_rebuild(self, version):
         header = struct.pack("<8sHQ32s", b"FLSHIDX%d" % version, version, 8, bytes(32))
         with pytest.raises(ValueError, match=f"FLSHIDX{version}.*version {version}.*rebuild"):
