@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import os
-import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -41,10 +40,6 @@ from .streams import stream
 _POOL_BLOCK_ROWS = 8192
 _CHUNK_BYTES = 1 << 18  # 256 KiB
 
-_RECORD_MAGIC = b"FLHF"
-_RECORD_VERSION = 1
-_RECORD_HEADER = struct.Struct("<4sBBBdBdIQd")
-
 
 class FamilyKind(str, Enum):
     RADEMACHER = "rademacher"
@@ -57,14 +52,6 @@ class FamilyKind(str, Enum):
 PROVEN_ADJACENCY_KINDS = frozenset(
     {FamilyKind.RADEMACHER, FamilyKind.UNIFORM_CUBE, FamilyKind.UNIT_SPHERE}
 )
-
-_KIND_TAGS = {
-    FamilyKind.RADEMACHER: 0,
-    FamilyKind.UNIFORM_CUBE: 1,
-    FamilyKind.UNIT_SPHERE: 2,
-    FamilyKind.LQ_SPHERE_EXPERIMENTAL: 3,
-}
-_TAG_KINDS = {tag: kind for kind, tag in _KIND_TAGS.items()}
 
 
 def hash_scale(kind: FamilyKind, p: float, d: int) -> float:
@@ -149,57 +136,6 @@ class HashFunction:
             and self.q == other.q
             and np.array_equal(self.w, other.w)
         )
-
-    def to_bytes(self) -> bytes:
-        """Self-describing binary record; see :func:`hash_function_from_bytes`."""
-        p_tag = 1 if math.isinf(self.p) else 0
-        if self.q is None:
-            q_tag, q_value = 0, 0.0
-        elif math.isinf(self.q):
-            q_tag, q_value = 2, 0.0
-        else:
-            q_tag, q_value = 1, float(self.q)
-        header = _RECORD_HEADER.pack(
-            _RECORD_MAGIC,
-            _RECORD_VERSION,
-            _KIND_TAGS[FamilyKind(self.kind)],
-            p_tag,
-            0.0 if p_tag == 1 else float(self.p),
-            q_tag,
-            q_value,
-            self.d,
-            self.seed,
-            self.scale,
-        )
-        body = np.ascontiguousarray(self.w, dtype="<f8").tobytes()
-        return header + body
-
-
-def hash_function_from_bytes(blob: bytes) -> HashFunction:
-    """Inverse of :meth:`HashFunction.to_bytes`; bit-exact round trip."""
-    if len(blob) < _RECORD_HEADER.size:
-        raise ValueError("hash function record is truncated")
-    magic, version, kind_tag, p_tag, p_value, q_tag, q_value, d, seed, scale = (
-        _RECORD_HEADER.unpack_from(blob, 0)
-    )
-    if magic != _RECORD_MAGIC:
-        raise ValueError("not a hash function record")
-    if version != _RECORD_VERSION:
-        raise ValueError(f"unsupported hash function record version {version}")
-    if kind_tag not in _TAG_KINDS:
-        raise ValueError(f"unknown family tag {kind_tag}")
-    body = blob[_RECORD_HEADER.size :]
-    if len(body) != 8 * d:
-        raise ValueError(
-            f"hash function record expects {8 * d} payload bytes, got {len(body)}"
-        )
-    w = np.frombuffer(body, dtype="<f8").astype(np.float64, copy=True)
-    w.flags.writeable = False
-    p = math.inf if p_tag == 1 else p_value
-    q = None if q_tag == 0 else (math.inf if q_tag == 2 else q_value)
-    return HashFunction(
-        kind=_TAG_KINDS[kind_tag], p=p, d=d, seed=seed, w=w, scale=scale, q=q
-    )
 
 
 def lp_sphere_block(rng: np.random.Generator, d: int, q: float, rows: int) -> np.ndarray:

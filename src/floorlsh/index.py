@@ -35,7 +35,7 @@ import hashlib
 import math
 import struct
 import time
-from dataclasses import astuple, dataclass, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 
@@ -43,14 +43,11 @@ import numpy as np
 
 from .exact import lp_distances
 from .families import (
-    _KIND_TAGS,
-    _TAG_KINDS,
     PROVEN_ADJACENCY_KINDS,
     FamilyKind,
     HashFunction,
     c_threshold,
     false_positive_bound,
-    hash_function_from_bytes,
     hash_scale,
     sample_vector,
 )
@@ -74,15 +71,17 @@ _EXACT_LABEL_LIMIT = 2.0**53
 #: Ids are int32, so an index holds fewer than 2^31 points.
 _MAX_POINTS = 2**31
 
-_FILE_MAGIC = b"FLSHIDX4"
-_FILE_VERSION = 4
+_FILE_MAGIC = b"FLSHIDX5"
+_FILE_VERSION = 5
 #: Earlier formats, recognised only to ask for a rebuild: FLSHIDX1 stored
 #: two key lanes, FLSHIDX2 keys folded over key prefixes, FLSHIDX3 whole
-#: keys and 8-byte ids.
-_RETIRED_MAGICS = (b"FLSHIDX1", b"FLSHIDX2", b"FLSHIDX3")
+#: keys and 8-byte ids, FLSHIDX4 one self-describing record per level.
+_RETIRED_MAGICS = (b"FLSHIDX1", b"FLSHIDX2", b"FLSHIDX3", b"FLSHIDX4")
 _HEADER = struct.Struct("<8sHQ32s")
-_CONFIG_BLOCK = struct.Struct("<BdBBIdIQBQB")
-_STATS_BLOCK = struct.Struct("<dQQQ")
+#: p tag, p, family tag, variant tag, d, c, L, master seed, unsafe flag,
+#: max_entries, n, entries, unique buckets; the padding ends header and
+#: block on a multiple of 8, so the arrays after them start aligned.
+_BLOCK = struct.Struct("<BdBBIdIQBQQQQ2x")
 
 
 class Variant(str, Enum):
@@ -90,6 +89,13 @@ class Variant(str, Enum):
     FAST_PREPROCESSING = "fast_preprocessing"
 
 
+_KIND_TAGS = {
+    FamilyKind.RADEMACHER: 0,
+    FamilyKind.UNIFORM_CUBE: 1,
+    FamilyKind.UNIT_SPHERE: 2,
+    FamilyKind.LQ_SPHERE_EXPERIMENTAL: 3,
+}
+_TAG_KINDS = {tag: kind for kind, tag in _KIND_TAGS.items()}
 _VARIANT_TAGS = {Variant.FAST_QUERY: 0, Variant.FAST_PREPROCESSING: 1}
 _TAG_VARIANTS = {tag: variant for variant, tag in _VARIANT_TAGS.items()}
 
@@ -211,8 +217,8 @@ def choose_levels(variant: Variant, n: int, d: int, fp_bound: float) -> int:
 @dataclass(frozen=True)
 class BuildStats:
     """Figures of one build.  ``seconds`` is the build's wall-clock time; an
-    image records 0.0 in its place, so images are reproducible byte for
-    byte, and a loaded index reports ``seconds == 0.0``."""
+    image does not record it, so images are reproducible byte for byte, and
+    a loaded index reports ``seconds == 0.0``."""
 
     seconds: float
     entries: int
@@ -410,7 +416,7 @@ class LshIndex:
             seconds=time.perf_counter() - started,
             entries=total_entries,
             unique_buckets=_bucket_count(keys),
-            approx_bytes=points.nbytes + w_matrix.nbytes + keys.nbytes + ids.nbytes,
+            approx_bytes=_approx_bytes(points, w_matrix, keys, ids),
         )
         resolved = replace(config, levels=levels)
         return cls(resolved, hash_functions, points, keys, ids, stats)
@@ -498,9 +504,8 @@ class LshIndex:
         """The image as buffers: the header, then the payload sections."""
         config = self.config
         p_tag = 1 if math.isinf(config.p) else 0
-        records = [function.to_bytes() for function in self.hash_functions]
-        head = b"".join([
-            _CONFIG_BLOCK.pack(
+        sections = [
+            _BLOCK.pack(
                 p_tag,
                 0.0 if p_tag else float(config.p),
                 _KIND_TAGS[config.kind],
@@ -511,23 +516,12 @@ class LshIndex:
                 config.master_seed,
                 1 if config.unsafe_override else 0,
                 config.max_entries,
-                1,  # points-copied flag: the build always stores its own copy
+                len(self.points),
+                self.entry_count,
+                self.stats.unique_buckets,
             ),
-            _STATS_BLOCK.pack(*astuple(replace(self.stats, seconds=0.0))),
-            struct.pack("<QI", *self.points.shape),
-        ])
-        points = np.ascontiguousarray(self.points, dtype="<f8")
-        tail = [struct.pack("<I", len(records))]
-        for record in records:
-            tail += [struct.pack("<I", len(record)), record]
-        tail = b"".join([*tail, struct.pack("<Q", self._entry_ids.size)])
-        # pad so the entry arrays start 8-byte aligned in the image, which
-        # lets from_bytes keep them as views
-        tail += bytes(-(_HEADER.size + len(head) + points.nbytes + len(tail)) % 8)
-        sections = [
-            head,
-            points,
-            tail,
+            np.ascontiguousarray(self.points, dtype="<f8"),
+            self._w_matrix.astype("<f8", copy=False),
             self._entry_keys.astype("<u8", copy=False),
             self._entry_ids.astype("<i4", copy=False),
         ]
@@ -543,8 +537,10 @@ class LshIndex:
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "LshIndex":
-        """Rebuild an index from :meth:`to_bytes` output, verifying length
-        and checksum; the rebuilt index answers queries identically.
+        """Rebuild an index from :meth:`to_bytes` output, verifying length,
+        checksum, point count, entry count and ids; the rebuilt index
+        answers queries identically.  Hash seeds and scales are derived from
+        the config as :meth:`build` derives them; the vectors are read back.
 
         The entry arrays stay read-only views of ``blob``: nothing is copied
         or rebuilt, so ``blob`` must not change while the index lives.
@@ -570,7 +566,8 @@ class LshIndex:
             )
         if hashlib.sha256(payload).digest() != digest:
             raise ValueError("index image checksum mismatch: file is corrupted")
-        cursor = 0
+        if payload.nbytes < _BLOCK.size:
+            raise ValueError("index image is truncated")
         (
             p_tag,
             p_value,
@@ -582,42 +579,10 @@ class LshIndex:
             master_seed,
             unsafe,
             max_entries,
-            _,
-        ) = _CONFIG_BLOCK.unpack_from(payload, cursor)
-        cursor += _CONFIG_BLOCK.size
-        stats = BuildStats(*_STATS_BLOCK.unpack_from(payload, cursor))
-        cursor += _STATS_BLOCK.size
-        n, d_points = struct.unpack_from("<QI", payload, cursor)
-        if d_points != d:
-            raise ValueError(f"index image stores {d_points}-d points, config says {d}")
-        cursor += struct.calcsize("<QI")
-        points = (
-            np.frombuffer(payload, dtype="<f8", count=n * d_points, offset=cursor)
-            .astype(np.float64)
-            .reshape(n, d_points)
-        )
-        cursor += n * d_points * 8
-        (function_count,) = struct.unpack_from("<I", payload, cursor)
-        if function_count != levels:
-            raise ValueError(
-                f"index image has {function_count} hash records for {levels} levels"
-            )
-        cursor += 4
-        hash_functions = []
-        for _ in range(function_count):
-            (record_length,) = struct.unpack_from("<I", payload, cursor)
-            cursor += 4
-            hash_functions.append(
-                hash_function_from_bytes(payload[cursor : cursor + record_length])
-            )
-            cursor += record_length
-        (entry_count,) = struct.unpack_from("<Q", payload, cursor)
-        cursor += 8
-        cursor += -(_HEADER.size + cursor) % 8
-        if cursor + 12 * entry_count != payload.nbytes:
-            raise ValueError("index image has trailing or missing bytes")
-        keys = _entry_view(payload, "<u8", entry_count, cursor)
-        ids = _entry_view(payload, "<i4", entry_count, cursor + 8 * entry_count)
+            n,
+            entries,
+            unique_buckets,
+        ) = _BLOCK.unpack_from(payload, 0)
         if kind_tag not in _TAG_KINDS:
             raise ValueError(f"index image has unknown family tag {kind_tag}")
         if variant_tag not in _TAG_VARIANTS:
@@ -633,12 +598,36 @@ class LshIndex:
             unsafe_override=bool(unsafe),
             max_entries=max_entries,
         )
-        expected = (config.kind, config.p, d, None, hash_scale(config.kind, config.p, d))
-        if any((h.kind, h.p, h.d, h.q, h.scale) != expected for h in hash_functions):
+        if _BLOCK.size + 8 * (n + levels) * d + 12 * entries != payload.nbytes:
+            raise ValueError("index image has trailing or missing bytes")
+        if n == 0:
+            raise ValueError("index image holds no points")
+        offsets, _ = _OFFSETS[config.variant]
+        if entries != n * offsets.size**levels:
             raise ValueError(
-                "index image has a hash record whose family, p, d, q or scale "
-                "disagrees with its config"
+                f"index image has {entries} entries, but {n} points take "
+                f"{n * offsets.size**levels} in {config.variant.value} at L={levels}"
             )
+        cursor = _BLOCK.size
+        points = np.frombuffer(payload, "<f8", n * d, cursor).astype(np.float64)
+        points = points.reshape(n, d)
+        cursor += points.nbytes
+        w_matrix = np.frombuffer(payload, "<f8", levels * d, cursor).astype(np.float64)
+        w_matrix = w_matrix.reshape(levels, d)
+        w_matrix.flags.writeable = False
+        cursor += w_matrix.nbytes
+        keys = _entry_view(payload, "<u8", entries, cursor)
+        ids = _entry_view(payload, "<i4", entries, cursor + keys.nbytes)
+        if ids.min() < 0 or ids.max() >= n:
+            raise ValueError(f"index image has point ids outside [0, {n})")
+        scale = hash_scale(config.kind, config.p, d)
+        hash_functions = [
+            HashFunction(config.kind, config.p, d, derive_seed(master_seed, i), w, scale)
+            for i, w in enumerate(w_matrix)
+        ]
+        stats = BuildStats(
+            0.0, entries, unique_buckets, _approx_bytes(points, w_matrix, keys, ids)
+        )
         return cls(config, hash_functions, points, keys, ids, stats)
 
     def save(self, path: str | Path) -> None:
@@ -650,6 +639,11 @@ class LshIndex:
     @classmethod
     def load(cls, path: str | Path) -> "LshIndex":
         return cls.from_bytes(Path(path).read_bytes())
+
+
+def _approx_bytes(*arrays: np.ndarray) -> int:
+    """Memory an index holds in its points, hash vectors, keys and ids."""
+    return sum(array.nbytes for array in arrays)
 
 
 def _entry_view(payload: memoryview, dtype: str, count: int, offset: int) -> np.ndarray:

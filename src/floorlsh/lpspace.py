@@ -73,45 +73,15 @@ def dual_exponent(p: float) -> float:
 def norm_sandwich_factor(s: float, d: int) -> float:
     """The constant d^{min(1/2 - 1/s, 0)} comparing an l_s norm with l_2.
 
-    For any z in R^d, ||z||_s * factor(s, d) <= ||z||_2 when s <= 2 and
-    ||z||_2 <= ||z||_s / factor(q, d) with q the dual exponent; see
-    :func:`norm_sandwich`.
+    For any z in R^d with q the dual exponent of s, the comparison
+    inequality brackets the Euclidean norm:
+    ||z||_s * factor(s, d) <= ||z||_2 <= ||z||_s / factor(q, d).
     """
     s = check_exponent(s)
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
     exponent = min(0.5 - 1.0 / s, 0.0)
     return float(d) ** exponent
-
-
-def norm_sandwich(z: np.ndarray, p: float) -> tuple[float, float, float]:
-    """Return (lower, ||z||_2, upper) with lower <= ||z||_2 <= upper.
-
-    The bracketing uses the l_p norm of z and the comparison constants of p
-    and its dual exponent:  ||z||_p * d^{min(1/2-1/p,0)}  and
-    ||z||_p / d^{min(1/2-1/q,0)}.
-    """
-    z = np.asarray(z, dtype=np.float64)
-    d = z.size
-    p = check_exponent(p)
-    q = dual_exponent(p)
-    norm_p = lp_norm(z, p)
-    norm_2 = lp_norm(z, 2.0)
-    lower = norm_p * norm_sandwich_factor(p, d)
-    upper = norm_p / norm_sandwich_factor(q, d)
-    return lower, norm_2, upper
-
-
-def norm_sandwich_holds(z: np.ndarray, p: float, rel_tol: float = 1e-9) -> bool:
-    """Check the norm sandwich on a concrete nonzero vector.
-
-    Raises on the zero vector, where the ratio of norms is undefined.
-    """
-    lower, mid, upper = norm_sandwich(z, p)
-    if mid == 0.0:
-        raise ValueError("norm sandwich is undefined for the zero vector")
-    slack = rel_tol * mid
-    return (lower <= mid + slack) and (mid <= upper + slack)
 
 
 def cube_scale(p: float, d: int) -> float:

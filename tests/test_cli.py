@@ -6,7 +6,6 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -334,33 +333,29 @@ class TestBuildQueryAudit:
     @pytest.mark.parametrize(
         "craft, message",
         [
-            (lambda ix: {"hash_functions": ix.hash_functions[:1]}, "1 hash records for 2"),
-            (lambda ix: _each_record(ix, kind=FamilyKind.UNIT_SPHERE), "disagrees"),
-            (lambda ix: _each_record(ix, p=1.0), "disagrees"),
-            (lambda ix: {"hash_functions": [
-                replace(h, d=7, w=np.append(h.w, 0.0)) for h in ix.hash_functions
-            ]}, "disagrees"),
-            (lambda ix: _each_record(ix, q=2.0), "disagrees"),
-            (lambda ix: _each_record(ix, scale=2 * ix.hash_functions[0].scale), "disagrees"),
-            (lambda ix: {"points": np.hstack([ix.points, ix.points[:, :1]])},
-             "7-d points, config says 6"),
+            (lambda ix: {"points": ix.points[:0], "keys": ix._entry_keys[:0],
+                         "ids": ix._entry_ids[:0]}, "holds no points"),
+            (lambda ix: {"keys": ix._entry_keys[:-1], "ids": ix._entry_ids[:-1]},
+             "59 entries, but 60 points take 60"),
+            (lambda ix: {"ids": np.append(ix._entry_ids[:-1], np.int32(len(ix.points)))},
+             "ids outside [0, 60)"),
         ],
-        ids=["record-count", "family", "p", "d", "q", "scale", "points-width"],
+        ids=["no-points", "entry-count", "id-n"],
     )
-    def test_an_image_whose_records_disagree_is_a_usage_error(
+    def test_an_image_that_contradicts_itself_is_a_usage_error(
         self, tmp_path, capsys, craft, message
     ):
-        """A checksummed image whose hash records or points block contradict
-        its config is rejected on load, not at query time."""
+        """A checksummed image with no points, the wrong entry count or an id
+        beyond its points is rejected on load, not at query time."""
         dataset = _gen_gaussian(tmp_path)
         points, _ = read_points(dataset)
         config = IndexConfig(p=2.0, d=6, c=30.0, kind=FamilyKind.UNIFORM_CUBE,
                              variant=Variant.FAST_PREPROCESSING, levels=2)
         index = LshIndex.build(points, config)
-        parts = {"hash_functions": index.hash_functions, "points": index.points,
-                 **craft(index)}
-        crafted = LshIndex(config, parts["hash_functions"], parts["points"],
-                           index._entry_keys, index._entry_ids, index.stats)
+        parts = {"points": index.points, "keys": index._entry_keys,
+                 "ids": index._entry_ids, **craft(index)}
+        crafted = LshIndex(config, index.hash_functions, parts["points"], parts["keys"],
+                           parts["ids"], index.stats)
         index_path = tmp_path / "crafted.bin"
         index_path.write_bytes(crafted.to_bytes())
         code = main(["query", "--index", str(index_path), "--queries", str(dataset),
@@ -406,10 +401,6 @@ class TestBuildQueryAudit:
         )
         assert code == 2
         assert "exactly one" in capsys.readouterr().err
-
-
-def _each_record(index, **changes):
-    return {"hash_functions": [replace(h, **changes) for h in index.hash_functions]}
 
 
 _GEN = "gen-data --n 20 --d 3 --p 2 --seed 0 --out {out}/g.txt"
@@ -559,6 +550,15 @@ class TestEntryPoints:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[]"
+
+    def test_every_export_resolves_once(self):
+        """A stale name in __all__ would break ``from floorlsh import *``."""
+        assert len(set(floorlsh.__all__)) == len(floorlsh.__all__)
+        for name in floorlsh.__all__:
+            assert hasattr(floorlsh, name), name
+        namespace = {}
+        exec("from floorlsh import *", namespace)
+        assert set(floorlsh.__all__) <= set(namespace)
 
     @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
     def test_demo_runs(self, demo, tmp_path):

@@ -21,7 +21,6 @@ from floorlsh.families import (
     false_positive_bound,
     hash_eval,
     hash_eval_matrix,
-    hash_function_from_bytes,
     hash_scale,
     lp_sphere_block,
     sample_pool,
@@ -308,35 +307,6 @@ class TestAdjacency:
         h = sample_vector(FamilyKind.LQ_SPHERE_EXPERIMENTAL, 2.0, 4, 0, q=2.0)
         with pytest.raises(ValueError):
             adjacency_certificate(h, np.zeros(4), np.zeros(4))
-
-
-class TestSerialization:
-    @given(KINDS, EXPONENTS, st.integers(min_value=1, max_value=32), SEEDS)
-    @settings(deadline=4000, max_examples=30)
-    def test_round_trip(self, kind, p, d, seed):
-        q = 4.0 if kind is FamilyKind.LQ_SPHERE_EXPERIMENTAL else None
-        h = sample_vector(kind, p, d, seed, q=q)
-        restored = hash_function_from_bytes(h.to_bytes())
-        assert restored == h
-        assert restored.to_bytes() == h.to_bytes()
-
-    def test_bad_magic_rejected(self):
-        h = sample_vector(FamilyKind.UNIFORM_CUBE, 2.0, 4, 0)
-        blob = bytearray(h.to_bytes())
-        blob[0] ^= 0xFF
-        with pytest.raises(ValueError):
-            hash_function_from_bytes(bytes(blob))
-
-    def test_truncated_rejected(self):
-        h = sample_vector(FamilyKind.UNIFORM_CUBE, 2.0, 4, 0)
-        with pytest.raises(ValueError):
-            hash_function_from_bytes(h.to_bytes()[:-5])
-
-    def test_infinite_exponent_round_trips(self):
-        h = sample_vector(FamilyKind.UNIT_SPHERE, math.inf, 6, 1)
-        restored = hash_function_from_bytes(h.to_bytes())
-        assert math.isinf(restored.p)
-        assert restored == h
 
 
 class TestLpSphereBlock:

@@ -50,6 +50,32 @@ def _retagged(blob, field, tag):
     return header.pack(magic, version, length, hashlib.sha256(payload).digest()) + payload
 
 
+def _with_ids(index, position, value):
+    ids = index._entry_ids.copy()
+    ids[position] = value
+    return {"ids": ids}
+
+
+#: Changes that leave an image checksummed but contradicting itself, with
+#: the message its load must fail with.
+CONTRADICTIONS = [
+    (lambda ix: {"points": ix.points[:0], "keys": ix._entry_keys[:0],
+                 "ids": ix._entry_ids[:0]}, "holds no points"),
+    (lambda ix: {"keys": ix._entry_keys[:-1], "ids": ix._entry_ids[:-1]}, "entries"),
+    (lambda ix: _with_ids(ix, -1, len(ix.points)), "outside"),
+    (lambda ix: _with_ids(ix, 0, -1), "outside"),
+]
+CONTRADICTION_IDS = ["no-points", "entry-count", "id-n", "id-negative"]
+
+
+def _contradicting_image(index, craft):
+    """The image of ``index`` with its points, keys or ids replaced."""
+    parts = {"points": index.points, "keys": index._entry_keys,
+             "ids": index._entry_ids, **craft(index)}
+    return LshIndex(index.config, index.hash_functions, parts["points"], parts["keys"],
+                    parts["ids"], index.stats).to_bytes()
+
+
 def _cloud(n=400, d=6, seed=0, spread=0.5):
     """Gaussian cloud tight enough that many pairs sit within distance 1."""
     return np.random.default_rng(seed).standard_normal((n, d)) * spread
@@ -456,9 +482,9 @@ class TestVariantEquivalence:
 
 #: SHA-256 of the image of a 60-point cloud (seed 1) built with _config().
 GOLDEN_IMAGES = [
-    (Variant.FAST_QUERY, "e4f43da1c008c71318bdd8edc460130d6cac9cb406941f0c1641817713072925"),
+    (Variant.FAST_QUERY, "dec2ff66a6713e7fc44cf1a2e34a5c23c32a0e0047f2031cd15d8494ce15dee4"),
     (Variant.FAST_PREPROCESSING,
-     "b1da068c1191b26721c899ef9339e802f6f727aee8cd569fa9b2a6293e1569a1"),
+     "97fc5a08b2885b10501e41270f5115238fa1e6e3ccda9e0f1df83f0f47429f95"),
 ]
 
 
@@ -479,6 +505,7 @@ class TestSerialization:
         assert clone.config == index.config
         assert clone.levels == index.levels
         assert clone.entry_count == index.entry_count
+        assert clone.hash_functions == index.hash_functions
         # an image records no build time
         assert clone.stats == replace(index.stats, seconds=0.0)
         for query in points[:8] + 0.02:
@@ -512,6 +539,14 @@ class TestSerialization:
             LshIndex.from_bytes(blob[: len(blob) - 10])
         with pytest.raises(ValueError, match="truncated"):
             LshIndex.from_bytes(blob[:4])
+        # a checksummed payload too short to hold the fixed block
+        payload = bytes(8)
+        header = index_module._HEADER.pack(
+            index_module._FILE_MAGIC, index_module._FILE_VERSION, len(payload),
+            hashlib.sha256(payload).digest(),
+        )
+        with pytest.raises(ValueError, match="truncated"):
+            LshIndex.from_bytes(header + payload)
 
     def test_trailing_bytes_are_detected(self):
         blob = LshIndex.build(_cloud(n=15), _config()).to_bytes()
@@ -533,7 +568,17 @@ class TestSerialization:
         with pytest.raises(ValueError, match=message):
             LshIndex.from_bytes(_retagged(blob, field, tag))
 
-    @pytest.mark.parametrize("version", [1, 2, 3])
+    @pytest.mark.parametrize("variant", list(Variant))
+    @pytest.mark.parametrize("craft, message", CONTRADICTIONS, ids=CONTRADICTION_IDS)
+    def test_an_image_that_contradicts_itself_is_rejected(self, variant, craft, message):
+        """No points, an entry count other than n * 3^L (fast_query) or n
+        (fast_preprocessing), or an id outside [0, n) fails the load, not a
+        later query."""
+        index = LshIndex.build(_cloud(n=30), _config(variant=variant))
+        with pytest.raises(ValueError, match=message):
+            LshIndex.from_bytes(_contradicting_image(index, craft))
+
+    @pytest.mark.parametrize("version", [1, 2, 3, 4])
     def test_retired_images_ask_for_a_rebuild(self, version):
         header = struct.pack("<8sHQ32s", b"FLSHIDX%d" % version, version, 8, bytes(32))
         with pytest.raises(ValueError, match=f"FLSHIDX{version}.*version {version}.*rebuild"):

@@ -23,9 +23,7 @@ from floorlsh.lpspace import (
     cube_scale,
     dual_exponent,
     lp_norm,
-    norm_sandwich,
     norm_sandwich_factor,
-    norm_sandwich_holds,
     sign_c_threshold,
     sphere_c_threshold,
     sphere_scale,
@@ -120,10 +118,13 @@ class TestDualExponent:
 
 class TestNormSandwich:
     def test_hand_value(self):
-        lower, mid, upper = norm_sandwich(np.ones(4), 1.0)
-        assert lower == pytest.approx(2.0)
-        assert mid == pytest.approx(2.0)
-        assert upper == pytest.approx(4.0)
+        """||(1,1,1,1)||_1 = 4 and ||.||_2 = 2: the l_1 side gives 4 / 2 = 2
+        below, and the dual (l_inf) factor 1 gives 4 above."""
+        z = np.ones(4)
+        norm_1 = lp_norm(z, 1.0)
+        assert norm_1 * norm_sandwich_factor(1.0, 4) == pytest.approx(2.0)
+        assert lp_norm(z, 2.0) == pytest.approx(2.0)
+        assert norm_1 / norm_sandwich_factor(math.inf, 4) == pytest.approx(4.0)
 
     def test_factor_values(self):
         assert norm_sandwich_factor(2.0, 9) == 1.0
@@ -135,13 +136,15 @@ class TestNormSandwich:
     @given(VECTORS, EXPONENTS)
     @settings(deadline=2000)
     def test_sandwich_holds_for_nonzero(self, z, p):
-        if lp_norm(z, 2) == 0.0:
+        """The comparison inequality that sphere_scale relies on:
+        ||z||_p * factor(p) <= ||z||_2 <= ||z||_p / factor(dual of p)."""
+        norm_2 = lp_norm(z, 2.0)
+        if norm_2 == 0.0:
             return
-        assert norm_sandwich_holds(z, p)
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(ValueError):
-            norm_sandwich_holds(np.zeros(3), 2.0)
+        norm_p = lp_norm(z, p)
+        slack = 1e-9 * norm_2
+        assert norm_p * norm_sandwich_factor(p, z.size) <= norm_2 + slack
+        assert norm_2 <= norm_p / norm_sandwich_factor(dual_exponent(p), z.size) + slack
 
 
 class TestScalesAndThresholds:
