@@ -20,6 +20,7 @@ Exit codes: 0 success, 1 a checked bound or recall guarantee failed,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import functools
 import json
@@ -119,10 +120,6 @@ def _levels(text: str) -> str | int:
     return text if text == "auto" else int(text)
 
 
-def _as_levels(value: str | int) -> int | None:
-    return None if value == "auto" else value
-
-
 def _write_manifest(
     out: str, command: str, params: dict, extra: dict | None = None
 ) -> str:
@@ -189,47 +186,32 @@ def run_gen_data(params: dict) -> int:
 # verify-bounds
 
 
-def _scaled_verdict(bound: float | None, ci_low: float, scale: float):
-    """Apply a self-test multiplier to a bound; return (bound, vacuous,
-    violated) under the scaled comparison."""
-    if bound is None:
-        return None, True, False
-    scaled = bound * scale
-    vacuous = scaled > 1.0
-    return scaled, vacuous, (not vacuous) and ci_low > scaled
-
-
 def _small_ball_grid(params: dict):
-    """(record, estimate) for every cell of the small-ball grid."""
+    """Every estimate of the small-ball grid."""
     for kind in params["kinds"]:
         kwargs = {"q": params["q"]} if kind is FamilyKind.LQ_SPHERE_EXPERIMENTAL else {}
         for d in params["ds"]:
             for shape in params["shapes"]:
                 x = unit_direction(shape, 2.0, d)
                 for seed in params["seeds"]:
-                    curve = small_ball_curve(
+                    yield from small_ball_curve(
                         kind, d, x, params["alphas"], params["trials"], seed, **kwargs
                     )
-                    for est in curve:
-                        yield small_ball_record(est), est
 
 
 def _false_positive_grid(params: dict):
-    """(record, estimate) for every cell of the false-positive grid."""
+    """Every estimate of the false-positive grid."""
     for kind in params["kinds"]:
         for p in params["ps"]:
             for d in params["ds"]:
-                tau = c_threshold(kind, p, d)
-                if tau is None:
-                    raise ValueError(f"family {kind.value} has no false-positive bound")
+                tau = _threshold(kind, p, d)
                 for mult in params["c_multipliers"]:
                     for shape in params["shapes"]:
                         for seed in params["seeds"]:
-                            est = estimate_false_positive_rate(
+                            yield estimate_false_positive_rate(
                                 kind, p, d, mult * tau, params["trials"], seed,
                                 shape=shape,
                             )
-                            yield false_positive_record(est), est
 
 
 def run_verify_bounds(params: dict) -> int:
@@ -239,14 +221,17 @@ def run_verify_bounds(params: dict) -> int:
         raise ValueError(
             f"--self-test-bound-scale must be positive and finite, got {scale}"
         )
-    grid = _small_ball_grid if mode == "small-ball" else _false_positive_grid
+    if mode == "small-ball":
+        grid, record = _small_ball_grid, small_ball_record
+    else:
+        grid, record = _false_positive_grid, false_positive_record
     records = []
     violations = 0
-    for record, est in grid(params):
-        bound, vacuous, violated = _scaled_verdict(est.bound, est.ci_low, scale)
-        record.update(bound=bound, vacuous=vacuous)
-        violations += violated
-        records.append(record)
+    for est in grid(params):
+        if est.bound is not None:
+            est = dataclasses.replace(est, bound=est.bound * scale)
+        violations += est.violated
+        records.append(record(est))
 
     paths = write_table(params["out"], params["format"], BOUND_COLUMNS, records)
     _write_manifest(params["out"], "verify-bounds", params)
@@ -324,60 +309,65 @@ def run_probe_conjecture(params: dict) -> int:
 # build / query
 
 
-def _resolve_c(params: dict, kind: str, p: float, d: int) -> float:
-    """Resolve the approximation factor from --c or --c-multiplier."""
-    if (params["c"] is None) == (params["c_multiplier"] is None):
-        raise ValueError("exactly one of --c and --c-multiplier is required")
-    if params["c"] is not None:
-        return params["c"]
+def _threshold(kind: FamilyKind | str, p: float, d: int) -> float:
+    """The family threshold tau that ``--c-multiplier`` and
+    ``--c-multipliers`` multiply."""
     tau = c_threshold(kind, p, d)
     if tau is None:
-        raise ValueError(f"family {kind} has no collision threshold")
-    return params["c_multiplier"] * tau
+        raise ValueError(f"family {FamilyKind(kind).value} has no collision threshold")
+    return tau
 
 
-def _calibrated_levels(
-    variant: Variant,
-    kind: FamilyKind,
-    p: float,
-    d: int,
-    n: int,
-    c: float,
-    trials: int,
-    seed: int,
-) -> int:
-    """Pick the label length from a measured per-level collision rate
-    instead of the theoretical bound."""
-    est = estimate_false_positive_rate(kind, p, d, c, trials, seed)
-    p_fp = max(est.p_fp_hat, 0.5 / trials)
-    if p_fp >= 1.0:
-        raise ValueError("measured collision rate is 1; cannot calibrate levels")
-    return choose_levels(variant, n, d, p_fp)
+def _build_index(
+    params: dict, points: np.ndarray, p: float, kind: FamilyKind | str,
+    variant: Variant | str, c: float, master_seed: int, unsafe_override: bool = False,
+) -> LshIndex:
+    """Build the index that the index options in ``params`` (``levels``,
+    ``max_entries``, ``calibrate_fp_trials``) give for one family, layout,
+    factor and master seed."""
+    n, d = points.shape
+    levels = None if params["levels"] == "auto" else params["levels"]
+    trials = params["calibrate_fp_trials"]
+    if levels is None and trials > 0:
+        # the level count from a measured per-level collision rate in place
+        # of the theoretical bound
+        est = estimate_false_positive_rate(kind, p, d, c, trials, master_seed)
+        p_fp = max(est.p_fp_hat, 0.5 / trials)
+        if p_fp >= 1.0:
+            raise ValueError("measured collision rate is 1; cannot calibrate levels")
+        levels = choose_levels(variant, n, d, p_fp)
+    config = IndexConfig(
+        p=p, d=d, c=c, kind=kind, variant=variant, levels=levels,
+        master_seed=master_seed, unsafe_override=unsafe_override,
+        max_entries=params["max_entries"],
+    )
+    return LshIndex.build(points, config)
+
+
+def _read_queries(path: str, d: int, p: float) -> np.ndarray:
+    """Read a query file, checking its exponent, then its dimension, against
+    the index's."""
+    queries, qp = read_points(path)
+    if qp != p:
+        raise ValueError(f"query file exponent {qp} != index exponent {p}")
+    if queries.shape[1] != d:
+        raise ValueError(f"query dimension {queries.shape[1]} != index dimension {d}")
+    return queries
 
 
 def run_build(params: dict) -> int:
-    kind, variant, master_seed = params["kind"], params["variant"], params["master_seed"]
-    levels = _as_levels(params["levels"])
-    calibrate = params["calibrate_fp_trials"]
-    out = params["out"]
-
+    kind, out = params["kind"], params["out"]
     points, p = read_points(params["dataset"])
     n, d = points.shape
-    c = _resolve_c(params, kind, p, d)
-    if levels is None and calibrate > 0:
-        levels = _calibrated_levels(variant, kind, p, d, n, c, calibrate, master_seed)
-    config = IndexConfig(
-        p=p,
-        d=d,
-        c=c,
-        kind=kind,
-        variant=variant,
-        levels=levels,
-        master_seed=master_seed,
-        unsafe_override=params["unsafe_override"],
-        max_entries=params["max_entries"],
+    if (params["c"] is None) == (params["c_multiplier"] is None):
+        raise ValueError("exactly one of --c and --c-multiplier is required")
+    c = params["c"]
+    if c is None:
+        c = params["c_multiplier"] * _threshold(kind, p, d)
+    index = _build_index(
+        params, points, p, kind, params["variant"], c, params["master_seed"],
+        params["unsafe_override"],
     )
-    index = LshIndex.build(points, config)
     index.save(out)
     # replay rebuilds from the resolved c and level count; n, d and p are
     # recorded for readers of the manifest
@@ -392,7 +382,7 @@ def run_build(params: dict) -> int:
     print(
         f"build: {n} points, levels={index.levels}, entries={stats.entries}, "
         f"unique_buckets={stats.unique_buckets}, c={c:.6g} "
-        f"(threshold {config.c_threshold:.6g}) -> {out}"
+        f"(threshold {index.config.c_threshold:.6g}) -> {out}"
     )
     return 0
 
@@ -400,14 +390,8 @@ def run_build(params: dict) -> int:
 def run_query(params: dict) -> int:
     out, audit = params["out"], params["audit"]
     index = LshIndex.load(params["index"])
-    queries, qp = read_points(params["queries"])
     config = index.config
-    if queries.shape[1] != config.d:
-        raise ValueError(
-            f"query dimension {queries.shape[1]} != index dimension {config.d}"
-        )
-    if qp != config.p:
-        raise ValueError(f"query file exponent {qp} != index exponent {config.p}")
+    queries = _read_queries(params["queries"], config.d, config.p)
 
     started = time.perf_counter()
     results = index.query_batch(queries)
@@ -442,46 +426,22 @@ def run_query(params: dict) -> int:
 
 
 def run_bench_index(params: dict) -> int:
-    levels = _as_levels(params["levels"])
-    calibrate = params["calibrate_fp_trials"]
     audit = params["audit"]
-
     points, p = read_points(params["dataset"])
-    queries, qp = read_points(params["queries"])
-    if qp != p:
-        raise ValueError(f"query exponent {qp} != dataset exponent {p}")
     n, d = points.shape
-    if queries.shape[1] != d:
-        raise ValueError(f"query dimension {queries.shape[1]} != dataset {d}")
+    queries = _read_queries(params["queries"], d, p)
 
     truth_cache: dict[float, list] = {}
     rows = []
     timings = []
     missing_grand_total = 0
     for kind in params["kinds"]:
-        tau = c_threshold(kind, p, d)
-        if tau is None:
-            raise ValueError(f"family {kind.value} has no collision threshold")
+        tau = _threshold(kind, p, d)
         for mult in params["c_multipliers"]:
             c = mult * tau
             for variant in params["variants"]:
                 for master_seed in params["master_seeds"]:
-                    run_levels = levels
-                    if run_levels is None and calibrate > 0:
-                        run_levels = _calibrated_levels(
-                            variant, kind, p, d, n, c, calibrate, master_seed
-                        )
-                    config = IndexConfig(
-                        p=p,
-                        d=d,
-                        c=c,
-                        kind=kind,
-                        variant=variant,
-                        levels=run_levels,
-                        master_seed=master_seed,
-                        max_entries=params["max_entries"],
-                    )
-                    index = LshIndex.build(points, config)
+                    index = _build_index(params, points, p, kind, variant, c, master_seed)
                     started = time.perf_counter()
                     results = index.query_batch(queries)
                     query_seconds = time.perf_counter() - started
@@ -489,6 +449,7 @@ def run_bench_index(params: dict) -> int:
                     def mean(counter: str) -> float:
                         return float(np.mean([getattr(r.stats, counter) for r in results]))
 
+                    # without an audit the recall columns stay empty
                     row = {
                         "kind": kind.value,
                         "p": p,
@@ -499,11 +460,6 @@ def run_bench_index(params: dict) -> int:
                         "levels": index.levels,
                         "master_seed": master_seed,
                         "n_queries": len(results),
-                        "recall_min": None,
-                        "recall_mean": None,
-                        "precision_min": None,
-                        "precision_mean": None,
-                        "missing_total": None,
                         "mean_candidates": mean("candidates_scanned"),
                         "mean_buckets_probed": mean("buckets_probed"),
                         "mean_distance_evals": mean("distance_evals"),
@@ -618,6 +574,19 @@ def _add_format(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--format", choices=("csv", "json", "both"), default="csv",
         help="output table format (default csv)",
+    )
+
+
+def _add_index_options(sub: argparse.ArgumentParser) -> None:
+    """The options ``_build_index`` reads, shared by build and bench-index."""
+    sub.add_argument(
+        "--levels", type=_levels, default="auto", help="label length or 'auto'"
+    )
+    sub.add_argument("--max-entries", type=int, default=DEFAULT_MAX_ENTRIES)
+    sub.add_argument(
+        "--calibrate-fp-trials", type=int, default=0,
+        help="pick levels from this many measured collision trials instead "
+        "of the theoretical bound (0 = theoretical)",
     )
 
 
@@ -755,19 +724,11 @@ def build_parser(allow_abbrev: bool = True) -> argparse.ArgumentParser:
         "--c-multiplier", type=float,
         help="approximation factor as multiple of the threshold",
     )
-    build.add_argument(
-        "--levels", type=_levels, default="auto", help="label length or 'auto'"
-    )
     build.add_argument("--master-seed", type=int, required=True)
-    build.add_argument("--max-entries", type=int, default=DEFAULT_MAX_ENTRIES)
+    _add_index_options(build)
     build.add_argument(
         "--unsafe-override", action=argparse.BooleanOptionalAction, default=False,
         help="allow c at or below the collision threshold (guarantee void)",
-    )
-    build.add_argument(
-        "--calibrate-fp-trials", type=int, default=0,
-        help="pick levels from this many measured collision trials instead "
-        "of the theoretical bound (0 = theoretical)",
     )
     build.add_argument("--out", required=True, help="index image path")
 
@@ -791,10 +752,8 @@ def build_parser(allow_abbrev: bool = True) -> argparse.ArgumentParser:
         default="fast_query,fast_preprocessing",
     )
     bench.add_argument("--c-multipliers", type=floats, default="4")
-    bench.add_argument("--levels", type=_levels, default="auto")
     bench.add_argument("--master-seeds", type=ints, required=True)
-    bench.add_argument("--max-entries", type=int, default=DEFAULT_MAX_ENTRIES)
-    bench.add_argument("--calibrate-fp-trials", type=int, default=0)
+    _add_index_options(bench)
     bench.add_argument(
         "--audit", action=argparse.BooleanOptionalAction, default=True,
         help="compare against exact search (--no-audit skips the recall columns)",

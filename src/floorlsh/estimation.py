@@ -61,8 +61,22 @@ def clopper_pearson(hits: int, trials: int, confidence: float = 0.99) -> tuple[f
     return lo, hi
 
 
+class _BoundVerdict:
+    """The verdict of an estimate that has a ``bound`` and a ``ci_low``."""
+
+    @property
+    def vacuous(self) -> bool:
+        """True when no bound applies or the bound exceeds 1."""
+        return self.bound is None or self.bound > 1.0
+
+    @property
+    def violated(self) -> bool:
+        """True when the lower confidence limit clears a non-vacuous bound."""
+        return not self.vacuous and self.ci_low > self.bound
+
+
 @dataclass(frozen=True)
-class AntiConcEstimate:
+class AntiConcEstimate(_BoundVerdict):
     """Empirical small-ball probability P(|<w, x>| < alpha) for one cell."""
 
     kind: FamilyKind
@@ -75,16 +89,6 @@ class AntiConcEstimate:
     ci_low: float
     ci_high: float
     bound: float | None
-
-    @property
-    def vacuous(self) -> bool:
-        """True when no bound applies or the bound exceeds 1."""
-        return self.bound is None or self.bound > 1.0
-
-    @property
-    def violated(self) -> bool:
-        """True when the lower confidence limit clears a non-vacuous bound."""
-        return not self.vacuous and self.ci_low > self.bound
 
 
 def small_ball_bound(kind: FamilyKind, alpha: float, d: int, x_norm2: float) -> float | None:
@@ -237,7 +241,7 @@ def far_pair(
 
 
 @dataclass(frozen=True)
-class FalsePositiveEstimate:
+class FalsePositiveEstimate(_BoundVerdict):
     """Empirical far-pair collision rate for one family and factor c.
 
     ``p_fp_hat`` estimates the exact event |h(x) - h(y)| <= 1; the
@@ -262,14 +266,6 @@ class FalsePositiveEstimate:
     bound: float | None
     c_threshold: float | None
     pair_distance: float
-
-    @property
-    def vacuous(self) -> bool:
-        return self.bound is None or self.bound > 1.0
-
-    @property
-    def violated(self) -> bool:
-        return not self.vacuous and self.ci_low > self.bound
 
 
 def estimate_false_positive_rate(
@@ -375,12 +371,13 @@ def conjecture_probe(
     """Tabulate P(|<w, x>| < eps) for the experimental floor family at
     exponent q.
 
-    The random vectors w follow the cone measure on the dual sphere
-    (||w||_s = 1 with 1/q + 1/s = 1) and the fixed point x is drawn once
-    from the cone measure on the unit l_q sphere.  Each row reports the
-    ratio of the empirical probability to eps * sqrt(d); the open question
-    under probe is whether this ratio stays bounded for q in [1, 2].  No
-    pass or fail judgment is made.
+    This is :func:`small_ball_curve` of the experimental family: the random
+    vectors w follow the cone measure on the dual sphere (||w||_s = 1 with
+    1/q + 1/s = 1) and the fixed point x is drawn once, from its own
+    substream, from the cone measure on the unit l_q sphere.  Each row
+    reports the ratio of the empirical probability to eps * sqrt(d); the
+    open question under probe is whether this ratio stays bounded for q in
+    [1, 2].  No pass or fail judgment is made.
 
     At q = 2 both spheres are Euclidean, so the tabulation reproduces the
     proven spherical cap estimates; at q = 1 the dual sphere is the
@@ -388,32 +385,25 @@ def conjecture_probe(
     so the ratios approach the uniform-cube family's.
     """
     q = check_exponent(q)
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    epsilons = [float(e) for e in epsilons]
-    if not all(e >= 0.0 for e in epsilons):
-        raise ValueError("epsilon grid must be nonnegative")
-    s = dual_exponent(q)
-    pool = sample_pool(FamilyKind.LQ_SPHERE_EXPERIMENTAL, d, trials, seed, q=s)
+    if d < 1:
+        raise ValueError(f"dimension must be >= 1, got {d}")
     x = lp_sphere_block(stream(seed, _AUX_STREAM_BASE + 1), d, q, 1)[0]
-    magnitudes = np.abs(pool @ x)
-    rows = []
+    curve = small_ball_curve(
+        FamilyKind.LQ_SPHERE_EXPERIMENTAL, d, x, epsilons, trials, seed, q=dual_exponent(q)
+    )
     sqrt_d = math.sqrt(d)
-    for eps in epsilons:
-        hits = int(np.count_nonzero(magnitudes < eps))
-        p_hat = hits / trials
-        rows.append(
-            ConjectureRow(
-                q=q,
-                d=d,
-                epsilon=eps,
-                trials=trials,
-                hits=hits,
-                p_hat=p_hat,
-                ratio=p_hat / (eps * sqrt_d) if eps > 0.0 else 0.0,
-            )
+    return [
+        ConjectureRow(
+            q=q,
+            d=d,
+            epsilon=est.alpha,
+            trials=trials,
+            hits=est.hits,
+            p_hat=est.p_hat,
+            ratio=est.p_hat / (est.alpha * sqrt_d) if est.alpha > 0.0 else 0.0,
         )
-    return rows
+        for est in curve
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -538,8 +538,8 @@ class LshIndex:
     @classmethod
     def from_bytes(cls, blob: bytes) -> "LshIndex":
         """Rebuild an index from :meth:`to_bytes` output, verifying length,
-        checksum, point count, entry count and ids; the rebuilt index
-        answers queries identically.  Hash seeds and scales are derived from
+        checksum, point count, entry count, ids and key order; the rebuilt
+        index answers queries identically.  Hash seeds and scales come from
         the config as :meth:`build` derives them; the vectors are read back.
 
         The entry arrays stay read-only views of ``blob``: nothing is copied
@@ -620,6 +620,12 @@ class LshIndex:
         ids = _entry_view(payload, "<i4", entries, cursor + keys.nbytes)
         if ids.min() < 0 or ids.max() >= n:
             raise ValueError(f"index image has point ids outside [0, {n})")
+        # _lookup's binary search silently misses entries of unsorted keys;
+        # windows overlap by one key so every adjacent pair is compared
+        for start in range(0, entries, _CHUNK_ENTRIES):
+            window = keys[start : start + _CHUNK_ENTRIES + 1]
+            if not (window[1:] >= window[:-1]).all():
+                raise ValueError("index image has entry keys out of ascending order")
         scale = hash_scale(config.kind, config.p, d)
         hash_functions = [
             HashFunction(config.kind, config.p, d, derive_seed(master_seed, i), w, scale)

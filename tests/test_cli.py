@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -140,6 +141,29 @@ class TestVerifyBounds:
         out, code = self._run(tmp_path, "--self-test-bound-scale", "0.1")
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "mode, grid, digest",
+        [
+            ("small-ball", ["--shapes", "axis,flat", "--alphas", "0.01,0.2",
+                            "--seeds", "1"],
+             "8db178244c57380adec85696f941708c2f3ac4afa40fe6d0856e7717ace774b2"),
+            ("false-positive", ["--shapes", "axis", "--ps", "2,inf",
+                                "--c-multipliers", "1.5,4", "--seeds", "0"],
+             "aedbab1c2f950cc40cd61dd8858c5c1df3f6161e848830ec0af7bd48d41044d9"),
+        ],
+        ids=["small-ball", "false-positive"],
+    )
+    def test_scaled_bound_tables_are_pinned(self, tmp_path, mode, grid, digest):
+        """The table a self-test scale writes, rows with no bound, vacuous
+        rows and violated rows alike, stays byte for byte what it was."""
+        out = tmp_path / "scaled.csv"
+        code = main(["verify-bounds", "--mode", mode, "--kinds",
+                     "rademacher,uniform_cube,unit_sphere", "--ds", "4", *grid,
+                     "--trials", "2000", "--self-test-bound-scale", "0.1",
+                     "--out", str(out)])
+        assert code == 1
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     def test_replay_reproduces_byte_identical_output(self, tmp_path):
         out, code = self._run(tmp_path)
         assert code == 0
@@ -221,6 +245,21 @@ class TestSmallCommands:
         )
         assert code == 0
         assert out.read_text().splitlines()[0] == ",".join(CONJECTURE_COLUMNS)
+
+    @pytest.mark.parametrize(
+        "q, digest",
+        [("1.5", "962f838c6fff7dfd314d09913d3fb3e504585a1c539a5007ed2dc05ffe2aa1aa"),
+         ("inf", "9342b6b9953e8e0a3aa35ce4a7a3a0d1b9cd7347700fbece203a4868ed09b9a1")],
+        ids=["q=1.5", "q=inf"],
+    )
+    def test_probe_conjecture_tables_are_pinned(self, tmp_path, q, digest):
+        """Six rows per table, an epsilon = 0 row among them, stay byte for
+        byte what they were."""
+        out = tmp_path / "probe.csv"
+        assert main(["probe-conjecture", "--q", q, "--ds", "4,8", "--epsilons",
+                     "0,0.05,0.2", "--trials", "3000", "--seed", "4",
+                     "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestBuildQueryAudit:
@@ -339,14 +378,17 @@ class TestBuildQueryAudit:
              "59 entries, but 60 points take 60"),
             (lambda ix: {"ids": np.append(ix._entry_ids[:-1], np.int32(len(ix.points)))},
              "ids outside [0, 60)"),
+            (lambda ix: {"keys": ix._entry_keys[::-1].copy(),
+                         "ids": ix._entry_ids[::-1].copy()}, "keys out of ascending order"),
         ],
-        ids=["no-points", "entry-count", "id-n"],
+        ids=["no-points", "entry-count", "id-n", "unsorted-keys"],
     )
     def test_an_image_that_contradicts_itself_is_a_usage_error(
         self, tmp_path, capsys, craft, message
     ):
-        """A checksummed image with no points, the wrong entry count or an id
-        beyond its points is rejected on load, not at query time."""
+        """A checksummed image with no points, the wrong entry count, an id
+        beyond its points or keys out of order is rejected on load, not at
+        query time."""
         dataset = _gen_gaussian(tmp_path)
         points, _ = read_points(dataset)
         config = IndexConfig(p=2.0, d=6, c=30.0, kind=FamilyKind.UNIFORM_CUBE,
@@ -508,6 +550,32 @@ class TestBenchIndex:
         manifest = _manifest(out)
         assert "timings" in manifest
 
+    @pytest.mark.parametrize(
+        "variant, levels",
+        [("fast_query", ["--levels", "2"]),
+         ("fast_preprocessing", ["--calibrate-fp-trials", "3000"])],
+        ids=["levels", "calibrated"],
+    )
+    def test_a_row_describes_the_index_build_makes(self, tmp_path, variant, levels):
+        """A bench cell builds the index that ``build`` makes from the same
+        dataset, family, layout, factor and master seed."""
+        dataset = _gen_gaussian(tmp_path)
+        queries = _gen_gaussian(tmp_path, name="queries.txt", n=4, seed="9")
+        bench, index_path = tmp_path / "bench.json", tmp_path / "index.bin"
+        assert main(["bench-index", "--dataset", str(dataset), "--queries", str(queries),
+                     "--kinds", "unit_sphere", "--variants", variant, "--c-multipliers",
+                     "3", "--master-seeds", "7", *levels, "--no-audit", "--format",
+                     "json", "--out", str(bench)]) == 0
+        assert main(["build", "--dataset", str(dataset), "--kind", "unit_sphere",
+                     "--variant", variant, "--c-multiplier", "3", "--master-seed", "7",
+                     *levels, "--out", str(index_path)]) == 0
+        [row] = json.loads(bench.read_text())
+        index = LshIndex.load(index_path)
+        assert row["levels"] == _manifest(index_path)["params"]["levels"] == index.levels
+        assert row["c"] == index.config.c
+        assert row["entries"] == index.stats.entries
+        assert row["unique_buckets"] == index.stats.unique_buckets
+
 
 def _python(*args, cwd=None):
     """Run Python in a child process that imports this same package."""
@@ -527,6 +595,7 @@ def _floorlsh(*args):
 
 
 DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 class TestEntryPoints:
@@ -559,6 +628,22 @@ class TestEntryPoints:
         namespace = {}
         exec("from floorlsh import *", namespace)
         assert set(floorlsh.__all__) <= set(namespace)
+
+    def test_every_name_the_benchmark_calls_resolves(self):
+        """``perfbench/`` lies outside the test paths and calls the package as
+        ``F``; a name it uses that no longer resolves would otherwise show up
+        only as a failed benchmark run."""
+        names = {
+            name
+            for path in sorted(PERFBENCH.glob("*.py"))
+            for name in re.findall(r"\bF((?:\.\w+)+)", path.read_text())
+        }
+        assert "families.hash_eval_matrix" in {name[1:] for name in names}
+        for name in sorted(names):
+            target = floorlsh
+            for part in name[1:].split("."):
+                assert hasattr(target, part), f"F{name}"
+                target = getattr(target, part)
 
     @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
     def test_demo_runs(self, demo, tmp_path):

@@ -64,8 +64,10 @@ CONTRADICTIONS = [
     (lambda ix: {"keys": ix._entry_keys[:-1], "ids": ix._entry_ids[:-1]}, "entries"),
     (lambda ix: _with_ids(ix, -1, len(ix.points)), "outside"),
     (lambda ix: _with_ids(ix, 0, -1), "outside"),
+    (lambda ix: {"keys": ix._entry_keys[::-1].copy(), "ids": ix._entry_ids[::-1].copy()},
+     "out of ascending order"),
 ]
-CONTRADICTION_IDS = ["no-points", "entry-count", "id-n", "id-negative"]
+CONTRADICTION_IDS = ["no-points", "entry-count", "id-n", "id-negative", "unsorted-keys"]
 
 
 def _contradicting_image(index, craft):
@@ -572,11 +574,24 @@ class TestSerialization:
     @pytest.mark.parametrize("craft, message", CONTRADICTIONS, ids=CONTRADICTION_IDS)
     def test_an_image_that_contradicts_itself_is_rejected(self, variant, craft, message):
         """No points, an entry count other than n * 3^L (fast_query) or n
-        (fast_preprocessing), or an id outside [0, n) fails the load, not a
-        later query."""
+        (fast_preprocessing), an id outside [0, n) or keys out of order fails
+        the load, not a later query."""
         index = LshIndex.build(_cloud(n=30), _config(variant=variant))
         with pytest.raises(ValueError, match=message):
             LshIndex.from_bytes(_contradicting_image(index, craft))
+
+    def test_keys_out_of_order_across_a_check_window_are_rejected(self, monkeypatch):
+        """The order check runs in windows; one swapped pair of keys on the
+        seam between two windows is still found."""
+        index = LshIndex.build(_cloud(n=30), _config())
+        keys, ids = index._entry_keys.copy(), index._entry_ids.copy()
+        seam = int(np.flatnonzero(keys[1:] > keys[:-1])[5]) + 1
+        keys[[seam - 1, seam]] = keys[[seam, seam - 1]]
+        ids[[seam - 1, seam]] = ids[[seam, seam - 1]]
+        blob = _contradicting_image(index, lambda ix: {"keys": keys, "ids": ids})
+        monkeypatch.setattr(index_module, "_CHUNK_ENTRIES", seam)
+        with pytest.raises(ValueError, match="out of ascending order"):
+            LshIndex.from_bytes(blob)
 
     @pytest.mark.parametrize("version", [1, 2, 3, 4])
     def test_retired_images_ask_for_a_rebuild(self, version):
