@@ -200,11 +200,16 @@ def _small_ball_grid(params: dict):
 
 
 def _false_positive_grid(params: dict):
-    """Every estimate of the false-positive grid."""
+    """Every estimate of the false-positive grid, once every cell's family
+    threshold is known to exist."""
+    taus = {
+        (kind, p, d): _threshold(kind, p, d)
+        for kind in params["kinds"] for p in params["ps"] for d in params["ds"]
+    }
     for kind in params["kinds"]:
         for p in params["ps"]:
             for d in params["ds"]:
-                tau = _threshold(kind, p, d)
+                tau = taus[kind, p, d]
                 for mult in params["c_multipliers"]:
                     for shape in params["shapes"]:
                         for seed in params["seeds"]:
@@ -379,10 +384,11 @@ def run_build(params: dict) -> int:
     _write_manifest(
         out, "build", resolved, extra={"timings": {"build_seconds": stats.seconds}}
     )
+    reach = ",".join(f"{r:.4g}" for r in index.reach)
     print(
-        f"build: {n} points, levels={index.levels}, entries={stats.entries}, "
-        f"unique_buckets={stats.unique_buckets}, c={c:.6g} "
-        f"(threshold {index.config.c_threshold:.6g}) -> {out}"
+        f"build: {n} points, levels={index.levels}, entries={stats.entries} "
+        f"({stats.entries / n:.4g} per point), unique_buckets={stats.unique_buckets}, "
+        f"reach=[{reach}], c={c:.6g} (threshold {index.config.c_threshold:.6g}) -> {out}"
     )
     return 0
 
@@ -431,12 +437,15 @@ def run_bench_index(params: dict) -> int:
     n, d = points.shape
     queries = _read_queries(params["queries"], d, p)
 
+    # every kind's threshold before the first build, so a kind without one
+    # fails at once
+    taus = {kind: _threshold(kind, p, d) for kind in params["kinds"]}
     truth_cache: dict[float, list] = {}
     rows = []
     timings = []
     missing_grand_total = 0
     for kind in params["kinds"]:
-        tau = _threshold(kind, p, d)
+        tau = taus[kind]
         for mult in params["c_multipliers"]:
             c = mult * tau
             for variant in params["variants"]:

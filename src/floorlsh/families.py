@@ -12,8 +12,10 @@ Four sampling distributions for w are provided:
   and carries no proven guarantees.
 
 For the first three families, points x, y with ||x - y||_p <= 1 always land
-in the same or adjacent buckets; :func:`adjacency_certificate` checks that
-on concrete inputs.
+in the same or adjacent buckets over the reals; :func:`adjacency_certificate`
+checks that on concrete inputs.  :func:`label_ranges` sharpens this for a
+drawn vector: it gives the labels a near point can take in IEEE-754 doubles,
+from the vector's own reach (:func:`reach`) and a proven rounding margin.
 """
 
 from __future__ import annotations
@@ -27,10 +29,14 @@ from enum import Enum
 import numpy as np
 
 from .lpspace import (
+    UNIT_ROUNDOFF,
     check_exponent,
     cube_c_threshold,
     cube_scale,
+    distance_error,
+    dual_exponent,
     lp_norm,
+    rounding_gamma,
     sign_c_threshold,
     sphere_c_threshold,
     sphere_scale,
@@ -39,6 +45,21 @@ from .streams import stream
 
 _POOL_BLOCK_ROWS = 8192
 _CHUNK_BYTES = 1 << 18  # 256 KiB
+#: label_ranges labels at most this many (row, level, coordinate) terms at
+#: once, 8 MiB of them.
+_CHUNK_TERMS = 1 << 20
+#: Fewer rows than this are projected with one product per (row, level,
+#: coordinate) term in one array; more, one coordinate at a time over every
+#: row and level, which runs long loops.
+_FEW_ROWS = 64
+
+#: Doubles hold every integer below 2^53, so floored labels are exact there.
+_EXACT_LABEL_LIMIT = 2.0**53
+#: Rounds up a nonnegative value computed by a few roundings to nearest:
+#: 1 + 2^-48 exceeds 1/(1 - u)^k for every k up to 31.
+_ROUND_UP = 1.0 + 2.0**-48
+_SIDES = np.array([-1.0, 1.0])
+_SIDES.flags.writeable = False
 
 
 class FamilyKind(str, Enum):
@@ -284,6 +305,135 @@ def hash_eval_matrix(w_matrix: np.ndarray, scale: float, points: np.ndarray) -> 
     """
     products = points @ w_matrix.T
     return np.floor(scale * products).astype(np.int64)
+
+
+def reach(w_matrix: np.ndarray, scale: float, p: float) -> np.ndarray:
+    """The per-level reach r_l = scale * ||w_l||_q of the (L, d) vectors
+    ``w_matrix``, q the dual exponent of p.
+
+    By Hölder, |scale * <w_l, x - y>| <= r_l * ||x - y||_p, so a pair within
+    l_p distance 1 moves level l's projection by at most r_l.  The family
+    scales keep r_l <= 1 for every vector a family can draw; a drawn vector
+    usually reaches less.
+    """
+    q = dual_exponent(p)
+    return scale * np.array([lp_norm(w, q) for w in w_matrix])
+
+
+def reach_bound(w_matrix: np.ndarray, scale: float, p: float) -> np.ndarray:
+    """R_l >= scale * ||w_l||_q * (1 + delta), rounded up, with delta the
+    relative error bound of computed l_p distances and norms
+    (:func:`floorlsh.lpspace.distance_error`).  A pair whose *computed*
+    distance is at most 1 moves level l's exact projection by at most R_l,
+    even though ||w_l||_q is itself computed."""
+    delta = distance_error(w_matrix.shape[1])
+    return reach(w_matrix, scale, p) * ((1.0 + delta) ** 2 * _ROUND_UP)
+
+
+def _projections(
+    rows: np.ndarray, w_matrix: np.ndarray, spread: bool
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """(n, L) sums over coordinates j of x_j * w_lj and, with ``spread``, of
+    |x_j * w_lj|, each product rounded and the sums taken in coordinate
+    order j = 0, 1, ..., d - 1.  Both ways of computing them round the same
+    operations, so a row's sums do not depend on the other rows."""
+    if len(rows) < _FEW_ROWS:
+        terms = rows[:, None, :] * w_matrix
+        values = np.add.accumulate(terms, axis=2)[:, :, -1]
+        if not spread:
+            return values, None
+        return values, np.add.accumulate(np.abs(terms, out=terms), axis=2)[:, :, -1]
+    columns = np.ascontiguousarray(rows.T)
+    sums = [(w_matrix, columns)]
+    if spread:
+        sums.append((np.abs(w_matrix), np.abs(columns)))
+    out = []
+    for w, x in sums:
+        total = w[:, :1] * x[0]
+        for j in range(1, len(x)):
+            total += w[:, j, None] * x[j]
+        out.append(total.T)
+    return out[0], (out[1] if spread else None)
+
+
+def label_ranges(
+    w_matrix: np.ndarray,
+    scale: float,
+    points: np.ndarray,
+    reach_bounds: np.ndarray | None = None,
+    what: str = "points",
+) -> tuple[np.ndarray, np.ndarray]:
+    """The label ranges of the rows of ``points`` under the (L, d) vectors
+    ``w_matrix``: (lo, counts), two (n, L) int64 arrays; row i holds the
+    labels lo[i, l] + j for 0 <= j < counts[i, l] at level l.
+
+    Each projection v = scale * <w_l, x> sums its d rounded products in
+    coordinate order, so a row's labels depend neither on the other rows
+    nor on a BLAS library.  Without ``reach_bounds`` a row holds its own
+    label floor(v).  With the per-level R = ``reach_bounds`` of
+    :func:`reach_bound` it holds [floor(v - M), floor(v + M)], where
+    M = R + E and E = gamma_{d+2} * (2 * scale * sum_j |w_j x_j| + R).  If y
+    lies within computed distance 1 of x, their exact projections differ by
+    at most R; each computed projection lies within gamma_{d+1} * scale *
+    sum_j |w_j z_j| of the exact one, in any summation order; and Hölder
+    gives sum_j |w_j y_j| <= sum_j |w_j x_j| + R / scale.  So E covers the
+    rounding on both sides, and y's label, however computed, lies in x's
+    range.  M is computed rounded up, and 2u more on the spread term's
+    gamma covers the rounding of v - M and v + M, since |v| is at most
+    about scale * sum_j |w_j x_j|.
+
+    Raises ValueError unless every bound lies within +-2^53, where a double
+    holds every integer; non-finite coordinates get their own message.
+    """
+    n, d = points.shape
+    margin = None
+    if reach_bounds is not None:
+        gamma = rounding_gamma(d + 2)
+        margin = (
+            2.0 * (gamma + 2.0 * UNIT_ROUNDOFF) * scale * _ROUND_UP,
+            reach_bounds * ((1.0 + gamma) * _ROUND_UP),
+        )
+    step = max(1, _CHUNK_TERMS // (len(w_matrix) * d))
+    if n <= step:
+        return _label_chunk(w_matrix, scale, points, margin, what)
+    parts = [
+        _label_chunk(w_matrix, scale, points[start : start + step], margin, what)
+        for start in range(0, n, step)
+    ]
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+
+
+def _label_chunk(
+    w_matrix: np.ndarray,
+    scale: float,
+    rows: np.ndarray,
+    margin: tuple[float, np.ndarray] | None,
+    what: str,
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`label_ranges` of a few rows, with M = spread_weight * sum_j
+    |w_j x_j| + widened R for ``margin`` = (spread_weight, widened R)."""
+    # non-finite inputs and overflows are reported by the range check
+    with np.errstate(invalid="ignore", over="ignore"):
+        values, spreads = _projections(rows, w_matrix, margin is not None)
+        values *= scale
+        if margin is None:
+            bounds = values[:, :, None]
+        else:
+            spreads *= margin[0]
+            spreads += margin[1]
+            bounds = values[:, :, None] + spreads[:, :, None] * _SIDES
+    # a non-finite coordinate always makes a bound non-finite, so it is only
+    # looked for once the range check fails
+    if bounds.size and not np.abs(bounds).max() < _EXACT_LABEL_LIMIT:
+        if not np.isfinite(rows).all():
+            raise ValueError(f"{what} must have finite coordinates")
+        raise ValueError(
+            f"{what} reach |scale*<w,x>| >= 2^53, beyond which labels are not "
+            "exact integers"
+        )
+    floors = np.floor(bounds).astype(np.int64)
+    lo = floors[:, :, 0]
+    return lo, (np.ones_like(lo) if margin is None else floors[:, :, 1] - lo + 1)
 
 
 def adjacency_certificate(h: HashFunction, x: np.ndarray, y: np.ndarray) -> bool:

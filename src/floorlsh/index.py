@@ -1,20 +1,25 @@
 """Approximate nearest-neighbor index with zero false negatives.
 
-Points are labeled by an L-tuple of floored-projection hashes.  Because a
-pair within l_p distance 1 differs by at most 1 in every coordinate of the
-label, probing the 3^L surrounding label combinations can never miss a
-close point; every reported neighbor is then verified by a true distance
-computation, so results contain exactly the candidates within distance c.
+Points are labeled by an L-tuple of floored-projection hashes.  A pair within
+l_p distance 1 moves level l's projection by at most the drawn vector's reach
+r_l <= 1 (Hölder), so one side of every pair takes each label within that
+reach, widened by a proven bound on the rounding of both sides
+(:func:`floorlsh.families.label_ranges`), and the other side takes its own
+label.  So in IEEE-754 doubles, deterministically for every draw, each point
+whose computed distance to the query is at most 1 shares a bucket with it;
+every reported neighbor is then verified by a true distance computation, so
+results contain exactly the candidates within distance c.
 
 Two storage layouts trade preprocessing against query cost:
 
-* ``fast_query``: every point is stored under all 3^L labels it could be
-  probed by, and a query reads a single bucket.
-* ``fast_preprocessing``: every point is stored once, and a query probes
-  the 3^L label combinations around its own label.
+* ``fast_query``: every point is stored under each label tuple of its
+  ranges, about prod_l (1 + 2 r_l) of them, and a query reads the single
+  bucket of its own labels.
+* ``fast_preprocessing``: every point is stored once under its own labels,
+  and a query probes each label tuple of its ranges.
 
-Both return identical distance <= 1 results for the same configuration and
-master seed; the variants can differ only on the optional band (1, c].
+Both return every point within distance 1 for the same configuration and
+master seed; they can differ only on the optional band (1, c].
 
 Each label tuple is folded to one 64-bit key, the XOR of one mixed value per
 level, of which a bucket keeps the high 64 - b bits, for
@@ -49,6 +54,9 @@ from .families import (
     c_threshold,
     false_positive_bound,
     hash_scale,
+    label_ranges,
+    reach,
+    reach_bound,
     sample_vector,
 )
 from .lpspace import check_exponent
@@ -56,8 +64,8 @@ from .streams import derive_seed
 
 LN3 = math.log(3.0)
 
-#: Default cap on stored (key, id) entries; fast_query replication
-#: multiplies n by 3^L, so the cap is what a build may cost in memory.
+#: Default cap on stored (key, id) entries; fast_query stores each point
+#: under up to 3^L label tuples, so the cap is what a build may cost in memory.
 DEFAULT_MAX_ENTRIES = 10_000_000
 
 _CHUNK_ENTRIES = 1 << 20
@@ -65,18 +73,17 @@ _CHUNK_ENTRIES = 1 << 20
 _MIX_MULT_1 = np.uint64(0xFF51AFD7ED558CCD)
 _MIX_MULT_2 = np.uint64(0xC4CEB9FE1A85EC53)
 
-#: Doubles hold every integer below 2^53, so floored labels are exact there.
-_EXACT_LABEL_LIMIT = 2.0**53
-
 #: Ids are int32, so an index holds fewer than 2^31 points.
 _MAX_POINTS = 2**31
 
-_FILE_MAGIC = b"FLSHIDX5"
-_FILE_VERSION = 5
+_FILE_MAGIC = b"FLSHIDX6"
+_FILE_VERSION = 6
 #: Earlier formats, recognised only to ask for a rebuild: FLSHIDX1 stored
 #: two key lanes, FLSHIDX2 keys folded over key prefixes, FLSHIDX3 whole
-#: keys and 8-byte ids, FLSHIDX4 one self-describing record per level.
-_RETIRED_MAGICS = (b"FLSHIDX1", b"FLSHIDX2", b"FLSHIDX3", b"FLSHIDX4")
+#: keys and 8-byte ids, FLSHIDX4 one self-describing record per level, and
+#: FLSHIDX5 every point under all 3^L neighbouring labels, without the
+#: rounding margin.
+_RETIRED_MAGICS = (b"FLSHIDX1", b"FLSHIDX2", b"FLSHIDX3", b"FLSHIDX4", b"FLSHIDX5")
 _HEADER = struct.Struct("<8sHQ32s")
 #: p tag, p, family tag, variant tag, d, c, L, master seed, unsafe flag,
 #: max_entries, n, entries, unique buckets; the padding ends header and
@@ -98,16 +105,6 @@ _KIND_TAGS = {
 _TAG_KINDS = {tag: kind for kind, tag in _KIND_TAGS.items()}
 _VARIANT_TAGS = {Variant.FAST_QUERY: 0, Variant.FAST_PREPROCESSING: 1}
 _TAG_VARIANTS = {tag: variant for variant, tag in _VARIANT_TAGS.items()}
-
-_NEIGHBOURHOOD = np.array([-1, 0, 1], dtype=np.int64)
-_OWN_LABEL = np.zeros(1, dtype=np.int64)
-#: Per-level label offsets of each variant, as (stored, probed): one side
-#: folds the 3-label neighbourhood of every level, the other its own label.
-_OFFSETS = {
-    Variant.FAST_QUERY: (_NEIGHBOURHOOD, _OWN_LABEL),
-    Variant.FAST_PREPROCESSING: (_OWN_LABEL, _NEIGHBOURHOOD),
-}
-
 
 @dataclass(frozen=True)
 class IndexConfig:
@@ -251,18 +248,59 @@ def _mix64(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _exact_labels(inputs: np.ndarray, scaled: np.ndarray, what: str) -> np.ndarray:
-    """floor(scaled) as int64, after checking that it is exact."""
-    # a non-finite coordinate always makes a product non-finite, so it is
-    # only looked for once the range check fails
-    if not (np.abs(scaled) < _EXACT_LABEL_LIMIT).all():
-        if not np.isfinite(inputs).all():
-            raise ValueError(f"{what} must have finite coordinates")
+def _stored_ranges(
+    config: IndexConfig, w_matrix: np.ndarray, points: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Label ranges a point is stored under: in fast_query every label within
+    reach of it, in fast_preprocessing its own labels, which queries then
+    probe around."""
+    scale = hash_scale(config.kind, config.p, config.d)
+    ranged = config.variant is Variant.FAST_QUERY
+    bounds = reach_bound(w_matrix, scale, config.p) if ranged else None
+    return label_ranges(w_matrix, scale, points, bounds)
+
+
+def _entry_total(counts: np.ndarray, max_entries: int) -> int:
+    """Entries of all points, each the product of its range widths, once the
+    sum is known to fit the ``max_entries`` guard."""
+    total = counts.prod(axis=1, dtype=np.float64).sum()
+    if total > max_entries:
+        n = len(counts)
         raise ValueError(
-            f"{what} reach |scale*<w,x>| >= 2^53, beyond which labels are not "
-            "exact integers"
+            f"build would store {total:.0f} entries ({total / n:.1f} per point "
+            f"over {n} points), above the max_entries guard of {max_entries}; "
+            "lower the level count, switch to fast_preprocessing, or raise the guard"
         )
-    return np.floor(scaled).astype(np.int64)
+    return int(total)
+
+
+def _row_chunks(counts: np.ndarray) -> list[tuple[int, int]]:
+    """(start, stop) runs of rows whose label tuples, the products of their
+    range ``counts``, add up to at most _CHUNK_ENTRIES, or of one row that
+    exceeds it alone."""
+    if len(counts) < 2:
+        return [(0, len(counts))] if len(counts) else []
+    ends = np.cumsum(counts.prod(axis=1))
+    if ends[-1] <= _CHUNK_ENTRIES:
+        return [(0, len(ends))]
+    chunks, start = [], 0
+    while start < len(ends):
+        limit = _CHUNK_ENTRIES + (int(ends[start - 1]) if start else 0)
+        stop = max(start + 1, int(np.searchsorted(ends, limit, side="right")))
+        chunks.append((start, stop))
+        start = stop
+    return chunks
+
+
+def _occupied_cells(sorted_keys: np.ndarray) -> tuple[np.uint64, np.ndarray]:
+    """(shift, occupied): whether each of the 2^k cells ``key >> shift`` of
+    the key space holds a stored key, for k = bit_length(entries - 1) + 3,
+    so that at most one cell in 8 does; one byte per cell."""
+    bits = (sorted_keys.size - 1).bit_length() + 3
+    shift = np.uint64(64 - bits)
+    occupied = np.zeros(1 << bits, dtype=bool)
+    occupied[sorted_keys >> shift] = True
+    return shift, occupied
 
 
 def _bucket_count(sorted_keys: np.ndarray) -> int:
@@ -272,7 +310,7 @@ def _bucket_count(sorted_keys: np.ndarray) -> int:
 
 def _tag_mask(entries: int) -> np.uint64:
     """The low b = bit_length(entries - 1) bits, which a bucket key leaves
-    out so that the build can tag each key with its entry's position."""
+    out so that the build can tag each key with its point's id."""
     return np.uint64((1 << (entries - 1).bit_length()) - 1)
 
 
@@ -286,25 +324,42 @@ class _Fingerprinter:
             [derive_seed(master_seed, base + 2 + 2 * i) | 1 for i in range(levels)],
             dtype=np.uint64,
         )
+        self._mults = self.mults[:, None]
 
-    def fold(self, labels: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-        """labels: (m, L) int64 -> (m, k^L) uint64 keys of the label tuples
-        ``t = labels + o`` for every o in offsets^L (k offsets), o in
-        lexicographic order.
+    def fold(self, lo: np.ndarray, counts: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The keys of every label tuple in each row's ranges, for (m, L)
+        int64 ranges as :func:`floorlsh.families.label_ranges` gives them:
+        row r holds labels lo[r, l] + j, 0 <= j < counts[r, l], at level l.
 
-        key(t) is the XOR over levels l of mix64((t_l * mult_l) ^ init), so a
-        row costs L * k mixes; each level value is a bijection of its label,
-        so tuples that differ in one level never share a key.
+        Rows whose ranges have the same widths fold together, so the result
+        is one (rows, keys) pair per distinct width tuple: keys[i] are the
+        keys of row rows[i], its tuples in lexicographic order (level 0
+        varying slowest).  key(t) is the XOR over levels l of
+        mix64((t_l * mult_l) ^ init), built level by level as a cross
+        product, so a row costs one mix per label; each level value is a
+        bijection of its label, so tuples that differ in one level never
+        share a key.
         """
-        m = labels.shape[0]
-        # values[r, i, j]: level i of row r's label moved by offsets[j], times
-        # that level's multiplier
-        values = (labels[:, :, None] + offsets).astype(np.uint64) * self.mults[:, None]
-        mixed = _mix64(values ^ self.init)
-        keys = mixed[:, 0]
-        for level in range(1, mixed.shape[1]):
-            keys = (keys[:, :, None] ^ mixed[:, level, None, :]).reshape(m, -1)
-        return keys
+        levels = counts.shape[1]
+        if len(counts) > 1 and (counts != counts[0]).any():
+            order = np.lexsort(counts.T)
+            widths = counts[order]
+            cuts = np.flatnonzero((widths[1:] != widths[:-1]).any(axis=1)) + 1
+            groups = [(rows, lo[rows]) for rows in np.split(order, cuts)]
+        else:
+            groups = [(np.arange(len(counts)), lo)]
+        folded = []
+        for rows, first in groups:
+            widths = counts[rows[0]].tolist()
+            labels = (first[:, :, None] + np.arange(max(widths))).view(np.uint64)
+            # mixed[r, l, j]: row r's level-l label lo + j, mixed
+            mixed = _mix64((labels * self._mults) ^ self.init)
+            keys = mixed[:, 0, : widths[0]]
+            for level in range(1, levels):
+                step = mixed[:, level, None, : widths[level]]
+                keys = (keys[:, :, None] ^ step).reshape(len(rows), -1)
+            folded.append((rows, keys))
+        return folded
 
 
 class LshIndex:
@@ -329,7 +384,10 @@ class LshIndex:
         self._scale = hash_scale(config.kind, config.p, config.d)
         self._fingerprinter = _Fingerprinter(config.master_seed, config.levels)
         self._key_mask = ~_tag_mask(entry_ids.size)
-        _, self._probe_offsets = _OFFSETS[config.variant]
+        self._probe_bounds = self._occupied = None
+        if config.variant is Variant.FAST_PREPROCESSING:
+            self._probe_bounds = reach_bound(self._w_matrix, self._scale, config.p)
+            self._cell_shift, self._occupied = _occupied_cells(entry_keys)
 
     @property
     def levels(self) -> int:
@@ -337,9 +395,16 @@ class LshIndex:
         return self.config.levels
 
     @property
+    def reach(self) -> np.ndarray:
+        """Per-level reach r_l = scale * ||w_l||_q of the drawn vectors (q the
+        dual exponent of p): how far a pair within distance 1 can move level
+        l's projection.  A ranged side holds about 1 + 2 r_l labels per level."""
+        return reach(self._w_matrix, self._scale, self.config.p)
+
+    @property
     def entry_count(self) -> int:
-        """Stored (key, id) entries: n * 3^L for fast_query, n for
-        fast_preprocessing."""
+        """Stored (key, id) entries: the sum over points of the product of
+        their range widths in fast_query, n in fast_preprocessing."""
         return int(self._entry_ids.size)
 
     @property
@@ -353,9 +418,10 @@ class LshIndex:
         Deterministic in (points, config): per-level hash seeds derive from
         the master seed by counter, entries are sorted canonically by
         (key, id), so identical inputs give identical indexes regardless of
-        how the work would be split.  Each key's low bits, which buckets
-        leave out, hold its entry's position while one in-place sort orders
-        the entries by (key, position), that is by (key, id).
+        how the work would be split.  Each point's entry count is known
+        before anything is allocated.  Each key's low bits, which buckets
+        leave out, hold its point's id while one in-place sort orders the
+        entries by (key, id).
         """
         started = time.perf_counter()
         points = np.asarray(points, dtype=np.float64)
@@ -378,39 +444,28 @@ class LshIndex:
                     "explicit level count"
                 )
             levels = choose_levels(config.variant, n, d, fp_bound)
-        offsets, _ = _OFFSETS[config.variant]
-        replication = offsets.size**levels
-        total_entries = n * replication
-        if total_entries > config.max_entries:
-            raise ValueError(
-                f"build would store {total_entries} entries "
-                f"({n} points * {replication} replication), above the "
-                f"max_entries guard of {config.max_entries}; lower the level "
-                "count, switch to fast_preprocessing, or raise the guard"
-            )
+        resolved = replace(config, levels=levels)
         hash_functions = [
             sample_vector(config.kind, config.p, d, derive_seed(config.master_seed, i))
             for i in range(levels)
         ]
         w_matrix = np.vstack([h.w for h in hash_functions])
-        scale = hash_scale(config.kind, config.p, d)
-        labels = _exact_labels(points, scale * (points @ w_matrix.T), "points")
+        lo, counts = _stored_ranges(resolved, w_matrix, points)
+        total_entries = _entry_total(counts, config.max_entries)
         fingerprinter = _Fingerprinter(config.master_seed, levels)
         tags = _tag_mask(total_entries)
         keys = np.empty(total_entries, dtype=np.uint64)
-        chunk = max(1, _CHUNK_ENTRIES // replication)
-        for start in range(0, n, chunk):
-            block = fingerprinter.fold(labels[start : start + chunk], offsets).ravel()
-            first = start * replication
-            part = keys[first : first + block.size]
-            np.bitwise_and(block, ~tags, out=part)
-            part |= np.arange(first, first + part.size, dtype=np.uint64)
+        filled = 0
+        for start, stop in _row_chunks(counts):
+            for rows, block in fingerprinter.fold(lo[start:stop], counts[start:stop]):
+                part = keys[filled : filled + block.size].reshape(block.shape)
+                np.bitwise_and(block, ~tags, out=part)
+                part |= (rows + start).astype(np.uint64)[:, None]
+                filled += block.size
         keys.sort()
-        # an entry's id is its position // replication
         ids = np.empty(total_entries, dtype=np.int32)
         for start in range(0, total_entries, _CHUNK_ENTRIES):
-            stop = start + _CHUNK_ENTRIES
-            ids[start:stop] = (keys[start:stop] & tags) // replication
+            ids[start : start + _CHUNK_ENTRIES] = keys[start : start + _CHUNK_ENTRIES] & tags
         keys &= ~tags
         stats = BuildStats(
             seconds=time.perf_counter() - started,
@@ -418,7 +473,6 @@ class LshIndex:
             unique_buckets=_bucket_count(keys),
             approx_bytes=_approx_bytes(points, w_matrix, keys, ids),
         )
-        resolved = replace(config, levels=levels)
         return cls(resolved, hash_functions, points, keys, ids, stats)
 
     def query(self, query: np.ndarray) -> QueryResult:
@@ -439,53 +493,57 @@ class LshIndex:
         """:meth:`query` for every row of ``queries``, answer for answer.
 
         Labels, folds and bucket lookups run over the whole batch at once;
-        candidates are then verified query by query.
+        candidates are then verified query by query.  A query's labels do
+        not depend on its batch.
         """
         queries = np.asarray(queries, dtype=np.float64)
         if queries.ndim != 2 or queries.shape[1] != self.config.d:
             raise ValueError(
                 f"queries have shape {queries.shape}, expected (m, {self.config.d})"
             )
-        # one matrix-vector product per query: a matrix product may round
-        # differently, and a query's labels must not depend on its batch
-        products = np.array([self._w_matrix @ query for query in queries])
-        labels = _exact_labels(
-            queries, self._scale * products.reshape(len(queries), self.levels), "queries"
+        lo, counts = label_ranges(
+            self._w_matrix, self._scale, queries, self._probe_bounds, "queries"
         )
-        width = self._probe_offsets.size**self.levels
-        chunk = max(1, _CHUNK_ENTRIES // width)
-        results = []
-        for start in range(0, len(queries), chunk):
-            stop = start + chunk
-            pulled, bounds = self._lookup(labels[start:stop])
-            for i, query in enumerate(queries[start:stop]):
-                results.append(self._verify(query, pulled[bounds[i] : bounds[i + 1]], width))
+        results = [None] * len(queries)
+        for start, stop in _row_chunks(counts):
+            folded = self._fingerprinter.fold(lo[start:stop], counts[start:stop])
+            for rows, probes in folded:
+                pulled, bounds = self._lookup(probes)
+                for i, row in enumerate(rows.tolist()):
+                    run = pulled[bounds[i] : bounds[i + 1]]
+                    query = start + row
+                    results[query] = self._verify(queries[query], run, probes.shape[1])
         return results
 
-    def _lookup(self, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Ids stored under the probe keys of each label row, row after row,
-        and the bounds of each row's run in them."""
+    def _lookup(self, probes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Ids stored under each row of the (m, k) probe keys, row after
+        row, and the bounds of each row's run in them."""
         entry_keys = self._entry_keys
-        probes = self._fingerprinter.fold(labels, self._probe_offsets)
-        probes &= self._key_mask
-        width = probes.shape[1]
-        # sorted probes let each binary search start from the one before
-        probes.sort(axis=1)
+        rows, width = probes.shape
         probes = probes.ravel()
-        first = np.searchsorted(entry_keys, probes)
-        hits = np.flatnonzero(entry_keys[np.minimum(first, entry_keys.size - 1)] == probes)
+        probes &= self._key_mask
+        if self._occupied is not None:
+            # most of the many probes of a ranged query find no bucket; only
+            # those into an occupied cell of the key space are searched
+            searched = self._occupied[probes >> self._cell_shift].nonzero()[0]
+            probes = probes[searched]
+        # methods, not the np.* wrappers: a one-query batch makes ~30 calls
+        first = entry_keys.searchsorted(probes)
+        hits = (entry_keys[np.minimum(first, entry_keys.size - 1)] == probes).nonzero()[0]
         starts = first[hits]
-        counts = np.searchsorted(entry_keys, probes[hits], side="right") - starts
-        ends = np.cumsum(counts)
+        counts = entry_keys.searchsorted(probes[hits], side="right") - starts
+        if self._occupied is not None:
+            hits = searched[hits]
+        ends = counts.cumsum()
         gather = np.arange(counts.sum()) + np.repeat(starts - ends + counts, counts)
-        row_hits = np.searchsorted(hits, np.arange(len(labels) + 1) * width)
+        row_hits = hits.searchsorted(np.arange(rows + 1) * width)
         bounds = np.concatenate(([0], ends))[row_hits]
         return self._entry_ids[gather], bounds
 
-    def _verify(self, query: np.ndarray, pulled: np.ndarray, width: int) -> QueryResult:
+    def _verify(self, query: np.ndarray, pulled: np.ndarray, probes: int) -> QueryResult:
         candidates = np.unique(pulled)
         stats = QueryStats(
-            buckets_probed=width,
+            buckets_probed=probes,
             candidates_scanned=int(pulled.size),
             distance_evals=int(candidates.size),
             duplicates_suppressed=int(pulled.size - candidates.size),
@@ -538,7 +596,8 @@ class LshIndex:
     @classmethod
     def from_bytes(cls, blob: bytes) -> "LshIndex":
         """Rebuild an index from :meth:`to_bytes` output, verifying length,
-        checksum, point count, entry count, ids and key order; the rebuilt
+        checksum, point count, ids and key order, and the entry count against
+        the label ranges of the stored points under the stored vectors; the rebuilt
         index answers queries identically.  Hash seeds and scales come from
         the config as :meth:`build` derives them; the vectors are read back.
 
@@ -602,12 +661,6 @@ class LshIndex:
             raise ValueError("index image has trailing or missing bytes")
         if n == 0:
             raise ValueError("index image holds no points")
-        offsets, _ = _OFFSETS[config.variant]
-        if entries != n * offsets.size**levels:
-            raise ValueError(
-                f"index image has {entries} entries, but {n} points take "
-                f"{n * offsets.size**levels} in {config.variant.value} at L={levels}"
-            )
         cursor = _BLOCK.size
         points = np.frombuffer(payload, "<f8", n * d, cursor).astype(np.float64)
         points = points.reshape(n, d)
@@ -616,6 +669,15 @@ class LshIndex:
         w_matrix = w_matrix.reshape(levels, d)
         w_matrix.flags.writeable = False
         cursor += w_matrix.nbytes
+        # every point's entry count follows from its stored coordinates and
+        # the stored vectors, the same way the build counted it
+        _, counts = _stored_ranges(config, w_matrix, points)
+        expected = counts.prod(axis=1, dtype=np.float64).sum()
+        if entries != expected:
+            raise ValueError(
+                f"index image has {entries} entries, but {n} points take "
+                f"{expected:.0f} in {config.variant.value} at L={levels}"
+            )
         keys = _entry_view(payload, "<u8", entries, cursor)
         ids = _entry_view(payload, "<i4", entries, cursor + keys.nbytes)
         if ids.min() < 0 or ids.max() >= n:

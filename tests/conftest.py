@@ -17,6 +17,7 @@ CRITERIA = {
     8: "sliding-window concentration of projection sums obeys the variance bound",
     9: "storage counts, round-trip queries, and replayed CSVs are exact",
     10: "mean candidate work per dataset doubling grows by under 1.8x",
+    11: "pairs on bucket edges are found in doubles: within-1 answers are exact",
 }
 
 _PATTERN = re.compile(r"test_acceptance\.py::test_criterion_(\d+)")

@@ -202,6 +202,26 @@ class TestVerifyBounds:
         assert rows[0] == ",".join(BOUND_COLUMNS)
         assert len(rows) == 3
 
+    def test_a_kind_without_a_threshold_fails_before_any_estimate(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """The experimental family, last in the grid, stops the run before
+        the first cell is estimated."""
+        calls = []
+        estimate = cli.estimate_false_positive_rate
+        monkeypatch.setattr(
+            cli, "estimate_false_positive_rate",
+            lambda *args, **kwargs: calls.append(args) or estimate(*args, **kwargs),
+        )
+        out = tmp_path / "fp.csv"
+        code = main(["verify-bounds", "--mode", "false-positive", "--kinds",
+                     "uniform_cube,unit_sphere,lq_sphere_experimental", "--ps", "2",
+                     "--ds", "8", "--trials", "2000", "--seeds", "0", "--out", str(out)])
+        assert code == 2
+        assert "lq_sphere_experimental has no collision threshold" in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()
+
 
 class TestSmallCommands:
     def test_levy(self, tmp_path):
@@ -296,6 +316,21 @@ class TestBuildQueryAudit:
         assert isinstance(manifest["params"]["c"], float)
         assert manifest["params"]["levels"] == 3
         assert manifest["params"]["c"] == pytest.approx(index.config.c)
+
+    def test_build_reports_reach_and_entries_per_point(self, tmp_path, capsys):
+        """stdout names each level's reach and the mean entries per point;
+        the recorded parameters do not."""
+        dataset = _gen_gaussian(tmp_path)
+        out = tmp_path / "fq.bin"
+        assert main(["build", "--dataset", str(dataset), "--variant", "fast_query",
+                     "--c-multiplier", "1.5", "--levels", "3", "--master-seed", "11",
+                     "--out", str(out)]) == 0
+        index = LshIndex.load(out)
+        line = capsys.readouterr().out
+        reach = ",".join(f"{r:.4g}" for r in index.reach)
+        assert f"reach=[{reach}]" in line
+        assert f"entries={index.entry_count} ({index.entry_count / 60:.4g} per point)" in line
+        assert not {"reach", "entries"} & set(_manifest(out)["params"])
 
     def test_build_creates_the_output_directory(self, tmp_path):
         out = self._build(tmp_path, _gen_gaussian(tmp_path), tmp_path / "ix" / "a.bin")
@@ -549,6 +584,40 @@ class TestBenchIndex:
         assert out.read_bytes() == first
         manifest = _manifest(out)
         assert "timings" in manifest
+
+    def test_a_kind_without_a_threshold_fails_before_any_build(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        builds = []
+        build = cli._build_index
+        monkeypatch.setattr(
+            cli, "_build_index", lambda *args: builds.append(args) or build(*args)
+        )
+        dataset = _gen_gaussian(tmp_path)
+        out = tmp_path / "bench.csv"
+        code = main(["bench-index", "--dataset", str(dataset), "--queries", str(dataset),
+                     "--kinds", "uniform_cube,lq_sphere_experimental", "--levels", "2",
+                     "--master-seeds", "1", "--out", str(out)])
+        assert code == 2
+        assert "lq_sphere_experimental has no collision threshold" in capsys.readouterr().err
+        assert builds == []
+        assert not out.exists()
+
+    def test_mean_buckets_probed_is_the_rows_real_probe_count(self, tmp_path):
+        dataset = _gen_gaussian(tmp_path)
+        queries = _gen_gaussian(tmp_path, name="queries.txt", n=5, seed="9")
+        out = tmp_path / "bench.json"
+        assert main(["bench-index", "--dataset", str(dataset), "--queries", str(queries),
+                     "--kinds", "unit_sphere", "--variants", "fast_preprocessing",
+                     "--c-multipliers", "3", "--levels", "3", "--master-seeds", "7",
+                     "--no-audit", "--format", "json", "--out", str(out)]) == 0
+        [row] = json.loads(out.read_text())
+        config = IndexConfig(p=2.0, d=6, c=row["c"], kind=FamilyKind.UNIT_SPHERE,
+                             variant=Variant.FAST_PREPROCESSING, levels=3, master_seed=7)
+        index = LshIndex.build(read_points(dataset)[0], config)
+        probes = [r.stats.buckets_probed for r in index.query_batch(read_points(queries)[0])]
+        assert row["mean_buckets_probed"] == np.mean(probes)
+        assert all(3**3 <= count <= 4**3 for count in probes)
 
     @pytest.mark.parametrize(
         "variant, levels",

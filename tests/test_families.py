@@ -22,14 +22,18 @@ from floorlsh.families import (
     hash_eval,
     hash_eval_matrix,
     hash_scale,
+    label_ranges,
     lp_sphere_block,
+    reach,
+    reach_bound,
     sample_pool,
     sample_vector,
     sign_c_threshold,
     sphere_c_threshold,
     sphere_scale,
 )
-from floorlsh.lpspace import lp_norm
+from floorlsh.exact import lp_distances
+from floorlsh.lpspace import dual_exponent, lp_norm
 from floorlsh.streams import stream
 
 KINDS = st.sampled_from(list(FamilyKind))
@@ -259,6 +263,99 @@ class TestHashEval:
         labels = hash_eval_matrix(h.w[None, :], h.scale, points)
         for i in range(5):
             assert labels[i, 0] == hash_eval(h, points[i])
+
+
+def _vectors(kind, p, d, seed, levels=3):
+    return np.vstack([sample_vector(kind, p, d, seed + i).w for i in range(levels)])
+
+
+class TestLabelRanges:
+    @given(PROVEN, EXPONENTS, st.integers(min_value=1, max_value=16), SEEDS)
+    @settings(deadline=4000, max_examples=40)
+    def test_own_labels_are_the_floored_projections(self, kind, p, d, seed):
+        w = _vectors(kind, p, d, seed)
+        scale = hash_scale(kind, p, d)
+        points = stream(seed, 77).standard_normal((6, d)) * 3.0
+        lo, counts = label_ranges(w, scale, points)
+        np.testing.assert_array_equal(counts, 1)
+        # another summation order moves a label only on a bucket edge
+        np.testing.assert_array_equal(lo, hash_eval_matrix(w, scale, points))
+
+    @given(PROVEN, EXPONENTS, st.integers(min_value=1, max_value=16), SEEDS)
+    @settings(deadline=4000, max_examples=40)
+    def test_a_batch_labels_as_its_rows_one_by_one(self, kind, p, d, seed):
+        """A batch of 70 rows, projected a coordinate at a time over all
+        rows, labels each row as that row alone, projected term by term."""
+        w = _vectors(kind, p, d, seed)
+        scale = hash_scale(kind, p, d)
+        bounds = reach_bound(w, scale, p)
+        points = stream(seed, 78).standard_normal((70, d)) * 3.0
+        for ranges in (None, bounds):
+            lo, counts = label_ranges(w, scale, points, ranges)
+            for i, x in enumerate(points):
+                one_lo, one_counts = label_ranges(w, scale, x[None, :], ranges)
+                assert one_lo.tolist() == [lo[i].tolist()]
+                assert one_counts.tolist() == [counts[i].tolist()]
+        # the sums themselves agree bit for bit, not only their floors
+        batch = families._projections(points, w, spread=True)
+        for i in range(len(points)):
+            one = families._projections(points[i : i + 1], w, spread=True)
+            for a, b in zip(one, batch):
+                assert a[0].tobytes() == b[i].tobytes()
+
+    @given(
+        PROVEN,
+        st.sampled_from([1.0, 1.5, 2.0, 3.0, math.inf]),
+        st.integers(min_value=1, max_value=24),
+        SEEDS,
+        st.floats(min_value=0.0, max_value=1.0),
+    )
+    @settings(deadline=4000, max_examples=80)
+    def test_a_range_holds_every_label_of_a_near_point(self, kind, p, d, seed, radius):
+        """For y within computed distance 1 of x, y's label, by this
+        labeller, by np.dot or by a matrix product, lies in x's range; the
+        range holds at most 2 + 2 r_l labels."""
+        w = _vectors(kind, p, d, seed)
+        scale = hash_scale(kind, p, d)
+        rng = stream(seed, 99)
+        x = rng.standard_normal(d) * 5.0
+        direction = rng.standard_normal(d)
+        y = x + direction * (radius / max(lp_norm(direction, p), 1e-300))
+        while lp_distances(x[None, :], y, p)[0] > 1.0:
+            y = x + (y - x) * (1.0 - 2.0**-40)
+        lo, counts = label_ranges(w, scale, x[None, :], reach_bound(w, scale, p))
+        labels = [
+            label_ranges(w, scale, y[None, :])[0][0],
+            np.floor(scale * np.array([np.dot(v, y) for v in w])),
+            hash_eval_matrix(w, scale, y[None, :])[0],
+        ]
+        for label in labels:
+            assert (lo[0] <= label).all() and (label < lo[0] + counts[0]).all()
+        assert (counts[0] <= 2.0 + 2.0 * reach(w, scale, p)).all()
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
+    @pytest.mark.parametrize("d", [1, 2, 8, 64])
+    def test_reach_is_at_most_one_and_one_for_signs(self, p, d):
+        for kind in PROVEN_ADJACENCY_KINDS:
+            w = _vectors(kind, p, d, 5, levels=4)
+            r = reach(w, hash_scale(kind, p, d), p)
+            np.testing.assert_allclose(
+                r, [hash_scale(kind, p, d) * lp_norm(v, dual_exponent(p)) for v in w]
+            )
+            assert (r <= 1.0 + 1e-12).all()
+            if kind is FamilyKind.RADEMACHER or (kind is FamilyKind.UNIT_SPHERE and p == 2.0):
+                np.testing.assert_allclose(r, 1.0, rtol=1e-12)
+            assert (reach_bound(w, hash_scale(kind, p, d), p) > r).all()
+
+    @pytest.mark.parametrize("value, message", [(math.nan, "finite"), (math.inf, "finite"),
+                                                (1e300, "2\\^53"), (1e18, "2\\^53")])
+    def test_unusable_rows_are_rejected(self, value, message):
+        w = _vectors(FamilyKind.UNIFORM_CUBE, 2.0, 4, 3)
+        points = np.zeros((3, 4))
+        points[1] = value
+        for ranges in (None, np.full(3, 0.5)):
+            with pytest.raises(ValueError, match=message):
+                label_ranges(w, 0.5, points, ranges)
 
 
 class TestAdjacency:

@@ -15,7 +15,13 @@ from hypothesis import strategies as st
 
 from floorlsh import index as index_module
 from floorlsh.exact import lp_distances, recall_report
-from floorlsh.families import FamilyKind, c_threshold, false_positive_bound
+from floorlsh.families import (
+    FamilyKind,
+    c_threshold,
+    false_positive_bound,
+    label_ranges,
+    reach_bound,
+)
 from floorlsh.index import (
     IndexConfig,
     LshIndex,
@@ -23,6 +29,7 @@ from floorlsh.index import (
     _Fingerprinter,
     choose_levels,
 )
+from floorlsh.lpspace import dual_exponent, lp_norm
 
 
 def _config(**overrides):
@@ -81,6 +88,21 @@ def _contradicting_image(index, craft):
 def _cloud(n=400, d=6, seed=0, spread=0.5):
     """Gaussian cloud tight enough that many pairs sit within distance 1."""
     return np.random.default_rng(seed).standard_normal((n, d)) * spread
+
+
+def _reach_counts(index, rows):
+    """Labels per level within each drawn vector's reach of ``rows``,
+    counted apart from the index: floor(v + r) - floor(v - r) + 1 with
+    v = scale * <w, x> from np.dot and r = scale * ||w||_q, no rounding
+    margin, which moves a count only for v +- r within about 1e-13 of an
+    integer."""
+    q = dual_exponent(index.config.p)
+    counts = []
+    for h in index.hash_functions:
+        v = h.scale * np.array([np.dot(h.w, x) for x in rows])
+        r = h.scale * lp_norm(h.w, q)
+        counts.append(np.floor(v + r) - np.floor(v - r) + 1)
+    return np.array(counts).T.astype(np.int64)
 
 
 class TestChooseLevels:
@@ -164,7 +186,8 @@ class TestStorageLayout:
         points = _cloud(n=50)
         fq = LshIndex.build(points, _config(variant=Variant.FAST_QUERY))
         fp = LshIndex.build(points, _config(variant=Variant.FAST_PREPROCESSING))
-        assert fq.entry_count == 50 * 3**3
+        assert fq.entry_count == _reach_counts(fq, points).prod(axis=1).sum()
+        assert fq.entry_count < 50 * 3**3
         assert fp.entry_count == 50
         for index in (fq, fp):
             assert index.stats.entries == index.entry_count
@@ -202,6 +225,24 @@ class TestStorageLayout:
         cfg = _config(variant=Variant.FAST_QUERY, levels=5, max_entries=1000)
         with pytest.raises(ValueError, match="max_entries"):
             LshIndex.build(points, cfg)
+
+    def test_memory_guard_admits_the_exact_entry_count(self):
+        """The guard compares the exact ragged total, so a cap at that total
+        builds and one entry less does not."""
+        points = _cloud(n=100)
+        entries = LshIndex.build(points, _config(variant=Variant.FAST_QUERY)).entry_count
+        cfg = _config(variant=Variant.FAST_QUERY, max_entries=entries)
+        assert LshIndex.build(points, cfg).entry_count == entries
+        with pytest.raises(ValueError, match=f"{entries} entries"):
+            LshIndex.build(points, replace(cfg, max_entries=entries - 1))
+
+    def test_reach_is_the_scaled_dual_norm_of_each_vector(self):
+        index = LshIndex.build(_cloud(n=20), _config(kind=FamilyKind.UNIT_SPHERE, p=2.0))
+        np.testing.assert_allclose(index.reach, 1.0, rtol=1e-12)
+        index = LshIndex.build(_cloud(n=20), _config(p=math.inf, c=50.0))
+        expected = [h.scale * np.abs(h.w).sum() for h in index.hash_functions]
+        np.testing.assert_allclose(index.reach, expected, rtol=1e-12)
+        assert (index.reach <= 1.0).all()
 
     def test_rejects_malformed_datasets(self):
         with pytest.raises(ValueError):
@@ -251,62 +292,89 @@ class TestStorageLayout:
             assert index.stats.unique_buckets == distinct
 
 
+def _explicit_keys(fingerprinter, lo, counts):
+    """The keys of every tuple of one row's label ranges, one scalar mix at
+    a time, tuples in lexicographic order."""
+    keys = []
+    with np.errstate(over="ignore"):
+        for labels in itertools.product(
+            *(range(int(a), int(a) + int(k)) for a, k in zip(lo, counts))
+        ):
+            key = np.uint64(0)
+            for label, mult in zip(labels, fingerprinter.mults):
+                value = np.uint64(label % 2**64)
+                key ^= _mix_scalar((value * mult) ^ fingerprinter.init)
+            keys.append(int(key))
+    return keys
+
+
+def _row_major(folded, rows):
+    """The fold's (rows, keys) groups as one list of key lists per row."""
+    out = [None] * rows
+    for group, keys in folded:
+        for row, row_keys in zip(group.tolist(), keys):
+            out[row] = row_keys.tolist()
+    return out
+
+
 class TestFold:
     @given(
-        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=1, max_value=4),
         st.integers(min_value=0, max_value=2**64 - 1),
-        st.lists(
-            st.integers(min_value=-(2**63), max_value=2**63 - 1), min_size=6, max_size=6
-        ),
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=0, max_value=2**32),
+        st.sampled_from([2**40, 2**62]),
     )
-    @settings(deadline=None, max_examples=60)
-    def test_level_by_level_fold_matches_the_explicit_offset_grid(
-        self, levels, master_seed, label
+    @settings(deadline=None, max_examples=80)
+    def test_a_ragged_fold_is_the_explicit_cross_product(
+        self, levels, master_seed, rows, seed, span
     ):
-        """Keys of the 3^L neighbourhood equal, for each offset tuple of the
-        grid, the XOR over levels of the mixed level value."""
+        """Over random ranges of widths 1-4, each row's keys equal, key for
+        key and in lexicographic order of the tuples, the XOR over levels of
+        the mixed level value, for labels near 0 and near +-2^62."""
         fingerprinter = _Fingerprinter(master_seed, levels)
-        label = np.array(label[:levels], dtype=np.int64)
-        grid = np.array(list(itertools.product((-1, 0, 1), repeat=levels)))
-        expected = []
-        with np.errstate(over="ignore"):
-            for offset in grid:
-                key = np.uint64(0)
-                for value, mult in zip((label + offset).astype(np.uint64), fingerprinter.mults):
-                    key ^= _mix_scalar((value * mult) ^ fingerprinter.init)
-                expected.append(key)
-        folded = fingerprinter.fold(label[None, :], np.array([-1, 0, 1]))
-        assert folded.tolist() == [[int(key) for key in expected]]
-        own = fingerprinter.fold(label[None, :], np.array([0]))
-        assert own.tolist() == [[int(expected[len(grid) // 2])]]
+        rng = np.random.default_rng(seed)
+        lo = rng.integers(-span, span, (rows, levels))
+        counts = rng.integers(1, 5, (rows, levels))
+        folded = fingerprinter.fold(lo, counts)
+        assert sorted(np.concatenate([group for group, _ in folded]).tolist()) == list(
+            range(rows)
+        )
+        for group, keys in folded:
+            assert keys.dtype == np.uint64
+            assert keys.shape == (len(group), counts[group[0]].prod())
+        expected = [_explicit_keys(fingerprinter, a, k) for a, k in zip(lo, counts)]
+        assert _row_major(folded, rows) == expected
 
     @given(
         st.integers(min_value=1, max_value=6),
         st.integers(min_value=0, max_value=2**64 - 1),
-        st.sampled_from([[0], [-1, 0, 1]]),
         st.integers(min_value=1, max_value=8),
         st.integers(min_value=0, max_value=2**32),
     )
     @settings(deadline=None, max_examples=60)
-    def test_a_batch_folds_as_its_rows_one_by_one(
-        self, levels, master_seed, offsets, rows, seed
-    ):
+    def test_a_batch_folds_as_its_rows_one_by_one(self, levels, master_seed, rows, seed):
         fingerprinter = _Fingerprinter(master_seed, levels)
-        offsets = np.array(offsets)
-        labels = np.random.default_rng(seed).integers(-(2**40), 2**40, (rows, levels))
-        batch = fingerprinter.fold(labels, offsets)
-        assert batch.shape == (rows, offsets.size**levels)
-        for row, keys in zip(labels, batch):
-            np.testing.assert_array_equal(fingerprinter.fold(row[None, :], offsets)[0], keys)
+        rng = np.random.default_rng(seed)
+        lo = rng.integers(-(2**40), 2**40, (rows, levels))
+        counts = rng.integers(1, 4, (rows, levels))
+        batch = _row_major(fingerprinter.fold(lo, counts), rows)
+        for i in range(rows):
+            [(_, keys)] = fingerprinter.fold(lo[i : i + 1], counts[i : i + 1])
+            assert keys.tolist() == [batch[i]]
 
     def test_fast_query_buckets_are_the_distinct_stored_label_tuples(self):
         """No two distinct stored label tuples share a key."""
         points = _cloud(n=200)
         index = LshIndex.build(points, _config(variant=Variant.FAST_QUERY))
-        labels = np.floor(index._scale * (points @ index._w_matrix.T)).astype(np.int64)
-        grid = np.array(list(itertools.product((-1, 0, 1), repeat=index.levels)))
-        stored = (labels[:, None, :] + grid).reshape(-1, index.levels)
-        assert index.unique_bucket_count == np.unique(stored, axis=0).shape[0]
+        bounds = reach_bound(index._w_matrix, index._scale, index.config.p)
+        lo, counts = label_ranges(index._w_matrix, index._scale, points, bounds)
+        stored = {
+            labels
+            for a, k in zip(lo.tolist(), counts.tolist())
+            for labels in itertools.product(*(range(x, x + w) for x, w in zip(a, k)))
+        }
+        assert index.unique_bucket_count == len(stored)
 
 
 _TOP = 2**64 - 1
@@ -327,27 +395,36 @@ class TestEntryLayout:
         self, variant, k, size, levels, keep, seed
     ):
         """Keys and ids equal the np.lexsort order of (folded key without its
-        low bit_length(entries - 1) bits, position // replication), for
-        n in {1, 2, 2^k, 2^k + 1}.  Folds cut down to the bits of ``keep``
-        make many entries share a key, or differ only in the low bits that
-        buckets leave out, so ids must order each run."""
+        low bit_length(entries - 1) bits, owning point's id), for
+        n in {1, 2, 2^k, 2^k + 1}, where point i owns the product of its
+        range widths of consecutive entries.  Folds cut down to the bits of
+        ``keep`` make many entries share a key, or differ only in the low
+        bits that buckets leave out, so ids must order each run."""
         n = {"1": 1, "2": 2, "2^k": 2**k, "2^k+1": 2**k + 1}[size]
         points = _cloud(n=n, seed=seed)
         cut = np.uint64(keep)
         fold = _Fingerprinter.fold
+
+        def cut_fold(self, *args):
+            return [(rows, keys & cut) for rows, keys in fold(self, *args)]
+
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(_Fingerprinter, "fold", lambda self, *args: fold(self, *args) & cut)
+            patch.setattr(_Fingerprinter, "fold", cut_fold)
             index = LshIndex.build(points, _config(variant=variant, levels=levels))
-            labels = np.floor(index._scale * (points @ index._w_matrix.T)).astype(np.int64)
-            stored, _ = index_module._OFFSETS[variant]
-            keys = index._fingerprinter.fold(labels, stored).ravel()
-        replication = stored.size**levels
+            ranged = variant is Variant.FAST_QUERY
+            bounds = reach_bound(index._w_matrix, index._scale, 2.0) if ranged else None
+            lo, counts = label_ranges(index._w_matrix, index._scale, points, bounds)
+            keys = np.array(
+                [key for row in _row_major(index._fingerprinter.fold(lo, counts), n)
+                 for key in row],
+                dtype=np.uint64,
+            )
+        owners = np.repeat(np.arange(n), counts.prod(axis=1))
         keys &= ~np.uint64((1 << (keys.size - 1).bit_length()) - 1)
-        positions = np.arange(keys.size)
-        order = np.lexsort((positions // replication, keys))
+        order = np.lexsort((owners, keys))
         assert index._entry_ids.dtype == np.int32
         np.testing.assert_array_equal(index._entry_keys, keys[order])
-        np.testing.assert_array_equal(index._entry_ids, positions[order] // replication)
+        np.testing.assert_array_equal(index._entry_ids, owners[order])
 
 
 def _mix_scalar(value):
@@ -401,12 +478,19 @@ class TestQueryGuarantees:
         assert all(record.missing == () for record in records)
 
     def test_probe_counts_per_variant(self):
+        """fast_query reads one bucket; fast_preprocessing probes the product
+        of the query's range widths, each 1 + 2 r_l labels or one more."""
         points = _cloud(n=120)
         fq = LshIndex.build(points, _config(variant=Variant.FAST_QUERY))
         fp = LshIndex.build(points, _config(variant=Variant.FAST_PREPROCESSING))
-        query = points[0]
-        assert fq.query(query).stats.buckets_probed == 1
-        assert fp.query(query).stats.buckets_probed == 3**3
+        queries = points[:20] + 0.01
+        widths = _reach_counts(fp, queries)
+        for query, width in zip(queries, widths):
+            assert fq.query(query).stats.buckets_probed == 1
+            assert fp.query(query).stats.buckets_probed == width.prod()
+        assert [r.stats.buckets_probed for r in fp.query_batch(queries)] == list(
+            widths.prod(axis=1)
+        )
 
     def test_rejects_wrong_query_shape(self):
         index = LshIndex.build(_cloud(n=20), _config())
@@ -449,9 +533,11 @@ class TestQueryGuarantees:
 class TestVariantEquivalence:
     @given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=0, max_value=10))
     @settings(deadline=20000, max_examples=10)
-    def test_variants_answer_identically(self, master_seed, cloud_seed):
-        """Same master seed, same points: both layouts probe the same label
-        adjacency relation, so neighbor lists match query for query."""
+    def test_variants_agree_within_distance_1(self, master_seed, cloud_seed):
+        """Same master seed, same points: both layouts return exactly the
+        points within distance 1, with the same distances.  Their answers
+        in (1, c] may differ: a ranged stored point reaches a query's cell,
+        a ranged query reaches a stored point's cell."""
         points = _cloud(n=150, seed=cloud_seed)
         fq = LshIndex.build(
             points, _config(variant=Variant.FAST_QUERY, master_seed=master_seed)
@@ -460,10 +546,11 @@ class TestVariantEquivalence:
             points, _config(variant=Variant.FAST_PREPROCESSING, master_seed=master_seed)
         )
         for query in points[:10] + 0.04:
-            a = fq.query(query)
-            b = fp.query(query)
-            assert a.neighbors == b.neighbors
-            assert a.stats.distance_evals == b.stats.distance_evals
+            distances = lp_distances(points, query, 2.0)
+            must = [(i, distances[i]) for i in np.flatnonzero(distances <= 1.0)]
+            for index in (fq, fp):
+                near = [(i, t) for i, t in index.query(query).neighbors if t <= 1.0]
+                assert sorted(near) == must
 
     def test_rebuild_is_bit_reproducible(self):
         points = _cloud(n=80)
@@ -484,9 +571,9 @@ class TestVariantEquivalence:
 
 #: SHA-256 of the image of a 60-point cloud (seed 1) built with _config().
 GOLDEN_IMAGES = [
-    (Variant.FAST_QUERY, "dec2ff66a6713e7fc44cf1a2e34a5c23c32a0e0047f2031cd15d8494ce15dee4"),
+    (Variant.FAST_QUERY, "f08f748f291275a800753a7f376e3de848788e348e404212ed57aefd1ecc34b1"),
     (Variant.FAST_PREPROCESSING,
-     "97fc5a08b2885b10501e41270f5115238fa1e6e3ccda9e0f1df83f0f47429f95"),
+     "80c69faa6487b96c7c35f9b203b86d1aa854fdfaa41eb0d501a2602155d0baec"),
 ]
 
 
@@ -573,9 +660,10 @@ class TestSerialization:
     @pytest.mark.parametrize("variant", list(Variant))
     @pytest.mark.parametrize("craft, message", CONTRADICTIONS, ids=CONTRADICTION_IDS)
     def test_an_image_that_contradicts_itself_is_rejected(self, variant, craft, message):
-        """No points, an entry count other than n * 3^L (fast_query) or n
-        (fast_preprocessing), an id outside [0, n) or keys out of order fails
-        the load, not a later query."""
+        """No points, an entry count other than the one the stored points'
+        label ranges make under the stored vectors (one entry lost from a
+        re-checksummed image), an id outside [0, n) or keys out of order
+        fails the load, not a later query."""
         index = LshIndex.build(_cloud(n=30), _config(variant=variant))
         with pytest.raises(ValueError, match=message):
             LshIndex.from_bytes(_contradicting_image(index, craft))
@@ -593,7 +681,7 @@ class TestSerialization:
         with pytest.raises(ValueError, match="out of ascending order"):
             LshIndex.from_bytes(blob)
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
     def test_retired_images_ask_for_a_rebuild(self, version):
         header = struct.pack("<8sHQ32s", b"FLSHIDX%d" % version, version, 8, bytes(32))
         with pytest.raises(ValueError, match=f"FLSHIDX{version}.*version {version}.*rebuild"):

@@ -7,12 +7,14 @@ here; these tests check how the cap law uses it.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from floorlsh.exact import lp_distances
 from floorlsh.lpspace import (
     SQRT3,
     beta_function_half,
@@ -21,8 +23,10 @@ from floorlsh.lpspace import (
     check_exponent,
     cube_c_threshold,
     cube_scale,
+    distance_error,
     dual_exponent,
     lp_norm,
+    rounding_gamma,
     norm_sandwich_factor,
     sign_c_threshold,
     sphere_c_threshold,
@@ -239,3 +243,30 @@ class TestBetaLowerBoundMargin:
     def test_nonnegative_on_sample(self):
         for d in (2, 3, 4, 10, 100, 999, 5000):
             assert beta_lower_bound_margin(d) >= 0.0
+
+
+class TestRoundingModel:
+    def test_gamma_is_n_roundings(self):
+        u = 2.0**-53
+        assert rounding_gamma(1) == u / (1.0 - u)
+        assert rounding_gamma(10) == pytest.approx(10 * u, rel=1e-12)
+        assert distance_error(8) == rounding_gamma(24)
+
+    @given(
+        st.sampled_from([1.0, 2.0, 3.0, math.inf]),
+        st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=2, max_size=48),
+    )
+    @settings(deadline=None, max_examples=200)
+    def test_exact_distance_is_within_delta_of_the_computed_one(self, p, values):
+        """In rational arithmetic, ||x - y||_p <= (1 + delta) * computed, for
+        lp_distances and for lp_norm; integer p compares p-th powers."""
+        d = len(values) // 2
+        x, y = np.array(values[:d]), np.array(values[d : 2 * d])
+        bound = 1 + Fraction(distance_error(d))
+        diffs = [abs(Fraction(a) - Fraction(b)) for a, b in zip(x.tolist(), y.tolist())]
+        for computed in (lp_distances(x[None, :], y, p)[0], lp_norm(x - y, p)):
+            top = Fraction(computed) * bound
+            if math.isinf(p):
+                assert max(diffs) <= top
+            else:
+                assert sum(t ** int(p) for t in diffs) <= top ** int(p)
