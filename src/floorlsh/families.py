@@ -46,15 +46,14 @@ from .streams import stream
 _POOL_BLOCK_ROWS = 8192
 _CHUNK_BYTES = 1 << 18  # 256 KiB
 #: label_ranges labels at most this many (row, level, coordinate) terms at
-#: once, 8 MiB of them.
-_CHUNK_TERMS = 1 << 20
-#: Fewer rows than this are projected with one product per (row, level,
-#: coordinate) term in one array; more, one coordinate at a time over every
-#: row and level, which runs long loops.
-_FEW_ROWS = 64
+#: once, 2 MiB of them.
+_CHUNK_TERMS = 1 << 18
 
 #: Doubles hold every integer below 2^53, so floored labels are exact there.
 _EXACT_LABEL_LIMIT = 2.0**53
+#: A ranged row's rounding margin stays below this share of a label, which
+#: bounds the labels of its range, and so the probes of one query.
+_MAX_ROUNDING = 0.25
 #: Rounds up a nonnegative value computed by a few roundings to nearest:
 #: 1 + 2^-48 exceeds 1/(1 - u)^k for every k up to 31.
 _ROUND_UP = 1.0 + 2.0**-48
@@ -335,25 +334,13 @@ def _projections(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """(n, L) sums over coordinates j of x_j * w_lj and, with ``spread``, of
     |x_j * w_lj|, each product rounded and the sums taken in coordinate
-    order j = 0, 1, ..., d - 1.  Both ways of computing them round the same
-    operations, so a row's sums do not depend on the other rows."""
-    if len(rows) < _FEW_ROWS:
-        terms = rows[:, None, :] * w_matrix
-        values = np.add.accumulate(terms, axis=2)[:, :, -1]
-        if not spread:
-            return values, None
-        return values, np.add.accumulate(np.abs(terms, out=terms), axis=2)[:, :, -1]
-    columns = np.ascontiguousarray(rows.T)
-    sums = [(w_matrix, columns)]
-    if spread:
-        sums.append((np.abs(w_matrix), np.abs(columns)))
-    out = []
-    for w, x in sums:
-        total = w[:, :1] * x[0]
-        for j in range(1, len(x)):
-            total += w[:, j, None] * x[j]
-        out.append(total.T)
-    return out[0], (out[1] if spread else None)
+    order j = 0, 1, ..., d - 1, so a row's sums do not depend on the other
+    rows."""
+    terms = rows[:, None, :] * w_matrix
+    values = np.add.accumulate(terms, axis=2)[:, :, -1]
+    if not spread:
+        return values, None
+    return values, np.add.accumulate(np.abs(terms, out=terms), axis=2)[:, :, -1]
 
 
 def label_ranges(
@@ -383,7 +370,11 @@ def label_ranges(
     about scale * sum_j |w_j x_j|.
 
     Raises ValueError unless every bound lies within +-2^53, where a double
-    holds every integer; non-finite coordinates get their own message.
+    holds every integer; non-finite coordinates get their own message.  With
+    ``reach_bounds`` it also raises once a rounding part M - R reaches
+    _MAX_ROUNDING = 1/4 of a label, at scale * sum_j |w_j x_j| of about
+    2^50 / (d + 4), so a level's range holds at most ceil(2 R + 1/2) + 1
+    labels: 4 for the families' r_l <= 1, however far a row lies.
     """
     n, d = points.shape
     margin = None
@@ -420,6 +411,7 @@ def _label_chunk(
             bounds = values[:, :, None]
         else:
             spreads *= margin[0]
+            rounding = spreads.max(initial=0.0)
             spreads += margin[1]
             bounds = values[:, :, None] + spreads[:, :, None] * _SIDES
     # a non-finite coordinate always makes a bound non-finite, so it is only
@@ -430,6 +422,13 @@ def _label_chunk(
         raise ValueError(
             f"{what} reach |scale*<w,x>| >= 2^53, beyond which labels are not "
             "exact integers"
+        )
+    if margin is not None and rounding >= _MAX_ROUNDING:
+        raise ValueError(
+            f"{what} lie too far from the origin: the rounding margin of "
+            f"scale*<w,x> reaches {rounding:.3g} of a label, at most "
+            f"{_MAX_ROUNDING} is allowed (scale*sum_j |w_j x_j| below about "
+            f"2^50/(d+4))"
         )
     floors = np.floor(bounds).astype(np.int64)
     lo = floors[:, :, 0]

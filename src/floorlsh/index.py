@@ -31,7 +31,10 @@ correctness does not depend on the key, only bucket sizes do.
 
 Labels are exact only while |scale * <w, x>| < 2^53, the range in which a
 double holds every integer, so build and query reject inputs beyond it and
-non-finite inputs.
+non-finite inputs.  The ranged side, whose rounding margin grows with the
+projection, also rejects rows whose margin reaches a quarter of a label, so
+its ranges hold at most 4 labels per level and a query probes at most 4^L
+buckets.
 """
 
 from __future__ import annotations
@@ -65,7 +68,9 @@ from .streams import derive_seed
 LN3 = math.log(3.0)
 
 #: Default cap on stored (key, id) entries; fast_query stores each point
-#: under up to 3^L label tuples, so the cap is what a build may cost in memory.
+#: under the product of its range widths, about prod_l (1 + 2 r_l) label
+#: tuples and at most 4^L, so the cap is what a build may cost in memory.
+#: The build checks the exact total before it allocates.
 DEFAULT_MAX_ENTRIES = 10_000_000
 
 _CHUNK_ENTRIES = 1 << 20
@@ -292,11 +297,17 @@ def _row_chunks(counts: np.ndarray) -> list[tuple[int, int]]:
     return chunks
 
 
+def _cell_bits(entries: int) -> int:
+    """k = bit_length(entries - 1) + 3: of the 2^k cells of the key space at
+    most one in 8 holds a stored key."""
+    return (entries - 1).bit_length() + 3
+
+
 def _occupied_cells(sorted_keys: np.ndarray) -> tuple[np.uint64, np.ndarray]:
     """(shift, occupied): whether each of the 2^k cells ``key >> shift`` of
-    the key space holds a stored key, for k = bit_length(entries - 1) + 3,
-    so that at most one cell in 8 does; one byte per cell."""
-    bits = (sorted_keys.size - 1).bit_length() + 3
+    the key space holds a stored key, k = :func:`_cell_bits`; one byte per
+    cell."""
+    bits = _cell_bits(sorted_keys.size)
     shift = np.uint64(64 - bits)
     occupied = np.zeros(1 << bits, dtype=bool)
     occupied[sorted_keys >> shift] = True
@@ -471,7 +482,7 @@ class LshIndex:
             seconds=time.perf_counter() - started,
             entries=total_entries,
             unique_buckets=_bucket_count(keys),
-            approx_bytes=_approx_bytes(points, w_matrix, keys, ids),
+            approx_bytes=_approx_bytes(resolved.variant, points, w_matrix, keys, ids),
         )
         return cls(resolved, hash_functions, points, keys, ids, stats)
 
@@ -694,7 +705,10 @@ class LshIndex:
             for i, w in enumerate(w_matrix)
         ]
         stats = BuildStats(
-            0.0, entries, unique_buckets, _approx_bytes(points, w_matrix, keys, ids)
+            0.0,
+            entries,
+            unique_buckets,
+            _approx_bytes(config.variant, points, w_matrix, keys, ids),
         )
         return cls(config, hash_functions, points, keys, ids, stats)
 
@@ -709,9 +723,16 @@ class LshIndex:
         return cls.from_bytes(Path(path).read_bytes())
 
 
-def _approx_bytes(*arrays: np.ndarray) -> int:
-    """Memory an index holds in its points, hash vectors, keys and ids."""
-    return sum(array.nbytes for array in arrays)
+def _approx_bytes(
+    variant: Variant, points: np.ndarray, w_matrix: np.ndarray, keys: np.ndarray,
+    ids: np.ndarray,
+) -> int:
+    """Memory an index holds in its points, hash vectors, keys and ids, and
+    in fast_preprocessing in its one-byte-per-cell occupancy map."""
+    held = points.nbytes + w_matrix.nbytes + keys.nbytes + ids.nbytes
+    if variant is Variant.FAST_PREPROCESSING:
+        held += 1 << _cell_bits(ids.size)
+    return held
 
 
 def _entry_view(payload: memoryview, dtype: str, count: int, offset: int) -> np.ndarray:

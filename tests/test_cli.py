@@ -386,6 +386,27 @@ class TestBuildQueryAudit:
             assert main(argv) == 2
             assert message in capsys.readouterr().err
 
+    def test_a_point_too_far_for_its_rounding_margin_is_a_usage_error(self, tmp_path, capsys):
+        """A line far enough out that its rounding margin would reach a
+        quarter label exits 2 as a fast_preprocessing query and in a
+        fast_query build, instead of probing or storing thousands of
+        label tuples."""
+        dataset = _gen_gaussian(tmp_path)
+        index_path = self._build(tmp_path, dataset)
+        lines = dataset.read_text().splitlines()
+        lines[3] = " ".join(["1e15"] * len(lines[3].split()))
+        far = tmp_path / "far.txt"
+        far.write_text("\n".join(lines) + "\n")
+        argvs = [
+            ["query", "--index", str(index_path), "--queries", str(far),
+             "--out", str(tmp_path / "r.jsonl")],
+            ["build", "--dataset", str(far), "--c-multiplier", "1.5", "--levels", "3",
+             "--master-seed", "11", "--out", str(tmp_path / "far.bin")],
+        ]
+        for argv in argvs:
+            assert main(argv) == 2
+            assert "too far from the origin" in capsys.readouterr().err
+
     @pytest.mark.parametrize("field, message", [(0, "family tag"), (1, "variant tag")])
     def test_an_image_with_an_unknown_tag_is_a_usage_error(
         self, tmp_path, capsys, field, message

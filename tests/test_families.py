@@ -284,8 +284,7 @@ class TestLabelRanges:
     @given(PROVEN, EXPONENTS, st.integers(min_value=1, max_value=16), SEEDS)
     @settings(deadline=4000, max_examples=40)
     def test_a_batch_labels_as_its_rows_one_by_one(self, kind, p, d, seed):
-        """A batch of 70 rows, projected a coordinate at a time over all
-        rows, labels each row as that row alone, projected term by term."""
+        """A batch of 70 rows labels each row as that row alone would be."""
         w = _vectors(kind, p, d, seed)
         scale = hash_scale(kind, p, d)
         bounds = reach_bound(w, scale, p)
@@ -346,6 +345,29 @@ class TestLabelRanges:
             if kind is FamilyKind.RADEMACHER or (kind is FamilyKind.UNIT_SPHERE and p == 2.0):
                 np.testing.assert_allclose(r, 1.0, rtol=1e-12)
             assert (reach_bound(w, hash_scale(kind, p, d), p) > r).all()
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+    @pytest.mark.parametrize("d", [1, 8, 64])
+    def test_a_far_ranged_row_is_refused_before_its_range_grows(self, p, d):
+        """A row whose rounding margin reaches a quarter label, at
+        scale * sum_j |w_j x_j| of about 2^50 / (d + 4), is refused with
+        ranges and labelled without; a row just inside holds at most 4
+        labels per level."""
+        for kind in PROVEN_ADJACENCY_KINDS:
+            w = _vectors(kind, p, d, 9)
+            scale = hash_scale(kind, p, d)
+            bounds = reach_bound(w, scale, p)
+            directions = stream(9, d).standard_normal((20, d))
+            # scale * sum_j |w_j x_j| at each direction's widest level
+            spread = (np.abs(directions) @ np.abs(w).T).max(axis=1) * scale
+            limit = 2.0**50 / (d + 4)
+            inside = directions * (0.95 * limit / spread)[:, None]
+            assert label_ranges(w, scale, inside, bounds)[1].max() <= 4
+            outside = directions * (1.05 * limit / spread)[:, None]
+            label_ranges(w, scale, outside)
+            for row in outside:
+                with pytest.raises(ValueError, match="too far from the origin"):
+                    label_ranges(w, scale, row[None, :], bounds)
 
     @pytest.mark.parametrize("value, message", [(math.nan, "finite"), (math.inf, "finite"),
                                                 (1e300, "2\\^53"), (1e18, "2\\^53")])

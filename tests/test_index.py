@@ -194,6 +194,12 @@ class TestStorageLayout:
             assert index.stats.unique_buckets == index.unique_bucket_count
             assert 0 < index.unique_bucket_count <= index.entry_count
             assert index.stats.approx_bytes > 0
+        # points and vectors, 12 bytes per entry, and in fast_preprocessing
+        # the occupancy map: 2^(6 + 3) one-byte cells for 50 entries
+        held = points.nbytes + fq._w_matrix.nbytes
+        assert fq.stats.approx_bytes == held + 12 * fq.entry_count
+        assert fp.stats.approx_bytes == held + 12 * 50 + 2**9
+        assert LshIndex.from_bytes(fp.to_bytes()).stats.approx_bytes == fp.stats.approx_bytes
 
     def test_automatic_level_selection_is_recorded(self):
         points = _cloud(n=500, d=4)
@@ -235,6 +241,22 @@ class TestStorageLayout:
         assert LshIndex.build(points, cfg).entry_count == entries
         with pytest.raises(ValueError, match=f"{entries} entries"):
             LshIndex.build(points, replace(cfg, max_entries=entries - 1))
+
+    def test_far_rows_are_refused_on_the_ranged_side_only(self):
+        """A point whose rounding margin would reach a quarter label is
+        refused where it would take a range, a fast_preprocessing query or a
+        fast_query build, and takes its own label elsewhere."""
+        points = _cloud(n=200)
+        far = np.full(6, 1e15)
+        probing = LshIndex.build(points, _config())
+        with pytest.raises(ValueError, match="queries lie too far from the origin"):
+            probing.query(far)
+        with pytest.raises(ValueError, match="too far from the origin"):
+            probing.query_batch(np.vstack([points[:3], far]))
+        assert LshIndex.build(np.vstack([points, far]), _config()).entry_count == 201
+        with pytest.raises(ValueError, match="points lie too far from the origin"):
+            LshIndex.build(np.vstack([points, far]), _config(variant=Variant.FAST_QUERY))
+        assert LshIndex.build(points, _config(variant=Variant.FAST_QUERY)).query(far).neighbors == []
 
     def test_reach_is_the_scaled_dual_norm_of_each_vector(self):
         index = LshIndex.build(_cloud(n=20), _config(kind=FamilyKind.UNIT_SPHERE, p=2.0))
@@ -319,23 +341,25 @@ def _row_major(folded, rows):
 
 class TestFold:
     @given(
-        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=1, max_value=6),
         st.integers(min_value=0, max_value=2**64 - 1),
         st.integers(min_value=1, max_value=6),
         st.integers(min_value=0, max_value=2**32),
-        st.sampled_from([2**40, 2**62]),
+        st.sampled_from([2**40, 2**62, 2**63]),
     )
     @settings(deadline=None, max_examples=80)
     def test_a_ragged_fold_is_the_explicit_cross_product(
         self, levels, master_seed, rows, seed, span
     ):
-        """Over random ranges of widths 1-4, each row's keys equal, key for
-        key and in lexicographic order of the tuples, the XOR over levels of
-        the mixed level value, for labels near 0 and near +-2^62."""
+        """Over random ranges of widths 1-4 (1-2 beyond 4 levels, which keeps
+        the scalar reference quick), each row's keys equal, key for key and
+        in lexicographic order of the tuples, the XOR over levels of the
+        mixed level value, for labels near 0, near +-2^62 and anywhere in
+        int64, where a range may wrap."""
         fingerprinter = _Fingerprinter(master_seed, levels)
         rng = np.random.default_rng(seed)
         lo = rng.integers(-span, span, (rows, levels))
-        counts = rng.integers(1, 5, (rows, levels))
+        counts = rng.integers(1, 5 if levels <= 4 else 3, (rows, levels))
         folded = fingerprinter.fold(lo, counts)
         assert sorted(np.concatenate([group for group, _ in folded]).tolist()) == list(
             range(rows)
