@@ -43,6 +43,7 @@ import hashlib
 import math
 import struct
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
@@ -189,6 +190,9 @@ def choose_levels(variant: Variant, n: int, d: int, fp_bound: float) -> int:
     L = ceil(ln(n / d) / a) with a = -ln(fp_bound).  fast_preprocessing
     tracks the balance point of probe cost 3^L against expected candidate
     cost n * fp_bound^L: L = ceil(ln(n * a / b) / (a + b)) with b = ln 3.
+    3^L is the probe cost at reach 1 on every level; a query probes the
+    product of its range widths, about prod_l (1 + 2 r_l), so a family
+    whose vectors reach less than 1 probes fewer buckets than assumed here.
     Rounding up keeps replication from lagging the data size, so candidate
     scanning stays sublinear across growing n; the cost of the ceiling over
     the exact integer minimizer is at most one extra level.
@@ -218,9 +222,13 @@ def choose_levels(variant: Variant, n: int, d: int, fp_bound: float) -> int:
 
 @dataclass(frozen=True)
 class BuildStats:
-    """Figures of one build.  ``seconds`` is the build's wall-clock time; an
-    image does not record it, so images are reproducible byte for byte, and
-    a loaded index reports ``seconds == 0.0``."""
+    """Figures of one index, derived from its arrays whether it was built
+    or loaded: ``entries`` stored (key, id) entries, ``unique_buckets``
+    distinct keys, and ``approx_bytes`` held in its points, hash vectors,
+    keys and ids and, in fast_preprocessing, its occupancy map.
+    ``seconds`` is the build's wall-clock time; an image does not record it,
+    so images are reproducible byte for byte, and a loaded index reports
+    ``seconds == 0.0``."""
 
     seconds: float
     entries: int
@@ -279,24 +287,6 @@ def _entry_total(counts: np.ndarray, max_entries: int) -> int:
     return int(total)
 
 
-def _row_chunks(counts: np.ndarray) -> list[tuple[int, int]]:
-    """(start, stop) runs of rows whose label tuples, the products of their
-    range ``counts``, add up to at most _CHUNK_ENTRIES, or of one row that
-    exceeds it alone."""
-    if len(counts) < 2:
-        return [(0, len(counts))] if len(counts) else []
-    ends = np.cumsum(counts.prod(axis=1))
-    if ends[-1] <= _CHUNK_ENTRIES:
-        return [(0, len(ends))]
-    chunks, start = [], 0
-    while start < len(ends):
-        limit = _CHUNK_ENTRIES + (int(ends[start - 1]) if start else 0)
-        stop = max(start + 1, int(np.searchsorted(ends, limit, side="right")))
-        chunks.append((start, stop))
-        start = stop
-    return chunks
-
-
 def _cell_bits(entries: int) -> int:
     """k = bit_length(entries - 1) + 3: of the 2^k cells of the key space at
     most one in 8 holds a stored key."""
@@ -337,15 +327,19 @@ class _Fingerprinter:
         )
         self._mults = self.mults[:, None]
 
-    def fold(self, lo: np.ndarray, counts: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    def fold(
+        self, lo: np.ndarray, counts: np.ndarray
+    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """The keys of every label tuple in each row's ranges, for (m, L)
         int64 ranges as :func:`floorlsh.families.label_ranges` gives them:
         row r holds labels lo[r, l] + j, 0 <= j < counts[r, l], at level l.
 
-        Rows whose ranges have the same widths fold together, so the result
-        is one (rows, keys) pair per distinct width tuple: keys[i] are the
-        keys of row rows[i], its tuples in lexicographic order (level 0
-        varying slowest).  key(t) is the XOR over levels l of
+        Rows whose ranges have the same widths fold together, in blocks of
+        at most _CHUNK_ENTRIES keys (a row with more keys is a block alone),
+        so memory stays bounded however many rows come in.  Each block is
+        yielded as a (rows, keys) pair: keys[i] are the keys of row rows[i],
+        its tuples in lexicographic order (level 0 varying slowest); every
+        row is in exactly one block.  key(t) is the XOR over levels l of
         mix64((t_l * mult_l) ^ init), built level by level as a cross
         product, so a row costs one mix per label; each level value is a
         bijection of its label, so tuples that differ in one level never
@@ -358,47 +352,63 @@ class _Fingerprinter:
             cuts = np.flatnonzero((widths[1:] != widths[:-1]).any(axis=1)) + 1
             groups = [(rows, lo[rows]) for rows in np.split(order, cuts)]
         else:
-            groups = [(np.arange(len(counts)), lo)]
-        folded = []
-        for rows, first in groups:
-            widths = counts[rows[0]].tolist()
-            labels = (first[:, :, None] + np.arange(max(widths))).view(np.uint64)
-            # mixed[r, l, j]: row r's level-l label lo + j, mixed
-            mixed = _mix64((labels * self._mults) ^ self.init)
-            keys = mixed[:, 0, : widths[0]]
-            for level in range(1, levels):
-                step = mixed[:, level, None, : widths[level]]
-                keys = (keys[:, :, None] ^ step).reshape(len(rows), -1)
-            folded.append((rows, keys))
-        return folded
+            groups = [(np.arange(len(counts)), lo)] if len(counts) else []
+        for group, first in groups:
+            widths = counts[group[0]].tolist()
+            block = max(1, _CHUNK_ENTRIES // math.prod(widths))
+            for start in range(0, len(group), block):
+                rows = group[start : start + block]
+                labels = first[start : start + block, :, None] + np.arange(max(widths))
+                # mixed[r, l, j]: row r's level-l label lo + j, mixed
+                mixed = _mix64((labels.view(np.uint64) * self._mults) ^ self.init)
+                keys = mixed[:, 0, : widths[0]]
+                for level in range(1, levels):
+                    step = mixed[:, level, None, : widths[level]]
+                    keys = (keys[:, :, None] ^ step).reshape(len(rows), -1)
+                yield rows, keys
 
 
 class LshIndex:
-    """The no-false-negative index; construct through :meth:`build`."""
+    """The no-false-negative index; construct through :meth:`build` or
+    :meth:`load`.
+
+    An index is its resolved config, its (L, d) hash vectors, its points and
+    its sorted entry arrays; the constructor derives everything else from
+    them in one place: the hash functions, the scale, the key fingerprinter,
+    in fast_preprocessing the probe bounds and the occupancy map, and
+    :attr:`stats`, whose entry and bucket counts and byte total are read off
+    the arrays.
+    """
 
     def __init__(
         self,
         config: IndexConfig,
-        hash_functions: list[HashFunction],
+        w_matrix: np.ndarray,
         points: np.ndarray,
         entry_keys: np.ndarray,
         entry_ids: np.ndarray,
-        stats: BuildStats,
     ) -> None:
         self.config = config
-        self.hash_functions = hash_functions
         self.points = points
-        self.stats = stats
         self._entry_keys = entry_keys
         self._entry_ids = entry_ids
-        self._w_matrix = np.vstack([h.w for h in hash_functions])
+        self._w_matrix = np.array(w_matrix, dtype=np.float64)
+        self._w_matrix.flags.writeable = False
         self._scale = hash_scale(config.kind, config.p, config.d)
+        self.hash_functions = [
+            HashFunction(config.kind, float(config.p), config.d,
+                         derive_seed(config.master_seed, level), w, self._scale)
+            for level, w in enumerate(self._w_matrix)
+        ]
         self._fingerprinter = _Fingerprinter(config.master_seed, config.levels)
         self._key_mask = ~_tag_mask(entry_ids.size)
+        held = points.nbytes + self._w_matrix.nbytes + entry_keys.nbytes + entry_ids.nbytes
         self._probe_bounds = self._occupied = None
         if config.variant is Variant.FAST_PREPROCESSING:
             self._probe_bounds = reach_bound(self._w_matrix, self._scale, config.p)
             self._cell_shift, self._occupied = _occupied_cells(entry_keys)
+            held += self._occupied.nbytes
+        self.stats = BuildStats(0.0, int(entry_ids.size), _bucket_count(entry_keys), held)
 
     @property
     def levels(self) -> int:
@@ -456,35 +466,30 @@ class LshIndex:
                 )
             levels = choose_levels(config.variant, n, d, fp_bound)
         resolved = replace(config, levels=levels)
-        hash_functions = [
-            sample_vector(config.kind, config.p, d, derive_seed(config.master_seed, i))
-            for i in range(levels)
-        ]
-        w_matrix = np.vstack([h.w for h in hash_functions])
+        w_matrix = np.vstack([
+            sample_vector(
+                config.kind, config.p, d, derive_seed(config.master_seed, level)
+            ).w
+            for level in range(levels)
+        ])
         lo, counts = _stored_ranges(resolved, w_matrix, points)
         total_entries = _entry_total(counts, config.max_entries)
-        fingerprinter = _Fingerprinter(config.master_seed, levels)
         tags = _tag_mask(total_entries)
         keys = np.empty(total_entries, dtype=np.uint64)
         filled = 0
-        for start, stop in _row_chunks(counts):
-            for rows, block in fingerprinter.fold(lo[start:stop], counts[start:stop]):
-                part = keys[filled : filled + block.size].reshape(block.shape)
-                np.bitwise_and(block, ~tags, out=part)
-                part |= (rows + start).astype(np.uint64)[:, None]
-                filled += block.size
+        for rows, block in _Fingerprinter(config.master_seed, levels).fold(lo, counts):
+            part = keys[filled : filled + block.size].reshape(block.shape)
+            np.bitwise_and(block, ~tags, out=part)
+            part |= rows.astype(np.uint64)[:, None]
+            filled += block.size
         keys.sort()
         ids = np.empty(total_entries, dtype=np.int32)
-        for start in range(0, total_entries, _CHUNK_ENTRIES):
-            ids[start : start + _CHUNK_ENTRIES] = keys[start : start + _CHUNK_ENTRIES] & tags
+        np.bitwise_and(keys, tags, out=ids, casting="unsafe")
         keys &= ~tags
-        stats = BuildStats(
-            seconds=time.perf_counter() - started,
-            entries=total_entries,
-            unique_buckets=_bucket_count(keys),
-            approx_bytes=_approx_bytes(resolved.variant, points, w_matrix, keys, ids),
-        )
-        return cls(resolved, hash_functions, points, keys, ids, stats)
+        index = cls(resolved, w_matrix, points, keys, ids)
+        # the time of the whole build, the derivations of the constructor too
+        index.stats = replace(index.stats, seconds=time.perf_counter() - started)
+        return index
 
     def query(self, query: np.ndarray) -> QueryResult:
         """All indexed points within distance c that hashing can reach.
@@ -516,14 +521,11 @@ class LshIndex:
             self._w_matrix, self._scale, queries, self._probe_bounds, "queries"
         )
         results = [None] * len(queries)
-        for start, stop in _row_chunks(counts):
-            folded = self._fingerprinter.fold(lo[start:stop], counts[start:stop])
-            for rows, probes in folded:
-                pulled, bounds = self._lookup(probes)
-                for i, row in enumerate(rows.tolist()):
-                    run = pulled[bounds[i] : bounds[i + 1]]
-                    query = start + row
-                    results[query] = self._verify(queries[query], run, probes.shape[1])
+        for rows, probes in self._fingerprinter.fold(lo, counts):
+            pulled, bounds = self._lookup(probes)
+            for i, row in enumerate(rows.tolist()):
+                run = pulled[bounds[i] : bounds[i + 1]]
+                results[row] = self._verify(queries[row], run, probes.shape[1])
         return results
 
     def _lookup(self, probes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -606,11 +608,13 @@ class LshIndex:
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "LshIndex":
-        """Rebuild an index from :meth:`to_bytes` output, verifying length,
-        checksum, point count, ids and key order, and the entry count against
-        the label ranges of the stored points under the stored vectors; the rebuilt
-        index answers queries identically.  Hash seeds and scales come from
-        the config as :meth:`build` derives them; the vectors are read back.
+        """Rebuild an index from :meth:`to_bytes` output; the rebuilt index
+        answers queries identically.  Verifies the length, the checksum, the
+        point count, that ids lie in [0, n), that every point has exactly the
+        entries its label ranges under the stored vectors take, that keys
+        ascend, and that the stored bucket count is the one the keys make.
+        Only the config, vectors, points, keys and ids are read; hash seeds,
+        scales and statistics are derived as for :meth:`build`.
 
         The entry arrays stay read-only views of ``blob``: nothing is copied
         or rebuilt, so ``blob`` must not change while the index lives.
@@ -676,14 +680,13 @@ class LshIndex:
         points = np.frombuffer(payload, "<f8", n * d, cursor).astype(np.float64)
         points = points.reshape(n, d)
         cursor += points.nbytes
-        w_matrix = np.frombuffer(payload, "<f8", levels * d, cursor).astype(np.float64)
-        w_matrix = w_matrix.reshape(levels, d)
-        w_matrix.flags.writeable = False
+        w_matrix = np.frombuffer(payload, "<f8", levels * d, cursor).reshape(levels, d)
         cursor += w_matrix.nbytes
         # every point's entry count follows from its stored coordinates and
         # the stored vectors, the same way the build counted it
         _, counts = _stored_ranges(config, w_matrix, points)
-        expected = counts.prod(axis=1, dtype=np.float64).sum()
+        taken = counts.prod(axis=1, dtype=np.float64)
+        expected = taken.sum()
         if entries != expected:
             raise ValueError(
                 f"index image has {entries} entries, but {n} points take "
@@ -693,24 +696,25 @@ class LshIndex:
         ids = _entry_view(payload, "<i4", entries, cursor + keys.nbytes)
         if ids.min() < 0 or ids.max() >= n:
             raise ValueError(f"index image has point ids outside [0, {n})")
-        # _lookup's binary search silently misses entries of unsorted keys;
-        # windows overlap by one key so every adjacent pair is compared
-        for start in range(0, entries, _CHUNK_ENTRIES):
-            window = keys[start : start + _CHUNK_ENTRIES + 1]
-            if not (window[1:] >= window[:-1]).all():
-                raise ValueError("index image has entry keys out of ascending order")
-        scale = hash_scale(config.kind, config.p, d)
-        hash_functions = [
-            HashFunction(config.kind, config.p, d, derive_seed(master_seed, i), w, scale)
-            for i, w in enumerate(w_matrix)
-        ]
-        stats = BuildStats(
-            0.0,
-            entries,
-            unique_buckets,
-            _approx_bytes(config.variant, points, w_matrix, keys, ids),
-        )
-        return cls(config, hash_functions, points, keys, ids, stats)
+        # a point whose entries name another point would be missed silently
+        stored = np.bincount(ids, minlength=n)
+        moved = np.flatnonzero(stored != taken)
+        if moved.size:
+            point = moved[0]
+            raise ValueError(
+                f"index image has {stored[point]} entries for point {point}, "
+                f"but its label ranges take {taken[point]:.0f}"
+            )
+        # _lookup's binary search silently misses entries of unsorted keys
+        if not (keys[1:] >= keys[:-1]).all():
+            raise ValueError("index image has entry keys out of ascending order")
+        index = cls(config, w_matrix, points, keys, ids)
+        if index.stats.unique_buckets != unique_buckets:
+            raise ValueError(
+                f"index image records {unique_buckets} buckets, but its keys "
+                f"make {index.stats.unique_buckets}"
+            )
+        return index
 
     def save(self, path: str | Path) -> None:
         Path(path).parent.mkdir(parents=True, exist_ok=True)
@@ -721,18 +725,6 @@ class LshIndex:
     @classmethod
     def load(cls, path: str | Path) -> "LshIndex":
         return cls.from_bytes(Path(path).read_bytes())
-
-
-def _approx_bytes(
-    variant: Variant, points: np.ndarray, w_matrix: np.ndarray, keys: np.ndarray,
-    ids: np.ndarray,
-) -> int:
-    """Memory an index holds in its points, hash vectors, keys and ids, and
-    in fast_preprocessing in its one-byte-per-cell occupancy map."""
-    held = points.nbytes + w_matrix.nbytes + keys.nbytes + ids.nbytes
-    if variant is Variant.FAST_PREPROCESSING:
-        held += 1 << _cell_bits(ids.size)
-    return held
 
 
 def _entry_view(payload: memoryview, dtype: str, count: int, offset: int) -> np.ndarray:

@@ -23,6 +23,7 @@ from floorlsh.estimation import (
     FarPairShape,
 )
 from floorlsh.families import FamilyKind
+from floorlsh.index import _BLOCK as _IMAGE_BLOCK
 from floorlsh.index import _HEADER as _IMAGE_HEADER
 from floorlsh.index import IndexConfig, LshIndex, Variant
 
@@ -436,15 +437,17 @@ class TestBuildQueryAudit:
              "ids outside [0, 60)"),
             (lambda ix: {"keys": ix._entry_keys[::-1].copy(),
                          "ids": ix._entry_ids[::-1].copy()}, "keys out of ascending order"),
+            (lambda ix: {"ids": np.where(ix._entry_ids == 0, 1, ix._entry_ids)},
+             "0 entries for point 0, but its label ranges take 1"),
         ],
-        ids=["no-points", "entry-count", "id-n", "unsorted-keys"],
+        ids=["no-points", "entry-count", "id-n", "unsorted-keys", "moved-entries"],
     )
     def test_an_image_that_contradicts_itself_is_a_usage_error(
         self, tmp_path, capsys, craft, message
     ):
         """A checksummed image with no points, the wrong entry count, an id
-        beyond its points or keys out of order is rejected on load, not at
-        query time."""
+        beyond its points, keys out of order or a point's entries moved to
+        another point is rejected on load, not at query time."""
         dataset = _gen_gaussian(tmp_path)
         points, _ = read_points(dataset)
         config = IndexConfig(p=2.0, d=6, c=30.0, kind=FamilyKind.UNIFORM_CUBE,
@@ -452,14 +455,35 @@ class TestBuildQueryAudit:
         index = LshIndex.build(points, config)
         parts = {"points": index.points, "keys": index._entry_keys,
                  "ids": index._entry_ids, **craft(index)}
-        crafted = LshIndex(config, index.hash_functions, parts["points"], parts["keys"],
-                           parts["ids"], index.stats)
+        crafted = LshIndex(config, index._w_matrix, parts["points"], parts["keys"],
+                           parts["ids"])
         index_path = tmp_path / "crafted.bin"
         index_path.write_bytes(crafted.to_bytes())
         code = main(["query", "--index", str(index_path), "--queries", str(dataset),
                      "--out", str(tmp_path / "r.jsonl")])
         assert code == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "r.jsonl").exists()
+
+    def test_an_image_with_a_wrong_bucket_count_is_a_usage_error(self, tmp_path, capsys):
+        dataset = _gen_gaussian(tmp_path)
+        index_path = self._build(tmp_path, dataset)
+        buckets = LshIndex.load(index_path).unique_bucket_count
+        blob = bytearray(index_path.read_bytes())
+        # the bucket count is the last field of the fixed block; raise it,
+        # then recompute the payload digest that ends the header
+        start = _IMAGE_HEADER.size
+        fields = list(_IMAGE_BLOCK.unpack_from(blob, start))
+        fields[-1] += 7
+        blob[start : start + _IMAGE_BLOCK.size] = _IMAGE_BLOCK.pack(*fields)
+        blob[start - 32 : start] = hashlib.sha256(blob[start:]).digest()
+        index_path.write_bytes(blob)
+        code = main(["query", "--index", str(index_path), "--queries", str(dataset),
+                     "--out", str(tmp_path / "r.jsonl")])
+        assert code == 2
+        assert f"records {buckets + 7} buckets, but its keys make {buckets}" in (
+            capsys.readouterr().err
+        )
         assert not (tmp_path / "r.jsonl").exists()
 
     def test_mismatched_norms_are_a_usage_error(self, tmp_path, capsys):

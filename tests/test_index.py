@@ -63,6 +63,35 @@ def _with_ids(index, position, value):
     return {"ids": ids}
 
 
+def _moved_entries(index):
+    """Every entry of point 0 relabelled to name point 1: ids stay in range
+    and keys in order, but point 0 is stored nowhere."""
+    ids = index._entry_ids.copy()
+    ids[ids == 0] = 1
+    return {"ids": ids}
+
+
+def _swapped_keys(index):
+    """One adjacent pair of distinct keys swapped, with its ids."""
+    keys, ids = index._entry_keys.copy(), index._entry_ids.copy()
+    seam = int(np.flatnonzero(keys[1:] > keys[:-1])[5]) + 1
+    keys[[seam - 1, seam]] = keys[[seam, seam - 1]]
+    ids[[seam - 1, seam]] = ids[[seam, seam - 1]]
+    return {"keys": keys, "ids": ids}
+
+
+def _with_bucket_count(blob, change):
+    """``blob`` with ``change`` added to its stored bucket count, the last
+    field of the fixed block, and the checksum recomputed."""
+    header, block = index_module._HEADER, index_module._BLOCK
+    magic, version, length, _ = header.unpack_from(blob)
+    payload = bytearray(blob[header.size :])
+    fields = list(block.unpack_from(payload))
+    fields[-1] += change
+    payload[: block.size] = block.pack(*fields)
+    return header.pack(magic, version, length, hashlib.sha256(payload).digest()) + payload
+
+
 #: Changes that leave an image checksummed but contradicting itself, with
 #: the message its load must fail with.
 CONTRADICTIONS = [
@@ -73,16 +102,19 @@ CONTRADICTIONS = [
     (lambda ix: _with_ids(ix, 0, -1), "outside"),
     (lambda ix: {"keys": ix._entry_keys[::-1].copy(), "ids": ix._entry_ids[::-1].copy()},
      "out of ascending order"),
+    (_swapped_keys, "out of ascending order"),
+    (_moved_entries, "0 entries for point 0"),
 ]
-CONTRADICTION_IDS = ["no-points", "entry-count", "id-n", "id-negative", "unsorted-keys"]
+CONTRADICTION_IDS = ["no-points", "entry-count", "id-n", "id-negative", "unsorted-keys",
+                     "swapped-keys", "moved-entries"]
 
 
 def _contradicting_image(index, craft):
     """The image of ``index`` with its points, keys or ids replaced."""
     parts = {"points": index.points, "keys": index._entry_keys,
              "ids": index._entry_ids, **craft(index)}
-    return LshIndex(index.config, index.hash_functions, parts["points"], parts["keys"],
-                    parts["ids"], index.stats).to_bytes()
+    return LshIndex(index.config, index._w_matrix, parts["points"], parts["keys"],
+                    parts["ids"]).to_bytes()
 
 
 def _cloud(n=400, d=6, seed=0, spread=0.5):
@@ -346,27 +378,35 @@ class TestFold:
         st.integers(min_value=1, max_value=6),
         st.integers(min_value=0, max_value=2**32),
         st.sampled_from([2**40, 2**62, 2**63]),
+        st.sampled_from([None, 1, 7, 40]),
     )
     @settings(deadline=None, max_examples=80)
     def test_a_ragged_fold_is_the_explicit_cross_product(
-        self, levels, master_seed, rows, seed, span
+        self, levels, master_seed, rows, seed, span, chunk
     ):
         """Over random ranges of widths 1-4 (1-2 beyond 4 levels, which keeps
         the scalar reference quick), each row's keys equal, key for key and
         in lexicographic order of the tuples, the XOR over levels of the
         mixed level value, for labels near 0, near +-2^62 and anywhere in
-        int64, where a range may wrap."""
+        int64, where a range may wrap.  With a small ``chunk`` in place of
+        _CHUNK_ENTRIES every block holds at most that many keys or exactly
+        one row, and each row is still in exactly one block."""
         fingerprinter = _Fingerprinter(master_seed, levels)
         rng = np.random.default_rng(seed)
         lo = rng.integers(-span, span, (rows, levels))
         counts = rng.integers(1, 5 if levels <= 4 else 3, (rows, levels))
-        folded = fingerprinter.fold(lo, counts)
+        with pytest.MonkeyPatch.context() as patch:
+            if chunk is not None:
+                patch.setattr(index_module, "_CHUNK_ENTRIES", chunk)
+            folded = list(fingerprinter.fold(lo, counts))
+        limit = index_module._CHUNK_ENTRIES if chunk is None else chunk
         assert sorted(np.concatenate([group for group, _ in folded]).tolist()) == list(
             range(rows)
         )
         for group, keys in folded:
             assert keys.dtype == np.uint64
             assert keys.shape == (len(group), counts[group[0]].prod())
+            assert keys.size <= limit or len(group) == 1
         expected = [_explicit_keys(fingerprinter, a, k) for a, k in zip(lo, counts)]
         assert _row_major(folded, rows) == expected
 
@@ -611,6 +651,14 @@ class TestSerialization:
         index = LshIndex.build(_cloud(n=60, seed=1), _config(variant=variant))
         assert hashlib.sha256(index.to_bytes()).hexdigest() == digest
 
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_loaded_stats_are_the_built_ones(self, variant):
+        """Statistics are derived from the arrays, so a loaded index reports
+        the built one's, apart from the build time an image does not hold."""
+        index = LshIndex.build(_cloud(n=70, seed=3), _config(variant=variant))
+        assert index.stats.seconds > 0.0
+        assert self._round_trip(index).stats == replace(index.stats, seconds=0.0)
+
     def test_image_round_trips_with_identical_answers(self):
         points = _cloud(n=90, seed=2)
         index = LshIndex.build(points, _config(variant=Variant.FAST_QUERY))
@@ -692,18 +740,18 @@ class TestSerialization:
         with pytest.raises(ValueError, match=message):
             LshIndex.from_bytes(_contradicting_image(index, craft))
 
-    def test_keys_out_of_order_across_a_check_window_are_rejected(self, monkeypatch):
-        """The order check runs in windows; one swapped pair of keys on the
-        seam between two windows is still found."""
-        index = LshIndex.build(_cloud(n=30), _config())
-        keys, ids = index._entry_keys.copy(), index._entry_ids.copy()
-        seam = int(np.flatnonzero(keys[1:] > keys[:-1])[5]) + 1
-        keys[[seam - 1, seam]] = keys[[seam, seam - 1]]
-        ids[[seam - 1, seam]] = ids[[seam, seam - 1]]
-        blob = _contradicting_image(index, lambda ix: {"keys": keys, "ids": ids})
-        monkeypatch.setattr(index_module, "_CHUNK_ENTRIES", seam)
-        with pytest.raises(ValueError, match="out of ascending order"):
-            LshIndex.from_bytes(blob)
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_an_image_with_a_wrong_bucket_count_is_rejected(self, variant):
+        """The stored bucket count must be the one the keys make; so must a
+        loaded index's statistics, which are derived from the arrays."""
+        index = LshIndex.build(_cloud(n=30), _config(variant=variant))
+        blob = index.to_bytes()
+        assert LshIndex.from_bytes(_with_bucket_count(blob, 0)).unique_bucket_count == (
+            index.unique_bucket_count
+        )
+        with pytest.raises(ValueError, match=f"records {index.unique_bucket_count + 7} "
+                           f"buckets, but its keys make {index.unique_bucket_count}"):
+            LshIndex.from_bytes(_with_bucket_count(blob, 7))
 
     @pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
     def test_retired_images_ask_for_a_rebuild(self, version):
