@@ -63,7 +63,7 @@ from .families import (
     reach_bound,
     sample_vector,
 )
-from .lpspace import check_exponent
+from .lpspace import check_exponent, distance_error
 from .streams import derive_seed
 
 LN3 = math.log(3.0)
@@ -71,7 +71,7 @@ LN3 = math.log(3.0)
 #: Default cap on stored (key, id) entries; fast_query stores each point
 #: under the product of its range widths, about prod_l (1 + 2 r_l) label
 #: tuples and at most 4^L, so the cap is what a build may cost in memory.
-#: The build checks the exact total before it allocates.
+#: The constructor checks the exact total before it allocates.
 DEFAULT_MAX_ENTRIES = 10_000_000
 
 _CHUNK_ENTRIES = 1 << 20
@@ -82,19 +82,19 @@ _MIX_MULT_2 = np.uint64(0xC4CEB9FE1A85EC53)
 #: Ids are int32, so an index holds fewer than 2^31 points.
 _MAX_POINTS = 2**31
 
-_FILE_MAGIC = b"FLSHIDX6"
-_FILE_VERSION = 6
+_FILE_MAGIC = b"FLSHIDX7"
+_FILE_VERSION = 7
 #: Earlier formats, recognised only to ask for a rebuild: FLSHIDX1 stored
 #: two key lanes, FLSHIDX2 keys folded over key prefixes, FLSHIDX3 whole
-#: keys and 8-byte ids, FLSHIDX4 one self-describing record per level, and
+#: keys and 8-byte ids, FLSHIDX4 one self-describing record per level,
 #: FLSHIDX5 every point under all 3^L neighbouring labels, without the
-#: rounding margin.
-_RETIRED_MAGICS = (b"FLSHIDX1", b"FLSHIDX2", b"FLSHIDX3", b"FLSHIDX4", b"FLSHIDX5")
+#: rounding margin, and FLSHIDX6 the entry arrays.
+_RETIRED_MAGICS = tuple(b"FLSHIDX%d" % version for version in range(1, 7))
 _HEADER = struct.Struct("<8sHQ32s")
 #: p tag, p, family tag, variant tag, d, c, L, master seed, unsafe flag,
-#: max_entries, n, entries, unique buckets; the padding ends header and
-#: block on a multiple of 8, so the arrays after them start aligned.
-_BLOCK = struct.Struct("<BdBBIdIQBQQQQ2x")
+#: max_entries, n; the padding ends header and block on a multiple of 8,
+#: so the arrays after them start aligned.
+_BLOCK = struct.Struct("<BdBBIdIQBQQ2x")
 
 
 class Variant(str, Enum):
@@ -222,12 +222,13 @@ def choose_levels(variant: Variant, n: int, d: int, fp_bound: float) -> int:
 
 @dataclass(frozen=True)
 class BuildStats:
-    """Figures of one index, derived from its arrays whether it was built
-    or loaded: ``entries`` stored (key, id) entries, ``unique_buckets``
-    distinct keys, and ``approx_bytes`` held in its points, hash vectors,
-    keys and ids and, in fast_preprocessing, its occupancy map.
-    ``seconds`` is the build's wall-clock time; an image does not record it,
-    so images are reproducible byte for byte, and a loaded index reports
+    """Figures of one index, derived by the constructor from the arrays it
+    lays out, whether the index was built or loaded: ``entries`` stored
+    (key, id) entries, ``unique_buckets`` distinct keys, and
+    ``approx_bytes`` held in its points, hash vectors, keys and ids and, in
+    fast_preprocessing, its occupancy map.  ``seconds`` is the build's
+    wall-clock time; an image does not record it, so images are
+    reproducible byte for byte, and a loaded index reports
     ``seconds == 0.0``."""
 
     seconds: float
@@ -259,18 +260,6 @@ def _mix64(values: np.ndarray) -> np.ndarray:
     values *= _MIX_MULT_2
     values ^= values >> 32
     return values
-
-
-def _stored_ranges(
-    config: IndexConfig, w_matrix: np.ndarray, points: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Label ranges a point is stored under: in fast_query every label within
-    reach of it, in fast_preprocessing its own labels, which queries then
-    probe around."""
-    scale = hash_scale(config.kind, config.p, config.d)
-    ranged = config.variant is Variant.FAST_QUERY
-    bounds = reach_bound(w_matrix, scale, config.p) if ranged else None
-    return label_ranges(w_matrix, scale, points, bounds)
 
 
 def _entry_total(counts: np.ndarray, max_entries: int) -> int:
@@ -311,7 +300,7 @@ def _bucket_count(sorted_keys: np.ndarray) -> int:
 
 def _tag_mask(entries: int) -> np.uint64:
     """The low b = bit_length(entries - 1) bits, which a bucket key leaves
-    out so that the build can tag each key with its point's id."""
+    out so that the constructor can tag each key with its point's id."""
     return np.uint64((1 << (entries - 1).bit_length()) - 1)
 
 
@@ -372,43 +361,74 @@ class LshIndex:
     """The no-false-negative index; construct through :meth:`build` or
     :meth:`load`.
 
-    An index is its resolved config, its (L, d) hash vectors, its points and
-    its sorted entry arrays; the constructor derives everything else from
-    them in one place: the hash functions, the scale, the key fingerprinter,
-    in fast_preprocessing the probe bounds and the occupancy map, and
-    :attr:`stats`, whose entry and bucket counts and byte total are read off
-    the arrays.
+    An index is its resolved config, its (L, d) hash vectors and its
+    points; the constructor derives everything else from them in one place:
+    the hash functions, the scale, the key fingerprinter, the sorted entry
+    arrays, in fast_preprocessing the probe bounds and the occupancy map,
+    and :attr:`stats`, whose entry and bucket counts and byte total are
+    read off the arrays.
+
+    The entries depend on these three alone and are sorted canonically by
+    (key, id), so identical inputs give identical indexes regardless of how
+    the work would be split.  Each point's entry count is known before
+    anything is allocated.  Each key's low bits, which buckets leave out,
+    hold its point's id while one in-place sort orders the entries by
+    (key, id).  Vectors that no draw of the family could produce are
+    rejected: non-finite ones, and ones reaching beyond 1 by more than
+    rounding, whose wider ranges would multiply entries and probes.
     """
 
-    def __init__(
-        self,
-        config: IndexConfig,
-        w_matrix: np.ndarray,
-        points: np.ndarray,
-        entry_keys: np.ndarray,
-        entry_ids: np.ndarray,
-    ) -> None:
+    def __init__(self, config: IndexConfig, w_matrix: np.ndarray, points: np.ndarray) -> None:
         self.config = config
         self.points = points
-        self._entry_keys = entry_keys
-        self._entry_ids = entry_ids
         self._w_matrix = np.array(w_matrix, dtype=np.float64)
         self._w_matrix.flags.writeable = False
         self._scale = hash_scale(config.kind, config.p, config.d)
+        if not np.isfinite(self._w_matrix).all():
+            raise ValueError("hash vectors must have finite coordinates")
+        reaches = self.reach
+        # a draw reaches at most 1; its computed reach adds the rounding of
+        # the norm and of the scale
+        if reaches.max() > (1.0 + distance_error(config.d)) ** 2:
+            level = int(reaches.argmax())
+            raise ValueError(
+                f"hash vectors reach {reaches[level]:.17g} at level {level}, but "
+                f"no {config.kind.value} draw reaches beyond 1"
+            )
         self.hash_functions = [
             HashFunction(config.kind, float(config.p), config.d,
                          derive_seed(config.master_seed, level), w, self._scale)
             for level, w in enumerate(self._w_matrix)
         ]
         self._fingerprinter = _Fingerprinter(config.master_seed, config.levels)
-        self._key_mask = ~_tag_mask(entry_ids.size)
-        held = points.nbytes + self._w_matrix.nbytes + entry_keys.nbytes + entry_ids.nbytes
+        # fast_query stores a point under every label within reach of it,
+        # fast_preprocessing under its own labels, which queries probe around
+        bounds = reach_bound(self._w_matrix, self._scale, config.p)
+        ranged = config.variant is Variant.FAST_QUERY
+        lo, counts = label_ranges(
+            self._w_matrix, self._scale, points, bounds if ranged else None
+        )
+        total_entries = _entry_total(counts, config.max_entries)
+        tags = _tag_mask(total_entries)
+        keys = np.empty(total_entries, dtype=np.uint64)
+        filled = 0
+        for rows, block in self._fingerprinter.fold(lo, counts):
+            part = keys[filled : filled + block.size].reshape(block.shape)
+            np.bitwise_and(block, ~tags, out=part)
+            part |= rows.astype(np.uint64)[:, None]
+            filled += block.size
+        keys.sort()
+        ids = np.empty(total_entries, dtype=np.int32)
+        np.bitwise_and(keys, tags, out=ids, casting="unsafe")
+        keys &= ~tags
+        self._entry_keys, self._entry_ids, self._key_mask = keys, ids, ~tags
+        held = points.nbytes + self._w_matrix.nbytes + keys.nbytes + ids.nbytes
         self._probe_bounds = self._occupied = None
-        if config.variant is Variant.FAST_PREPROCESSING:
-            self._probe_bounds = reach_bound(self._w_matrix, self._scale, config.p)
-            self._cell_shift, self._occupied = _occupied_cells(entry_keys)
+        if not ranged:
+            self._probe_bounds = bounds
+            self._cell_shift, self._occupied = _occupied_cells(keys)
             held += self._occupied.nbytes
-        self.stats = BuildStats(0.0, int(entry_ids.size), _bucket_count(entry_keys), held)
+        self.stats = BuildStats(0.0, total_entries, _bucket_count(keys), held)
 
     @property
     def levels(self) -> int:
@@ -434,15 +454,12 @@ class LshIndex:
 
     @classmethod
     def build(cls, points: np.ndarray, config: IndexConfig) -> "LshIndex":
-        """Hash the dataset and lay out the sorted entry arrays.
+        """Index the dataset: validate the points, resolve the level count,
+        draw one hash vector per level and construct.
 
         Deterministic in (points, config): per-level hash seeds derive from
-        the master seed by counter, entries are sorted canonically by
-        (key, id), so identical inputs give identical indexes regardless of
-        how the work would be split.  Each point's entry count is known
-        before anything is allocated.  Each key's low bits, which buckets
-        leave out, hold its point's id while one in-place sort orders the
-        entries by (key, id).
+        the master seed by counter, and the constructor's entries from the
+        vectors and points.
         """
         started = time.perf_counter()
         points = np.asarray(points, dtype=np.float64)
@@ -465,28 +482,13 @@ class LshIndex:
                     "explicit level count"
                 )
             levels = choose_levels(config.variant, n, d, fp_bound)
-        resolved = replace(config, levels=levels)
         w_matrix = np.vstack([
             sample_vector(
                 config.kind, config.p, d, derive_seed(config.master_seed, level)
             ).w
             for level in range(levels)
         ])
-        lo, counts = _stored_ranges(resolved, w_matrix, points)
-        total_entries = _entry_total(counts, config.max_entries)
-        tags = _tag_mask(total_entries)
-        keys = np.empty(total_entries, dtype=np.uint64)
-        filled = 0
-        for rows, block in _Fingerprinter(config.master_seed, levels).fold(lo, counts):
-            part = keys[filled : filled + block.size].reshape(block.shape)
-            np.bitwise_and(block, ~tags, out=part)
-            part |= rows.astype(np.uint64)[:, None]
-            filled += block.size
-        keys.sort()
-        ids = np.empty(total_entries, dtype=np.int32)
-        np.bitwise_and(keys, tags, out=ids, casting="unsafe")
-        keys &= ~tags
-        index = cls(resolved, w_matrix, points, keys, ids)
+        index = cls(replace(config, levels=levels), w_matrix, points)
         # the time of the whole build, the derivations of the constructor too
         index.stats = replace(index.stats, seconds=time.perf_counter() - started)
         return index
@@ -588,13 +590,9 @@ class LshIndex:
                 1 if config.unsafe_override else 0,
                 config.max_entries,
                 len(self.points),
-                self.entry_count,
-                self.stats.unique_buckets,
             ),
             np.ascontiguousarray(self.points, dtype="<f8"),
             self._w_matrix.astype("<f8", copy=False),
-            self._entry_keys.astype("<u8", copy=False),
-            self._entry_ids.astype("<i4", copy=False),
         ]
         digest = hashlib.sha256()
         for section in sections:
@@ -609,15 +607,12 @@ class LshIndex:
     @classmethod
     def from_bytes(cls, blob: bytes) -> "LshIndex":
         """Rebuild an index from :meth:`to_bytes` output; the rebuilt index
-        answers queries identically.  Verifies the length, the checksum, the
-        point count, that ids lie in [0, n), that every point has exactly the
-        entries its label ranges under the stored vectors take, that keys
-        ascend, and that the stored bucket count is the one the keys make.
-        Only the config, vectors, points, keys and ids are read; hash seeds,
-        scales and statistics are derived as for :meth:`build`.
-
-        The entry arrays stay read-only views of ``blob``: nothing is copied
-        or rebuilt, so ``blob`` must not change while the index lives.
+        answers queries identically.  Verifies the length and the checksum,
+        reads the config, the points and the hash vectors, and hands them to
+        the constructor, which derives the entries and everything else as
+        for :meth:`build`.  So an image cannot disagree with itself: whatever
+        vectors and points it holds, the entries are the ones they make.
+        Nothing is kept from ``blob``.
         """
         image = memoryview(blob).toreadonly()
         if image.nbytes < _HEADER.size:
@@ -654,8 +649,6 @@ class LshIndex:
             unsafe,
             max_entries,
             n,
-            entries,
-            unique_buckets,
         ) = _BLOCK.unpack_from(payload, 0)
         if kind_tag not in _TAG_KINDS:
             raise ValueError(f"index image has unknown family tag {kind_tag}")
@@ -672,49 +665,13 @@ class LshIndex:
             unsafe_override=bool(unsafe),
             max_entries=max_entries,
         )
-        if _BLOCK.size + 8 * (n + levels) * d + 12 * entries != payload.nbytes:
+        if _BLOCK.size + 8 * (n + levels) * d != payload.nbytes:
             raise ValueError("index image has trailing or missing bytes")
         if n == 0:
             raise ValueError("index image holds no points")
-        cursor = _BLOCK.size
-        points = np.frombuffer(payload, "<f8", n * d, cursor).astype(np.float64)
-        points = points.reshape(n, d)
-        cursor += points.nbytes
-        w_matrix = np.frombuffer(payload, "<f8", levels * d, cursor).reshape(levels, d)
-        cursor += w_matrix.nbytes
-        # every point's entry count follows from its stored coordinates and
-        # the stored vectors, the same way the build counted it
-        _, counts = _stored_ranges(config, w_matrix, points)
-        taken = counts.prod(axis=1, dtype=np.float64)
-        expected = taken.sum()
-        if entries != expected:
-            raise ValueError(
-                f"index image has {entries} entries, but {n} points take "
-                f"{expected:.0f} in {config.variant.value} at L={levels}"
-            )
-        keys = _entry_view(payload, "<u8", entries, cursor)
-        ids = _entry_view(payload, "<i4", entries, cursor + keys.nbytes)
-        if ids.min() < 0 or ids.max() >= n:
-            raise ValueError(f"index image has point ids outside [0, {n})")
-        # a point whose entries name another point would be missed silently
-        stored = np.bincount(ids, minlength=n)
-        moved = np.flatnonzero(stored != taken)
-        if moved.size:
-            point = moved[0]
-            raise ValueError(
-                f"index image has {stored[point]} entries for point {point}, "
-                f"but its label ranges take {taken[point]:.0f}"
-            )
-        # _lookup's binary search silently misses entries of unsorted keys
-        if not (keys[1:] >= keys[:-1]).all():
-            raise ValueError("index image has entry keys out of ascending order")
-        index = cls(config, w_matrix, points, keys, ids)
-        if index.stats.unique_buckets != unique_buckets:
-            raise ValueError(
-                f"index image records {unique_buckets} buckets, but its keys "
-                f"make {index.stats.unique_buckets}"
-            )
-        return index
+        points = np.frombuffer(payload, "<f8", n * d, _BLOCK.size).astype(np.float64)
+        w_matrix = np.frombuffer(payload, "<f8", levels * d, _BLOCK.size + points.nbytes)
+        return cls(config, w_matrix.reshape(levels, d), points.reshape(n, d))
 
     def save(self, path: str | Path) -> None:
         Path(path).parent.mkdir(parents=True, exist_ok=True)
@@ -726,8 +683,3 @@ class LshIndex:
     def load(cls, path: str | Path) -> "LshIndex":
         return cls.from_bytes(Path(path).read_bytes())
 
-
-def _entry_view(payload: memoryview, dtype: str, count: int, offset: int) -> np.ndarray:
-    view = np.frombuffer(payload, dtype=dtype, count=count, offset=offset)
-    # a misaligned view would make every searchsorted copy the whole array
-    return view if view.flags.aligned else view.copy()

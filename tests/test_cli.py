@@ -429,61 +429,41 @@ class TestBuildQueryAudit:
     @pytest.mark.parametrize(
         "craft, message",
         [
-            (lambda ix: {"points": ix.points[:0], "keys": ix._entry_keys[:0],
-                         "ids": ix._entry_ids[:0]}, "holds no points"),
-            (lambda ix: {"keys": ix._entry_keys[:-1], "ids": ix._entry_ids[:-1]},
-             "59 entries, but 60 points take 60"),
-            (lambda ix: {"ids": np.append(ix._entry_ids[:-1], np.int32(len(ix.points)))},
-             "ids outside [0, 60)"),
-            (lambda ix: {"keys": ix._entry_keys[::-1].copy(),
-                         "ids": ix._entry_ids[::-1].copy()}, "keys out of ascending order"),
-            (lambda ix: {"ids": np.where(ix._entry_ids == 0, 1, ix._entry_ids)},
-             "0 entries for point 0, but its label ranges take 1"),
+            (lambda n, points, w: (0, points[:0], w), "holds no points"),
+            (lambda n, points, w: (n, points, w * 10.0), "hash vectors reach"),
+            (lambda n, points, w: (n, points, np.where(np.eye(*w.shape) > 0, np.nan, w)),
+             "hash vectors must have finite coordinates"),
         ],
-        ids=["no-points", "entry-count", "id-n", "unsorted-keys", "moved-entries"],
+        ids=["no-points", "vectors-scaled", "vectors-nan"],
     )
     def test_an_image_that_contradicts_itself_is_a_usage_error(
         self, tmp_path, capsys, craft, message
     ):
-        """A checksummed image with no points, the wrong entry count, an id
-        beyond its points, keys out of order or a point's entries moved to
-        another point is rejected on load, not at query time."""
+        """A checksummed image with no points, or with hash vectors no draw
+        could produce, is rejected on load, not at query time."""
         dataset = _gen_gaussian(tmp_path)
-        points, _ = read_points(dataset)
-        config = IndexConfig(p=2.0, d=6, c=30.0, kind=FamilyKind.UNIFORM_CUBE,
-                             variant=Variant.FAST_PREPROCESSING, levels=2)
-        index = LshIndex.build(points, config)
-        parts = {"points": index.points, "keys": index._entry_keys,
-                 "ids": index._entry_ids, **craft(index)}
-        crafted = LshIndex(config, index._w_matrix, parts["points"], parts["keys"],
-                           parts["ids"])
-        index_path = tmp_path / "crafted.bin"
-        index_path.write_bytes(crafted.to_bytes())
+        index_path = self._build(tmp_path, dataset)
+        blob = index_path.read_bytes()
+        # rewrite the point count (the last field of the config block), the
+        # points and the vectors that follow it, then the payload digest
+        # that ends the header
+        start = _IMAGE_HEADER.size
+        fields = list(_IMAGE_BLOCK.unpack_from(blob, start))
+        d, levels, n = fields[4], fields[6], fields[10]
+        arrays = np.frombuffer(blob, "<f8", offset=start + _IMAGE_BLOCK.size)
+        fields[10], points, w = craft(
+            n, arrays[: n * d].reshape(n, d), arrays[n * d :].reshape(levels, d)
+        )
+        payload = _IMAGE_BLOCK.pack(*fields) + points.tobytes() + w.tobytes()
+        magic, version, _, _ = _IMAGE_HEADER.unpack_from(blob)
+        index_path.write_bytes(
+            _IMAGE_HEADER.pack(magic, version, len(payload), hashlib.sha256(payload).digest())
+            + payload
+        )
         code = main(["query", "--index", str(index_path), "--queries", str(dataset),
                      "--out", str(tmp_path / "r.jsonl")])
         assert code == 2
         assert message in capsys.readouterr().err
-        assert not (tmp_path / "r.jsonl").exists()
-
-    def test_an_image_with_a_wrong_bucket_count_is_a_usage_error(self, tmp_path, capsys):
-        dataset = _gen_gaussian(tmp_path)
-        index_path = self._build(tmp_path, dataset)
-        buckets = LshIndex.load(index_path).unique_bucket_count
-        blob = bytearray(index_path.read_bytes())
-        # the bucket count is the last field of the fixed block; raise it,
-        # then recompute the payload digest that ends the header
-        start = _IMAGE_HEADER.size
-        fields = list(_IMAGE_BLOCK.unpack_from(blob, start))
-        fields[-1] += 7
-        blob[start : start + _IMAGE_BLOCK.size] = _IMAGE_BLOCK.pack(*fields)
-        blob[start - 32 : start] = hashlib.sha256(blob[start:]).digest()
-        index_path.write_bytes(blob)
-        code = main(["query", "--index", str(index_path), "--queries", str(dataset),
-                     "--out", str(tmp_path / "r.jsonl")])
-        assert code == 2
-        assert f"records {buckets + 7} buckets, but its keys make {buckets}" in (
-            capsys.readouterr().err
-        )
         assert not (tmp_path / "r.jsonl").exists()
 
     def test_mismatched_norms_are_a_usage_error(self, tmp_path, capsys):
