@@ -429,30 +429,44 @@ class TestBuildQueryAudit:
     @pytest.mark.parametrize(
         "craft, message",
         [
-            (lambda n, points, w: (0, points[:0], w), "holds no points"),
-            (lambda n, points, w: (n, points, w * 10.0), "hash vectors reach"),
-            (lambda n, points, w: (n, points, np.where(np.eye(*w.shape) > 0, np.nan, w)),
+            (lambda fields, points, w: (fields[:-1] + [0], points[:0], w),
+             "holds no points"),
+            (lambda fields, points, w: (fields, points, w * 10.0), "hash vectors reach"),
+            (lambda fields, points, w: (fields, points,
+                                        np.where(np.eye(*w.shape) > 0, np.nan, w)),
              "hash vectors must have finite coordinates"),
+            (lambda fields, points, w: (fields, points,
+                                        np.where(np.eye(*w.shape) > 0, np.inf, w)),
+             "hash vectors must have finite coordinates"),
+            (lambda fields, points, w: (fields,
+                                        np.where(np.eye(*points.shape) > 0, np.nan, points),
+                                        w), "points must have finite coordinates"),
+            (lambda fields, points, w: (fields, points * 1e300, w), "2^53"),
+            (lambda fields, points, w: (fields[:9] + [1] + fields[10:], points, w),
+             "above the max_entries guard of 1"),
         ],
-        ids=["no-points", "vectors-scaled", "vectors-nan"],
+        ids=["no-points", "vectors-scaled", "vectors-nan", "vectors-inf", "points-nan",
+             "points-far", "entry-guard"],
     )
     def test_an_image_that_contradicts_itself_is_a_usage_error(
         self, tmp_path, capsys, craft, message
     ):
-        """A checksummed image with no points, or with hash vectors no draw
-        could produce, is rejected on load, not at query time."""
+        """A checksummed image with no points, with hash vectors no draw
+        could produce, with points a build would refuse or with more entries
+        than its own max_entries guard is rejected on load, not at query
+        time."""
         dataset = _gen_gaussian(tmp_path)
         index_path = self._build(tmp_path, dataset)
         blob = index_path.read_bytes()
-        # rewrite the point count (the last field of the config block), the
+        # rewrite the config block (whose last field is the point count), the
         # points and the vectors that follow it, then the payload digest
         # that ends the header
         start = _IMAGE_HEADER.size
         fields = list(_IMAGE_BLOCK.unpack_from(blob, start))
         d, levels, n = fields[4], fields[6], fields[10]
         arrays = np.frombuffer(blob, "<f8", offset=start + _IMAGE_BLOCK.size)
-        fields[10], points, w = craft(
-            n, arrays[: n * d].reshape(n, d), arrays[n * d :].reshape(levels, d)
+        fields, points, w = craft(
+            fields, arrays[: n * d].reshape(n, d), arrays[n * d :].reshape(levels, d)
         )
         payload = _IMAGE_BLOCK.pack(*fields) + points.tobytes() + w.tobytes()
         magic, version, _, _ = _IMAGE_HEADER.unpack_from(blob)

@@ -88,8 +88,16 @@ CONTRADICTIONS = [
     (lambda fields, points, w: (fields, points, w * 10.0), "hash vectors reach"),
     (lambda fields, points, w: (fields, points, np.where(np.eye(*w.shape) > 0, np.nan, w)),
      "hash vectors must have finite coordinates"),
+    (lambda fields, points, w: (fields, points, np.where(np.eye(*w.shape) > 0, np.inf, w)),
+     "hash vectors must have finite coordinates"),
+    (lambda fields, points, w: (fields, np.where(np.eye(*points.shape) > 0, np.nan, points),
+                                w), "points must have finite coordinates"),
+    (lambda fields, points, w: (fields, points * 1e300, w), "points reach .* 2\\^53"),
+    (lambda fields, points, w: (fields[:9] + [1] + fields[10:], points, w),
+     "above the max_entries guard of 1"),
 ]
-CONTRADICTION_IDS = ["no-points", "vectors-scaled", "vectors-nan"]
+CONTRADICTION_IDS = ["no-points", "vectors-scaled", "vectors-nan", "vectors-inf",
+                     "points-nan", "points-far", "entry-guard"]
 
 
 def _cloud(n=400, d=6, seed=0, spread=0.5):
@@ -730,9 +738,11 @@ class TestSerialization:
     @pytest.mark.parametrize("variant", list(Variant))
     @pytest.mark.parametrize("craft, message", CONTRADICTIONS, ids=CONTRADICTION_IDS)
     def test_an_image_that_contradicts_itself_is_rejected(self, variant, craft, message):
-        """No points, or hash vectors no draw could produce (scaled by 10,
-        which would multiply every range, or holding a NaN), fails the
-        load, not a later query, and names what is wrong."""
+        """No points, hash vectors no draw could produce (scaled by 10,
+        which would multiply every range, or holding a NaN or an infinity),
+        points a build would refuse (non-finite, or beyond exact labels) or
+        points taking more entries than the image's own max_entries guard
+        fail the load, not a later query, and name what is wrong."""
         index = LshIndex.build(_cloud(n=30), _config(variant=variant))
         with pytest.raises(ValueError, match=message):
             LshIndex.from_bytes(_image(*craft(*_image_parts(index.to_bytes()))))
