@@ -53,7 +53,6 @@ from .families import (
     adjacency_certificate,
     c_threshold,
     false_positive_bound,
-    hash_eval,
     hash_scale,
     sample_pool,
     sample_vector,
@@ -118,7 +117,6 @@ __all__ = [
     "far_ring_dataset",
     "gaussian_points",
     "ground_truth",
-    "hash_eval",
     "hash_scale",
     "levy_concentration",
     "lp_distances",

@@ -11,11 +11,12 @@ Four sampling distributions for w are provided:
   cone measure on the unit l_q sphere; provided for empirical probing only
   and carries no proven guarantees.
 
-For the first three families, points x, y with ||x - y||_p <= 1 always land
-in the same or adjacent buckets over the reals; :func:`adjacency_certificate`
-checks that on concrete inputs.  :func:`label_ranges` sharpens this for a
-drawn vector: it gives the labels a near point can take in IEEE-754 doubles,
-from the vector's own reach (:func:`reach`) and a proven rounding margin.
+For the first three families, points x, y with ||x - y||_p <= 1 land in the
+same or adjacent buckets over the reals.  In IEEE-754 doubles the floors of
+two computed projections can differ by 2 for such a pair, so
+:func:`label_ranges` gives the labels a near point can take, from a drawn
+vector's own reach (:func:`reach`) and a proven rounding margin, and
+:func:`adjacency_certificate` checks a concrete pair against them.
 """
 
 from __future__ import annotations
@@ -283,14 +284,6 @@ def sample_vector(
     )
 
 
-def hash_eval(h: HashFunction, x: np.ndarray) -> int:
-    """Evaluate h(x) = floor(scale * <w, x>) as a Python int."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (h.d,):
-        raise ValueError(f"point has shape {x.shape}, expected ({h.d},)")
-    return int(math.floor(h.scale * float(np.dot(h.w, x))))
-
-
 def hash_eval_matrix(w_matrix: np.ndarray, scale: float, points: np.ndarray) -> np.ndarray:
     """Hash many points under many vectors at once.
 
@@ -436,11 +429,14 @@ def _label_chunk(
 
 
 def adjacency_certificate(h: HashFunction, x: np.ndarray, y: np.ndarray) -> bool:
-    """Check that a close pair hashes to the same or adjacent buckets.
+    """Check that a close pair is found as the index finds it: x's own
+    label lies in y's label range under :func:`reach_bound`.
 
-    Requires ||x - y||_p <= 1 (the close-pair contract) and a family with a
-    proven adjacency guarantee; violating either raises ValueError.  For
-    valid inputs the result is True by construction of the scale factors.
+    Requires a computed ||x - y||_p <= 1 (the close-pair contract) and a
+    family with a proven adjacency guarantee; violating either raises
+    ValueError, and so does a y that :func:`label_ranges` refuses to range.
+    For valid inputs the result is True in doubles, for every draw, by the
+    rounding margin of :func:`label_ranges`.
     """
     if FamilyKind(h.kind) not in PROVEN_ADJACENCY_KINDS:
         raise ValueError(
@@ -454,4 +450,7 @@ def adjacency_certificate(h: HashFunction, x: np.ndarray, y: np.ndarray) -> bool
         raise ValueError(
             f"adjacency contract requires ||x - y||_p <= 1, got {distance}"
         )
-    return abs(hash_eval(h, x) - hash_eval(h, y)) <= 1
+    w = h.w[None, :]
+    own, _ = label_ranges(w, h.scale, x[None, :])
+    lo, counts = label_ranges(w, h.scale, y[None, :], reach_bound(w, h.scale, h.p))
+    return bool(0 <= own[0, 0] - lo[0, 0] < counts[0, 0])

@@ -54,16 +54,14 @@ from .exact import lp_distances
 from .families import (
     PROVEN_ADJACENCY_KINDS,
     FamilyKind,
-    HashFunction,
     c_threshold,
     false_positive_bound,
-    hash_scale,
     label_ranges,
     reach,
     reach_bound,
     sample_vector,
 )
-from .lpspace import check_exponent, distance_error
+from .lpspace import check_exponent
 from .streams import derive_seed
 
 LN3 = math.log(3.0)
@@ -82,19 +80,27 @@ _MIX_MULT_2 = np.uint64(0xC4CEB9FE1A85EC53)
 #: Ids are int32, so an index holds fewer than 2^31 points.
 _MAX_POINTS = 2**31
 
-_FILE_MAGIC = b"FLSHIDX7"
-_FILE_VERSION = 7
+#: Cap on the label length L, so that an image claiming 2^32 - 1 levels is
+#: refused before it draws a vector per level.  No working index comes near
+#: it: choose_levels' fast_preprocessing L is at most 17 for n < 2^31, and a
+#: level multiplies entries or probes by its range width, about 1 + 2 r_l.
+MAX_LEVELS = 64
+
+_FILE_MAGIC = b"FLSHIDX8"
+_FILE_VERSION = 8
 #: Earlier formats, recognised only to ask for a rebuild: FLSHIDX1 stored
 #: two key lanes, FLSHIDX2 keys folded over key prefixes, FLSHIDX3 whole
 #: keys and 8-byte ids, FLSHIDX4 one self-describing record per level,
 #: FLSHIDX5 every point under all 3^L neighbouring labels, without the
-#: rounding margin, and FLSHIDX6 the entry arrays.
-_RETIRED_MAGICS = tuple(b"FLSHIDX%d" % version for version in range(1, 7))
+#: rounding margin, FLSHIDX6 the entry arrays and FLSHIDX7 the hash vectors.
+_RETIRED_MAGICS = tuple(b"FLSHIDX%d" % version for version in range(1, 8))
 _HEADER = struct.Struct("<8sHQ32s")
 #: p tag, p, family tag, variant tag, d, c, L, master seed, unsafe flag,
 #: max_entries, n; the padding ends header and block on a multiple of 8,
-#: so the arrays after them start aligned.
+#: so the points after them start aligned.
 _BLOCK = struct.Struct("<BdBBIdIQBQQ2x")
+#: The payload ends with the SHA-256 of the hash vectors the build drew.
+_DIGEST_SIZE = 32
 
 
 class Variant(str, Enum):
@@ -125,8 +131,8 @@ class IndexConfig:
         kind: hash family; restricted to the families with a proven
             adjacency guarantee.
         variant: storage layout.
-        levels: label length L, or None to pick it from the theoretical
-            false-positive bound.
+        levels: label length L, at most :data:`MAX_LEVELS`, or None to pick
+            it from the theoretical false-positive bound.
         master_seed: seed from which all per-level hash seeds derive.
         unsafe_override: allow c at or below the family threshold.  The
             no-false-negative guarantee still holds; only the false-positive
@@ -157,8 +163,8 @@ class IndexConfig:
             raise ValueError(f"dimension must be >= 1, got {self.d}")
         if not self.c >= 1.0:
             raise ValueError(f"approximation factor must be >= 1, got {self.c}")
-        if self.levels is not None and self.levels < 1:
-            raise ValueError(f"levels must be >= 1, got {self.levels}")
+        if self.levels is not None and not 1 <= self.levels <= MAX_LEVELS:
+            raise ValueError(f"levels must be in [1, {MAX_LEVELS}], got {self.levels}")
         if not 0 <= self.master_seed < 2**64:
             raise ValueError("master_seed must be a 64-bit unsigned integer")
         if self.max_entries < 1:
@@ -361,45 +367,32 @@ class LshIndex:
     """The no-false-negative index; construct through :meth:`build` or
     :meth:`load`.
 
-    An index is its resolved config, its (L, d) hash vectors and its
-    points; the constructor derives everything else from them in one place:
-    the hash functions, the scale, the key fingerprinter, the sorted entry
-    arrays, in fast_preprocessing the probe bounds and the occupancy map,
-    and :attr:`stats`, whose entry and bucket counts and byte total are
-    read off the arrays.
+    An index is its resolved config and its points; the constructor derives
+    everything else from them in one place: the hash functions, drawn as
+    ``sample_vector(kind, p, d, derive_seed(master_seed, level))`` for each
+    level, the scale, the key fingerprinter, the sorted entry arrays, in
+    fast_preprocessing the probe bounds and the occupancy map, and
+    :attr:`stats`, whose entry and bucket counts and byte total are read off
+    the arrays.
 
-    The entries depend on these three alone and are sorted canonically by
+    The entries depend on these two alone and are sorted canonically by
     (key, id), so identical inputs give identical indexes regardless of how
     the work would be split.  Each point's entry count is known before
     anything is allocated.  Each key's low bits, which buckets leave out,
     hold its point's id while one in-place sort orders the entries by
-    (key, id).  Vectors that no draw of the family could produce are
-    rejected: non-finite ones, and ones reaching beyond 1 by more than
-    rounding, whose wider ranges would multiply entries and probes.
+    (key, id).
     """
 
-    def __init__(self, config: IndexConfig, w_matrix: np.ndarray, points: np.ndarray) -> None:
+    def __init__(self, config: IndexConfig, points: np.ndarray) -> None:
         self.config = config
         self.points = points
-        self._w_matrix = np.array(w_matrix, dtype=np.float64)
-        self._w_matrix.flags.writeable = False
-        self._scale = hash_scale(config.kind, config.p, config.d)
-        if not np.isfinite(self._w_matrix).all():
-            raise ValueError("hash vectors must have finite coordinates")
-        reaches = self.reach
-        # a draw reaches at most 1; its computed reach adds the rounding of
-        # the norm and of the scale
-        if reaches.max() > (1.0 + distance_error(config.d)) ** 2:
-            level = int(reaches.argmax())
-            raise ValueError(
-                f"hash vectors reach {reaches[level]:.17g} at level {level}, but "
-                f"no {config.kind.value} draw reaches beyond 1"
-            )
         self.hash_functions = [
-            HashFunction(config.kind, float(config.p), config.d,
-                         derive_seed(config.master_seed, level), w, self._scale)
-            for level, w in enumerate(self._w_matrix)
+            sample_vector(config.kind, config.p, config.d, derive_seed(config.master_seed, level))
+            for level in range(config.levels)
         ]
+        self._w_matrix = np.vstack([h.w for h in self.hash_functions])
+        self._w_matrix.flags.writeable = False
+        self._scale = self.hash_functions[0].scale
         self._fingerprinter = _Fingerprinter(config.master_seed, config.levels)
         # fast_query stores a point under every label within reach of it,
         # fast_preprocessing under its own labels, which queries probe around
@@ -454,12 +447,12 @@ class LshIndex:
 
     @classmethod
     def build(cls, points: np.ndarray, config: IndexConfig) -> "LshIndex":
-        """Index the dataset: validate the points, resolve the level count,
-        draw one hash vector per level and construct.
+        """Index the dataset: validate the points, resolve the level count
+        and construct.
 
         Deterministic in (points, config): per-level hash seeds derive from
-        the master seed by counter, and the constructor's entries from the
-        vectors and points.
+        the master seed by counter, and the constructor's vectors and
+        entries from them and the points.
         """
         started = time.perf_counter()
         points = np.asarray(points, dtype=np.float64)
@@ -482,13 +475,7 @@ class LshIndex:
                     "explicit level count"
                 )
             levels = choose_levels(config.variant, n, d, fp_bound)
-        w_matrix = np.vstack([
-            sample_vector(
-                config.kind, config.p, d, derive_seed(config.master_seed, level)
-            ).w
-            for level in range(levels)
-        ])
-        index = cls(replace(config, levels=levels), w_matrix, points)
+        index = cls(replace(config, levels=levels), points)
         # the time of the whole build, the derivations of the constructor too
         index.stats = replace(index.stats, seconds=time.perf_counter() - started)
         return index
@@ -573,6 +560,10 @@ class LshIndex:
 
     # -- serialization ------------------------------------------------------
 
+    def _vector_digest(self) -> bytes:
+        """SHA-256 of the drawn hash vectors as one (L, d) ``<f8`` block."""
+        return hashlib.sha256(self._w_matrix.astype("<f8", copy=False)).digest()
+
     def _image(self) -> list:
         """The image as buffers: the header, then the payload sections."""
         config = self.config
@@ -592,7 +583,7 @@ class LshIndex:
                 len(self.points),
             ),
             np.ascontiguousarray(self.points, dtype="<f8"),
-            self._w_matrix.astype("<f8", copy=False),
+            self._vector_digest(),
         ]
         digest = hashlib.sha256()
         for section in sections:
@@ -608,11 +599,13 @@ class LshIndex:
     def from_bytes(cls, blob: bytes) -> "LshIndex":
         """Rebuild an index from :meth:`to_bytes` output; the rebuilt index
         answers queries identically.  Verifies the length and the checksum,
-        reads the config, the points and the hash vectors, and hands them to
-        the constructor, which derives the entries and everything else as
-        for :meth:`build`.  So an image cannot disagree with itself: whatever
-        vectors and points it holds, the entries are the ones they make.
-        Nothing is kept from ``blob``.
+        reads the config and the points, and hands them to the constructor,
+        which draws the hash vectors and derives everything else as for
+        :meth:`build`.  The image's digest of the vectors the build drew must
+        match the redrawn ones: a sampler that now draws other bits (numpy
+        does not promise stable streams) is refused with a request to
+        rebuild, not answered with other vectors.  Nothing is kept from
+        ``blob``.
         """
         image = memoryview(blob).toreadonly()
         if image.nbytes < _HEADER.size:
@@ -665,13 +658,18 @@ class LshIndex:
             unsafe_override=bool(unsafe),
             max_entries=max_entries,
         )
-        if _BLOCK.size + 8 * (n + levels) * d != payload.nbytes:
+        if _BLOCK.size + 8 * n * d + _DIGEST_SIZE != payload.nbytes:
             raise ValueError("index image has trailing or missing bytes")
         if n == 0:
             raise ValueError("index image holds no points")
         points = np.frombuffer(payload, "<f8", n * d, _BLOCK.size).astype(np.float64)
-        w_matrix = np.frombuffer(payload, "<f8", levels * d, _BLOCK.size + points.nbytes)
-        return cls(config, w_matrix.reshape(levels, d), points.reshape(n, d))
+        index = cls(config, points.reshape(n, d))
+        if index._vector_digest() != payload[-_DIGEST_SIZE:]:
+            raise ValueError(
+                "index image vector digest mismatch: this sampler draws other hash "
+                "vectors from the image's seeds; rebuild the index"
+            )
+        return index
 
     def save(self, path: str | Path) -> None:
         Path(path).parent.mkdir(parents=True, exist_ok=True)

@@ -11,6 +11,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from crafted_images import (
+    CONTRADICTION_IDS,
+    CONTRADICTIONS,
+    contradicting,
+    limit_draws,
+    retagged,
+)
 
 import floorlsh
 from floorlsh import cli
@@ -23,8 +30,6 @@ from floorlsh.estimation import (
     FarPairShape,
 )
 from floorlsh.families import FamilyKind
-from floorlsh.index import _BLOCK as _IMAGE_BLOCK
-from floorlsh.index import _HEADER as _IMAGE_HEADER
 from floorlsh.index import IndexConfig, LshIndex, Variant
 
 
@@ -414,70 +419,29 @@ class TestBuildQueryAudit:
     ):
         dataset = _gen_gaussian(tmp_path)
         index_path = self._build(tmp_path, dataset)
-        blob = bytearray(index_path.read_bytes())
-        # retag (after the p tag and p), then recompute the payload digest
-        # that ends the header, so that only the tag is wrong
-        start = _IMAGE_HEADER.size
-        blob[start + 9 + field] = 7
-        blob[start - 32 : start] = hashlib.sha256(blob[start:]).digest()
-        index_path.write_bytes(blob)
+        index_path.write_bytes(retagged(index_path.read_bytes(), field, 7))
         code = main(["query", "--index", str(index_path), "--queries", str(dataset),
                      "--out", str(tmp_path / "r.jsonl")])
         assert code == 2
         assert f"unknown {message} 7" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "craft, message",
-        [
-            (lambda fields, points, w: (fields[:-1] + [0], points[:0], w),
-             "holds no points"),
-            (lambda fields, points, w: (fields, points, w * 10.0), "hash vectors reach"),
-            (lambda fields, points, w: (fields, points,
-                                        np.where(np.eye(*w.shape) > 0, np.nan, w)),
-             "hash vectors must have finite coordinates"),
-            (lambda fields, points, w: (fields, points,
-                                        np.where(np.eye(*w.shape) > 0, np.inf, w)),
-             "hash vectors must have finite coordinates"),
-            (lambda fields, points, w: (fields,
-                                        np.where(np.eye(*points.shape) > 0, np.nan, points),
-                                        w), "points must have finite coordinates"),
-            (lambda fields, points, w: (fields, points * 1e300, w), "2^53"),
-            (lambda fields, points, w: (fields[:9] + [1] + fields[10:], points, w),
-             "above the max_entries guard of 1"),
-        ],
-        ids=["no-points", "vectors-scaled", "vectors-nan", "vectors-inf", "points-nan",
-             "points-far", "entry-guard"],
-    )
+    @pytest.mark.parametrize("craft, message", CONTRADICTIONS, ids=CONTRADICTION_IDS)
     def test_an_image_that_contradicts_itself_is_a_usage_error(
-        self, tmp_path, capsys, craft, message
+        self, tmp_path, capsys, monkeypatch, craft, message
     ):
-        """A checksummed image with no points, with hash vectors no draw
-        could produce, with points a build would refuse or with more entries
-        than its own max_entries guard is rejected on load, not at query
-        time."""
+        """A checksummed image with no points, with a digest of other hash
+        vectors than its seeds draw (a changed digest or seed), with more
+        levels than the cap, with points a build would refuse or with more
+        entries than its own max_entries guard is rejected on load, not at
+        query time."""
         dataset = _gen_gaussian(tmp_path)
         index_path = self._build(tmp_path, dataset)
-        blob = index_path.read_bytes()
-        # rewrite the config block (whose last field is the point count), the
-        # points and the vectors that follow it, then the payload digest
-        # that ends the header
-        start = _IMAGE_HEADER.size
-        fields = list(_IMAGE_BLOCK.unpack_from(blob, start))
-        d, levels, n = fields[4], fields[6], fields[10]
-        arrays = np.frombuffer(blob, "<f8", offset=start + _IMAGE_BLOCK.size)
-        fields, points, w = craft(
-            fields, arrays[: n * d].reshape(n, d), arrays[n * d :].reshape(levels, d)
-        )
-        payload = _IMAGE_BLOCK.pack(*fields) + points.tobytes() + w.tobytes()
-        magic, version, _, _ = _IMAGE_HEADER.unpack_from(blob)
-        index_path.write_bytes(
-            _IMAGE_HEADER.pack(magic, version, len(payload), hashlib.sha256(payload).digest())
-            + payload
-        )
+        index_path.write_bytes(contradicting(index_path.read_bytes(), craft))
+        limit_draws(monkeypatch)
         code = main(["query", "--index", str(index_path), "--queries", str(dataset),
                      "--out", str(tmp_path / "r.jsonl")])
         assert code == 2
-        assert message in capsys.readouterr().err
+        assert re.search(message, capsys.readouterr().err)
         assert not (tmp_path / "r.jsonl").exists()
 
     def test_mismatched_norms_are_a_usage_error(self, tmp_path, capsys):

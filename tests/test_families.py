@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from floorlsh import families
@@ -19,7 +19,6 @@ from floorlsh.families import (
     cube_c_threshold,
     cube_scale,
     false_positive_bound,
-    hash_eval,
     hash_eval_matrix,
     hash_scale,
     label_ranges,
@@ -242,7 +241,7 @@ class TestHashEval:
             scale=cube_scale(2.0, 2),
         )
         # scale = 2^{-1/2}; dot = -1.2; floor(-0.8485...) = -1
-        assert hash_eval(h, np.array([0.6, 0.6])) == -1
+        assert hash_eval_matrix(h.w[None, :], h.scale, np.array([[0.6, 0.6]])) == -1
 
     def test_positive_floor(self):
         h = HashFunction(
@@ -253,7 +252,7 @@ class TestHashEval:
             w=np.array([1.0, 1.0]),
             scale=1.0,
         )
-        assert hash_eval(h, np.array([1.3, 1.4])) == 2
+        assert hash_eval_matrix(h.w[None, :], h.scale, np.array([[1.3, 1.4]])) == 2
 
     @given(PROVEN, EXPONENTS, st.integers(min_value=1, max_value=16), SEEDS)
     @settings(deadline=4000, max_examples=30)
@@ -262,7 +261,7 @@ class TestHashEval:
         points = stream(seed, 77).standard_normal((5, d)) * 3.0
         labels = hash_eval_matrix(h.w[None, :], h.scale, points)
         for i in range(5):
-            assert labels[i, 0] == hash_eval(h, points[i])
+            assert labels[i, 0] == math.floor(h.scale * float(np.dot(h.w, points[i])))
 
 
 def _vectors(kind, p, d, seed, levels=3):
@@ -380,6 +379,28 @@ class TestLabelRanges:
                 label_ranges(w, 0.5, points, ranges)
 
 
+def _unit_steps(w, p, x):
+    """x +- z for the unit l_p vector z maximising <w, z> (Hölder's equality
+    case), each shrunk until lp_norm, the distance the certificate checks,
+    reports at most 1."""
+    if math.isinf(p):
+        z = np.sign(w)
+    elif p == 1.0:
+        z = np.zeros_like(w)
+        z[np.argmax(np.abs(w))] = np.sign(w[np.argmax(np.abs(w))])
+    else:
+        z = np.sign(w) * np.abs(w) ** (dual_exponent(p) - 1.0)
+    z = z / lp_norm(z, p)
+    steps = []
+    for sign in (-1.0, 1.0):
+        y, shrink = x + sign * z, 2.0**-40
+        # far from the origin y - x rounds coarsely, so the steps grow
+        while lp_norm(x - y, p) > 1.0:
+            y, shrink = x + (y - x) * (1.0 - shrink), 2.0 * shrink
+        steps.append(y)
+    return steps
+
+
 class TestAdjacency:
     @given(
         PROVEN,
@@ -390,8 +411,8 @@ class TestAdjacency:
     )
     @settings(deadline=4000, max_examples=60)
     def test_close_points_land_in_adjacent_buckets(self, kind, p, d, seed, radius):
-        """The deterministic guarantee: l_p distance at most 1 moves the
-        bucket id by at most 1, for every draw of the hash vector.
+        """The deterministic guarantee: a pair within l_p distance 1 is
+        certified, for every draw of the hash vector.
 
         The radius stays a hair under 1 so that rounding in x + offset
         cannot push the realized distance past the contract boundary.
@@ -406,7 +427,29 @@ class TestAdjacency:
             norm = 1.0
         y = x + direction * (radius / norm)
         assert adjacency_certificate(h, x, y)
-        assert abs(hash_eval(h, x) - hash_eval(h, y)) <= 1
+
+    @given(
+        PROVEN,
+        st.sampled_from([1.0, 1.5, 2.0, 3.0, math.inf]),
+        st.sampled_from([2, 3, 8]),
+        st.sampled_from([4.0, 100.0, 4e6]),
+        SEEDS,
+    )
+    @example(FamilyKind.UNIT_SPHERE, 2.0, 8, 4.0, 0)
+    @settings(deadline=None, max_examples=60)
+    def test_pairs_on_bucket_edges_are_certified(self, kind, p, d, spread, seed):
+        """In doubles, as acceptance criterion 11 builds them: anchors with
+        scale * <w, x> an integer, and partners a computed distance of at
+        most 1 away along the direction that moves the projection the most.
+        Floored projections of such a pair can lie 2 apart (at unit_sphere,
+        p = 2, d = 8, near 4, about one pair in eight), so the certificate
+        asks whether x's label lies in y's range, as the index does."""
+        h = sample_vector(kind, p, d, seed)
+        for start in stream(seed, 98).standard_normal((16, d)) * spread:
+            t = h.scale * (h.w @ start)
+            x = start + ((np.round(t) - t) / (h.scale * (h.w @ h.w))) * h.w
+            for y in _unit_steps(h.w, p, x):
+                assert adjacency_certificate(h, x, y)
 
     def test_exact_unit_distance_is_in_contract(self):
         """Distance exactly 1 is inside the closed contract ball."""

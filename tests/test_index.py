@@ -10,6 +10,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from crafted_images import (
+    CONTRADICTION_IDS,
+    CONTRADICTIONS,
+    contradicting,
+    limit_draws,
+    retagged,
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -17,12 +24,15 @@ from floorlsh import index as index_module
 from floorlsh.exact import lp_distances, recall_report
 from floorlsh.families import (
     FamilyKind,
+    HashFunction,
     c_threshold,
     false_positive_bound,
     label_ranges,
     reach_bound,
+    sample_vector,
 )
 from floorlsh.index import (
+    MAX_LEVELS,
     IndexConfig,
     LshIndex,
     Variant,
@@ -44,60 +54,6 @@ def _config(**overrides):
     )
     base.update(overrides)
     return IndexConfig(**base)
-
-
-def _retagged(blob, field, tag):
-    """``blob`` with its family (``field`` 0) or variant (``field`` 1) tag
-    byte set to ``tag`` and the checksum recomputed, so only the tag is bad."""
-    header = index_module._HEADER
-    magic, version, length, _ = header.unpack_from(blob)
-    payload = bytearray(blob[header.size :])
-    # the config block opens with the p tag (1 byte) and p (8 bytes)
-    payload[9 + field] = tag
-    return header.pack(magic, version, length, hashlib.sha256(payload).digest()) + payload
-
-
-def _image_parts(blob):
-    """(fields, points, vectors) of an image: the fields of its config
-    block, its (n, d) points and its (L, d) hash vectors."""
-    payload = blob[index_module._HEADER.size :]
-    block = index_module._BLOCK
-    fields = list(block.unpack_from(payload))
-    d, levels, n = fields[4], fields[6], fields[10]
-    arrays = np.frombuffer(payload, "<f8", offset=block.size)
-    return fields, arrays[: n * d].reshape(n, d), arrays[n * d :].reshape(levels, d)
-
-
-def _image(fields, points, vectors):
-    """A checksummed image of these config block fields, points and
-    vectors, however little they agree."""
-    payload = b"".join(
-        [index_module._BLOCK.pack(*fields), points.astype("<f8").tobytes(),
-         vectors.astype("<f8").tobytes()]
-    )
-    return index_module._HEADER.pack(
-        index_module._FILE_MAGIC, index_module._FILE_VERSION, len(payload),
-        hashlib.sha256(payload).digest(),
-    ) + payload
-
-
-#: Changes that leave an image checksummed but holding what no build could
-#: make, with the message its load must fail with.
-CONTRADICTIONS = [
-    (lambda fields, points, w: (fields[:-1] + [0], points[:0], w), "holds no points"),
-    (lambda fields, points, w: (fields, points, w * 10.0), "hash vectors reach"),
-    (lambda fields, points, w: (fields, points, np.where(np.eye(*w.shape) > 0, np.nan, w)),
-     "hash vectors must have finite coordinates"),
-    (lambda fields, points, w: (fields, points, np.where(np.eye(*w.shape) > 0, np.inf, w)),
-     "hash vectors must have finite coordinates"),
-    (lambda fields, points, w: (fields, np.where(np.eye(*points.shape) > 0, np.nan, points),
-                                w), "points must have finite coordinates"),
-    (lambda fields, points, w: (fields, points * 1e300, w), "points reach .* 2\\^53"),
-    (lambda fields, points, w: (fields[:9] + [1] + fields[10:], points, w),
-     "above the max_entries guard of 1"),
-]
-CONTRADICTION_IDS = ["no-points", "vectors-scaled", "vectors-nan", "vectors-inf",
-                     "points-nan", "points-far", "entry-guard"]
 
 
 def _cloud(n=400, d=6, seed=0, spread=0.5):
@@ -182,6 +138,14 @@ class TestIndexConfig:
             _config(master_seed=-1)
         with pytest.raises(ValueError):
             _config(max_entries=0)
+
+    def test_levels_above_the_cap_are_rejected(self):
+        """A config past MAX_LEVELS is refused, so a build asking for 10^9
+        levels fails before it draws a vector."""
+        assert _config(levels=MAX_LEVELS).levels == MAX_LEVELS
+        for levels in (MAX_LEVELS + 1, 10**9):
+            with pytest.raises(ValueError, match=f"levels must be in \\[1, {MAX_LEVELS}\\]"):
+                _config(levels=levels)
 
     def test_a_nan_factor_is_rejected_and_an_infinite_one_kept(self):
         with pytest.raises(ValueError, match="approximation factor"):
@@ -618,9 +582,9 @@ class TestVariantEquivalence:
 
 #: SHA-256 of the image of a 60-point cloud (seed 1) built with _config().
 GOLDEN_IMAGES = [
-    (Variant.FAST_QUERY, "5a8ce8910fb4be88fc6f0c1819e6e935606b13dfd15bdabf10a55a2110856196"),
+    (Variant.FAST_QUERY, "74314efab3fea66231d6ec6651ac3e604d9badc66894c1bb5903093ab2bed27f"),
     (Variant.FAST_PREPROCESSING,
-     "ae0e48715366e27acde0c8669a0640d57540a5580109be58bfef3f324eb656ae"),
+     "f428584807f42d9a311143db6e4f7dc45f12426ebb4736f988dbe4139659a20c"),
 ]
 
 #: Entry count and SHA-256 of the entry keys ("<u8") followed by the entry
@@ -639,7 +603,8 @@ class TestSerialization:
 
     @pytest.mark.parametrize("variant, digest", GOLDEN_IMAGES)
     def test_image_bytes_are_golden(self, variant, digest):
-        """Any drift in the image layout, the points or the vectors shows here."""
+        """Any drift in the image layout, the points or the vectors' digest
+        shows here."""
         index = LshIndex.build(_cloud(n=60, seed=1), _config(variant=variant))
         assert hashlib.sha256(index.to_bytes()).hexdigest() == digest
 
@@ -731,48 +696,43 @@ class TestSerialization:
     )
     def test_bad_tags_are_rejected(self, field, tag, message):
         blob = LshIndex.build(_cloud(n=15), _config()).to_bytes()
-        assert LshIndex.from_bytes(_retagged(blob, 0, 1)).config == _config()
+        assert LshIndex.from_bytes(retagged(blob, 0, 1)).config == _config()
         with pytest.raises(ValueError, match=message):
-            LshIndex.from_bytes(_retagged(blob, field, tag))
+            LshIndex.from_bytes(retagged(blob, field, tag))
 
     @pytest.mark.parametrize("variant", list(Variant))
     @pytest.mark.parametrize("craft, message", CONTRADICTIONS, ids=CONTRADICTION_IDS)
-    def test_an_image_that_contradicts_itself_is_rejected(self, variant, craft, message):
-        """No points, hash vectors no draw could produce (scaled by 10,
-        which would multiply every range, or holding a NaN or an infinity),
-        points a build would refuse (non-finite, or beyond exact labels) or
-        points taking more entries than the image's own max_entries guard
-        fail the load, not a later query, and name what is wrong."""
+    def test_an_image_that_contradicts_itself_is_rejected(
+        self, variant, craft, message, monkeypatch
+    ):
+        """No points, a digest of other hash vectors than its seeds draw (a
+        changed digest, or a changed master seed), more levels than
+        MAX_LEVELS (refused before a vector is drawn), points a build would
+        refuse (non-finite, or beyond exact labels) or points taking more
+        entries than the image's own max_entries guard fail the load, not a
+        later query, and name what is wrong."""
         index = LshIndex.build(_cloud(n=30), _config(variant=variant))
+        limit_draws(monkeypatch)
         with pytest.raises(ValueError, match=message):
-            LshIndex.from_bytes(_image(*craft(*_image_parts(index.to_bytes()))))
-
-    def test_vectors_reach_at_most_one_up_to_rounding(self):
-        """A unit-sphere draw at p = 2 can reach 1 + 2^-52 and loads; the
-        same vectors reaching 1 + 2^-40 are beyond rounding and do not."""
-        config = _config(kind=FamilyKind.UNIT_SPHERE, c=100.0, master_seed=6)
-        index = LshIndex.build(_cloud(n=30), config)
-        assert index.reach.max() == 1.0 + 2.0**-52
-        fields, points, w = _image_parts(index.to_bytes())
-        assert self._round_trip(index).hash_functions == index.hash_functions
-        with pytest.raises(ValueError, match="hash vectors reach .* at level 2"):
-            LshIndex.from_bytes(_image(fields, points, w * [[1.0], [1.0], [1.0 + 2.0**-40]]))
+            LshIndex.from_bytes(contradicting(index.to_bytes(), craft))
 
     @pytest.mark.parametrize("variant", list(Variant))
-    def test_swapped_vectors_still_find_every_near_point(self, variant):
-        """Rows 0 and 1 of the hash vectors swapped in a re-checksummed
-        image: the entries are made from the vectors the image holds, so
-        every point within distance 1 of a stored point is still found.
-        (When images stored their entries, 70 and 27 of these 300 points
-        missed a near point.)"""
-        points = _cloud(n=300)
-        index = LshIndex.build(points, _config(variant=variant))
-        fields, stored, w = _image_parts(index.to_bytes())
-        clone = LshIndex.from_bytes(_image(fields, stored, w[[1, 0, 2]]))
-        records = recall_report(clone, points, points)
-        assert all(record.missing == () for record in records)
+    def test_a_sampler_that_draws_other_bits_is_refused(self, variant, monkeypatch):
+        """Were numpy's streams to change, load would redraw other vectors;
+        it refuses the image and asks for a rebuild instead of answering
+        with them.  A vector one ulp away is enough."""
+        blob = LshIndex.build(_cloud(n=30), _config(variant=variant)).to_bytes()
 
-    @pytest.mark.parametrize("version", range(1, 7))
+        def shifted(*args):
+            h = sample_vector(*args)
+            w = np.nextafter(h.w, np.inf)
+            return HashFunction(h.kind, h.p, h.d, h.seed, w, h.scale)
+
+        monkeypatch.setattr(index_module, "sample_vector", shifted)
+        with pytest.raises(ValueError, match="vector digest mismatch.*rebuild the index"):
+            LshIndex.from_bytes(blob)
+
+    @pytest.mark.parametrize("version", range(1, 8))
     def test_retired_images_ask_for_a_rebuild(self, version):
         header = struct.pack("<8sHQ32s", b"FLSHIDX%d" % version, version, 8, bytes(32))
         with pytest.raises(ValueError, match=f"FLSHIDX{version}.*version {version}.*rebuild"):
