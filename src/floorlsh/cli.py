@@ -61,7 +61,7 @@ from .estimation import (
     unit_direction,
 )
 from .exact import audit_results, ground_truth, write_recall_jsonl
-from .families import FamilyKind, c_threshold, sample_pool
+from .families import FamilyKind, c_threshold, pool_projections
 from .index import DEFAULT_MAX_ENTRIES, IndexConfig, LshIndex, Variant, choose_levels
 from .lpspace import check_exponent
 
@@ -258,8 +258,9 @@ def run_levy(params: dict) -> int:
     violations = 0
     for d in params["ds"]:
         x = np.ones(d)
-        pool = sample_pool(FamilyKind.UNIFORM_CUBE, d, trials, params["seed"])
-        samples = pool @ x
+        samples = pool_projections(
+            FamilyKind.UNIFORM_CUBE, d, trials, params["seed"], x[None, :]
+        )[0]
         variances = x**2 / 3.0
         norm2 = math.sqrt(d)
         for lam_rel in params["lambdas"]:

@@ -1,11 +1,11 @@
 """Monte Carlo verification of the anti-concentration and collision bounds.
 
-Every estimator here is deterministic given (seed, trials): vectors are
-drawn through the fixed block substreams of :func:`floorlsh.families
-.sample_pool`, and estimates over a grid of thresholds reuse one sample
-pool (coupled sampling), which makes empirical curves exactly monotone in
-the threshold and makes the exact collision event a pointwise subset of
-its dominating event.
+Every estimator here is deterministic given (seed, trials): one streamed
+pass of :func:`floorlsh.families.pool_projections` draws the vectors of
+:func:`floorlsh.families.sample_pool` block by block and projects them.
+Estimates over a grid of thresholds share that pass (coupled sampling),
+which makes empirical curves exactly monotone in the threshold and makes
+the exact collision event a pointwise subset of its dominating event.
 
 Uncertainty is reported as exact two-sided 99% Clopper-Pearson intervals;
 a theoretical bound is *violated* only when the lower confidence limit
@@ -28,7 +28,7 @@ from .families import (
     false_positive_bound,
     hash_scale,
     lp_sphere_block,
-    sample_pool,
+    pool_projections,
 )
 from .lpspace import SQRT3, check_exponent, dual_exponent, lp_norm
 from .streams import stream
@@ -118,7 +118,7 @@ def small_ball_curve(
     seed: int,
     q: float | None = None,
 ) -> list[AntiConcEstimate]:
-    """Estimate P(|<w, x>| < alpha) on a grid of alphas from one pool.
+    """Estimate P(|<w, x>| < alpha) on a grid of alphas from one pass.
 
     All alphas share the same ``trials`` draws of w, so the empirical curve
     is exactly nondecreasing in alpha.
@@ -135,8 +135,7 @@ def small_ball_curve(
     norm2 = lp_norm(x, 2.0)
     if norm2 == 0.0:
         raise ValueError("small-ball estimation requires a nonzero point")
-    pool = sample_pool(kind, d, trials, seed, q=q)
-    magnitudes = np.abs(pool @ x)
+    magnitudes = np.abs(pool_projections(kind, d, trials, seed, x[None, :], q=q)[0])
     estimates = []
     for alpha in alphas:
         hits = int(np.count_nonzero(magnitudes < alpha))
@@ -319,9 +318,7 @@ def estimate_false_positive_rate(
             stacklevel=2,
         )
     scale = hash_scale(kind, p, d)
-    pool = sample_pool(kind, d, trials, seed)
-    s_x = scale * (pool @ x)
-    s_y = scale * (pool @ y)
+    s_x, s_y = scale * pool_projections(kind, d, trials, seed, np.stack([x, y]))
     exact = np.abs(np.floor(s_x) - np.floor(s_y)) <= 1.0
     dominating = np.abs(s_x - s_y) <= 2.0
     hits = int(np.count_nonzero(exact))

@@ -186,7 +186,7 @@ def lp_sphere_block(rng: np.random.Generator, d: int, q: float, rows: int) -> np
 def _fill_block(
     kind: FamilyKind, rows: np.ndarray, rng: np.random.Generator, q: float | None
 ) -> None:
-    """Fill ``rows``, a C-contiguous slice of the pool, from one substream.
+    """Fill ``rows``, C-contiguous pool rows, from one substream.
     Single-phase draws are prefix-stable, so a partial block draws only its
     own rows; row chunks bound each temporary to _CHUNK_BYTES."""
     if kind is FamilyKind.LQ_SPHERE_EXPERIMENTAL:
@@ -219,18 +219,11 @@ def _fill_workers(blocks: int) -> int:
     return max(1, min(blocks, os.cpu_count() or 1))
 
 
-def sample_pool(
-    kind: FamilyKind, d: int, count: int, seed: int, q: float | None = None
+def _draw_pool(
+    kind: FamilyKind, d: int, count: int, seed: int, q: float | None, vectors=None
 ) -> np.ndarray:
-    """Draw ``count`` hash vectors as a (count, d) matrix.
-
-    Rows are produced in fixed blocks of 8192, block j coming from substream
-    (seed, j) and written straight into its own rows.  Blocks are filled
-    concurrently across the usable CPUs; each owns its generator and its
-    rows, so the pool is deterministic in (kind, d, count, seed) and its
-    bytes do not depend on the core count.  Row i of a longer pool equals
-    row i of a shorter one.
-    """
+    """Check a pool's arguments and draw its blocks across the usable CPUs: the
+    (count, d) pool, or with (k, d) ``vectors`` their (k, count) products."""
     kind = FamilyKind(kind)
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
@@ -242,21 +235,59 @@ def sample_pool(
         q = check_exponent(q)
     elif q is not None:
         raise ValueError("q is only meaningful for the experimental l_q family")
-    out = np.empty((count, d), dtype=np.float64)
-
-    def fill(block_index: int) -> None:
-        lo = block_index * _POOL_BLOCK_ROWS
-        _fill_block(kind, out[lo : lo + _POOL_BLOCK_ROWS], stream(seed, block_index), q)
-
-    blocks = -(-count // _POOL_BLOCK_ROWS)
+    if vectors is not None and (np.ndim(vectors) != 2 or np.shape(vectors)[1] != d):
+        raise ValueError(f"vectors must have shape (k, {d}), got {np.shape(vectors)}")
+    out = np.empty((count, d) if vectors is None else (len(vectors), count))
+    step = _POOL_BLOCK_ROWS
+    blocks = -(-count // step)
     workers = _fill_workers(blocks)
+
+    def work(first: int) -> None:
+        scratch = None if vectors is None else np.zeros((min(count, step), d))
+        for lo in range(first * step, count, workers * step):
+            hi, rng = min(count, lo + step), stream(seed, lo // step)
+            if scratch is None:
+                _fill_block(kind, out[lo:hi], rng, q)
+                continue
+            # numpy takes one row's product as a dot, while the pool's gemv
+            # took that row alone after groups of four, as 5 rows do
+            rows = scratch[: hi - lo + (4 if hi - lo == 1 < count else 0)]
+            _fill_block(kind, rows[lo - hi :], rng, q)
+            for v, products in zip(vectors, out):  # a gemm may sum in another order
+                products[lo:hi] = np.matmul(rows, v)[lo - hi :]
+
     if workers == 1:
-        for block_index in range(blocks):
-            fill(block_index)
+        work(0)
     else:
         with ThreadPoolExecutor(workers) as executor:
-            list(executor.map(fill, range(blocks)))  # re-raises a worker's error
+            list(executor.map(work, range(workers)))  # re-raises a worker's error
     return out
+
+
+def sample_pool(
+    kind: FamilyKind, d: int, count: int, seed: int, q: float | None = None
+) -> np.ndarray:
+    """Draw ``count`` hash vectors as a (count, d) matrix.
+
+    Rows come in fixed blocks of 8192, block j from substream (seed, j) and
+    written straight into its own rows, the blocks filled concurrently.  The
+    pool is deterministic in (kind, d, count, seed), its bytes do not depend
+    on the core count, and row i of a longer pool equals row i of a shorter
+    one.  :func:`pool_projections` streams the same rows without the pool.
+    """
+    return _draw_pool(kind, d, count, seed, q)
+
+
+def pool_projections(
+    kind: FamilyKind, d: int, count: int, seed: int, vectors, q: float | None = None
+) -> np.ndarray:
+    """The (k, count) products ``sample_pool(kind, d, count, seed, q) @ v``
+    for the k rows v of ``vectors``, one gemv per vector and block, holding
+    one 8192-row block of the pool per worker.  Blocks start at multiples of
+    8192, so a one-thread BLAS groups a block's rows as in the whole pool and
+    the products are the pool's bit for bit (a multithreaded BLAS splits the
+    whole pool's gemv where its thread count says)."""
+    return _draw_pool(kind, d, count, seed, q, vectors)
 
 
 def sample_vector(
@@ -269,8 +300,6 @@ def sample_vector(
     """
     kind = FamilyKind(kind)
     p = check_exponent(p)
-    if kind is not FamilyKind.LQ_SPHERE_EXPERIMENTAL and q is not None:
-        raise ValueError("q is only meaningful for the experimental l_q family")
     w = sample_pool(kind, d, 1, seed, q=q)[0]
     w.flags.writeable = False
     return HashFunction(

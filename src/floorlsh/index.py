@@ -203,7 +203,8 @@ def choose_levels(variant: Variant, n: int, d: int, fp_bound: float) -> int:
     scanning stays sublinear across growing n; the cost of the ceiling over
     the exact integer minimizer is at most one extra level.
 
-    Raises when fp_bound >= 1: no level count can thin out far points.
+    Raises when fp_bound >= 1: no level count can thin out far points, and
+    when L would exceed :data:`MAX_LEVELS`, which a bound near 1 can ask for.
     """
     variant = Variant(variant)
     if n < 1:
@@ -217,13 +218,17 @@ def choose_levels(variant: Variant, n: int, d: int, fp_bound: float) -> int:
         )
     a = -math.log(fp_bound)
     if variant is Variant.FAST_QUERY:
-        if n <= d:
-            return 1
-        return max(1, math.ceil(math.log(n / d) / a))
-    target = n * a / LN3
-    if target <= 1.0:
-        return 1
-    return max(1, math.ceil(math.log(target) / (a + LN3)))
+        target, rate = n / d, a
+    else:
+        target, rate = n * a / LN3, a + LN3
+    levels = max(1, math.ceil(math.log(target) / rate)) if target > 1.0 else 1
+    if levels > MAX_LEVELS:
+        raise ValueError(
+            f"the automatic {variant.value} level rule gives L = {levels} at a per-level "
+            f"far-pair rate of {fp_bound:.6g}, above the cap of {MAX_LEVELS} levels; use "
+            "a larger c or pass an explicit level count (--levels)"
+        )
+    return levels
 
 
 @dataclass(frozen=True)

@@ -287,6 +287,23 @@ class TestSmallCommands:
                      "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "args, digest",
+        [(["verify-bounds", "--mode", "small-ball", "--seeds", "3"],
+          "b79ae8fcd31fa5f446ede825495d175b89c93c8ccf45b1acaa979330aad3bd60"),
+         (["verify-bounds", "--mode", "false-positive", "--seeds", "3"],
+          "dd7a52c98deb5db36d055dbfef7281e96dd8d01af673deb014bf1a2a826a9c15"),
+         (["levy", "--seed", "3"],
+          "8379ad2a889308b8da710b70a115afeabeeff371387097f5d1f7a43558a8484f")],
+        ids=["small-ball", "false-positive", "levy"],
+    )
+    def test_multi_block_tables_are_pinned(self, tmp_path, args, digest):
+        """20,001 trials draw three pool blocks at d = 8 and 65; the tables
+        stay byte for byte what the estimators wrote from a whole pool."""
+        out = tmp_path / "table.csv"
+        assert main([*args, "--ds", "8,65", "--trials", "20001", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
 
 class TestBuildQueryAudit:
     def _build(self, tmp_path, dataset, out=None):
@@ -621,6 +638,22 @@ class TestBenchIndex:
         probes = [r.stats.buckets_probed for r in index.query_batch(read_points(queries)[0])]
         assert row["mean_buckets_probed"] == np.mean(probes)
         assert all(3**3 <= count <= 4**3 for count in probes)
+
+    def test_a_calibrated_level_count_past_the_cap_is_refused(self, tmp_path, capsys):
+        """A measured far-pair rate of 0.983 asks fast_query for L = 323;
+        the build names the automatic rule and the cap, and writes nothing."""
+        dataset = _gen_gaussian(tmp_path, n=2000, d=8)
+        out = tmp_path / "index.bin"
+        with pytest.warns(UserWarning, match="bound is vacuous"):
+            code = main(["build", "--dataset", str(dataset), "--kind", "uniform_cube",
+                         "--variant", "fast_query", "--c", "3", "--unsafe-override",
+                         "--master-seed", "0", "--calibrate-fp-trials", "2000",
+                         "--out", str(out)])
+        assert code == 2
+        error = capsys.readouterr().err
+        assert "automatic fast_query level rule gives L = 323" in error
+        assert "cap of 64 levels" in error and "--levels" in error
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "variant, levels",

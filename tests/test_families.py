@@ -2,7 +2,11 @@
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +27,7 @@ from floorlsh.families import (
     hash_scale,
     label_ranges,
     lp_sphere_block,
+    pool_projections,
     reach,
     reach_bound,
     sample_pool,
@@ -31,6 +36,7 @@ from floorlsh.families import (
     sphere_c_threshold,
     sphere_scale,
 )
+from floorlsh.estimation import estimate_false_positive_rate, small_ball_curve
 from floorlsh.exact import lp_distances
 from floorlsh.lpspace import dual_exponent, lp_norm
 from floorlsh.streams import stream
@@ -61,6 +67,40 @@ GOLDEN_POOLS = [
     ("lq_sphere_experimental", math.inf, 8, "41b7a1f43ad16d1f13342b37f80525d64d9c82d840d9f40dae4790f11bf96876"),
     ("lq_sphere_experimental", math.inf, 64, "c9c145dd4de7d52087dc8780fd6e91fb72351115f451eb8b5669611f0414fe5a"),
 ]
+
+POOL_KINDS = [
+    (FamilyKind.RADEMACHER, None),
+    (FamilyKind.UNIFORM_CUBE, None),
+    (FamilyKind.UNIT_SPHERE, None),
+    (FamilyKind.LQ_SPHERE_EXPERIMENTAL, 1.5),
+    (FamilyKind.LQ_SPHERE_EXPERIMENTAL, math.inf),
+]
+
+#: Compares pool_projections with the whole pool's products for one kind,
+#: for 1, 2 and 8 workers, d in {1, 8, 64, 65}, the given counts and k in
+#: {1, 2}; prints the cases checked, or fails on the first mismatch.
+_PROJECTION_CHECK = """
+import sys
+import numpy as np
+from floorlsh import families
+kind, q = sys.argv[1], None if sys.argv[2] == "None" else float(sys.argv[2])
+counts = [int(count) for count in sys.argv[3:]]
+checked = 0
+for d in (1, 8, 64, 65):
+    vectors = np.random.default_rng(d).standard_normal((2, d))
+    for count in counts:
+        pool = families.sample_pool(kind, d, count, 7, q=q)
+        for workers in (1, 2, 8):
+            families._fill_workers = lambda blocks: workers
+            for k in (1, 2):
+                products = families.pool_projections(kind, d, count, 7, vectors[:k], q=q)
+                assert products.shape == (k, count), (workers, d, count, k)
+                for i in range(k):
+                    same = np.array_equal(products[i], pool @ vectors[i])
+                    assert same, f"workers={workers} d={d} count={count} k={k} row {i}"
+                checked += 1
+print("checked", checked)
+"""
 
 
 class TestHashScale:
@@ -209,13 +249,56 @@ class TestSampling:
             tracemalloc.stop()
         assert peak - pool.nbytes < 2**20
 
-    @pytest.mark.parametrize("kind, q", [
-        (FamilyKind.RADEMACHER, None),
-        (FamilyKind.UNIFORM_CUBE, None),
-        (FamilyKind.UNIT_SPHERE, None),
-        (FamilyKind.LQ_SPHERE_EXPERIMENTAL, 1.5),
-        (FamilyKind.LQ_SPHERE_EXPERIMENTAL, math.inf),
-    ])
+    @pytest.mark.parametrize("kind, q", POOL_KINDS)
+    def test_projections_are_the_pool_products_bit_for_bit(self, kind, q):
+        """pool_projections(...)[i] is sample_pool(...) @ vectors[i] for every
+        d, count and k, with 1, 2 or 8 workers.  The whole pool's gemv is
+        split by a multithreaded BLAS at rows its thread count sets, so the
+        check runs in a child process with BLAS pinned to one thread."""
+        source = str(Path(families.__file__).parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [source, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        env.update(dict.fromkeys(
+            ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
+        done = subprocess.run(
+            [sys.executable, "-c", _PROJECTION_CHECK, kind.value, str(q), *map(str, POOL_COUNTS)],
+            capture_output=True, text=True, env=env,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["checked", str(3 * 4 * len(POOL_COUNTS) * 2)]
+
+    @pytest.mark.parametrize("estimate", ["small_ball", "false_positive"])
+    def test_estimators_hold_one_block_per_worker(self, estimate, monkeypatch):
+        """200,000 unit_sphere draws at d = 64 make a 102 MB pool; the
+        streamed estimators peak below 16 MiB, two 4 MiB scratch blocks and
+        the products among it."""
+        monkeypatch.setattr(families, "_fill_workers", lambda blocks: min(blocks, 2))
+        kind, x = FamilyKind.UNIT_SPHERE, np.ones(64)
+        c = 4.0 * c_threshold(kind, 2.0, 64)
+
+        def run(trials):
+            if estimate == "small_ball":
+                small_ball_curve(kind, 64, x, [0.05, 0.5], trials, 5)
+            else:
+                estimate_false_positive_rate(kind, 2.0, 64, c, trials, 5)
+
+        run(10)
+        tracemalloc.start()
+        try:
+            run(200_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    def test_projections_take_vectors_of_the_pool_dimension(self):
+        with pytest.raises(ValueError, match=r"vectors must have shape \(k, 4\)"):
+            pool_projections(FamilyKind.UNIFORM_CUBE, 4, 10, 0, np.ones((2, 5)))
+        with pytest.raises(ValueError, match=r"vectors must have shape \(k, 4\)"):
+            pool_projections(FamilyKind.UNIFORM_CUBE, 4, 10, 0, np.ones(4))
+        assert pool_projections(FamilyKind.UNIFORM_CUBE, 4, 0, 0, np.ones((3, 4))).shape == (3, 0)
+
+    @pytest.mark.parametrize("kind, q", POOL_KINDS)
     @pytest.mark.parametrize("d", [1, 8, 64])
     def test_vector_is_row_zero_of_the_pool(self, kind, q, d):
         h = sample_vector(kind, 2.0, d, 31, q=q)

@@ -93,10 +93,15 @@ class TestChooseLevels:
                 assert abs(chosen - best) <= 1
 
     def test_fast_query_thins_far_survivors_to_dimension_order(self):
-        """L is the least level count with n * fp^L at or below d."""
+        """L is the least level count with n * fp^L at or below d, and a
+        count above MAX_LEVELS is refused (n = 10^4 and 10^6 at fp = 0.9)."""
         for n in (10, 100, 10**4, 10**6):
             for fp in (0.1, 1 / 3, 0.5, 0.9):
                 d = 8
+                if n * fp**MAX_LEVELS > d * (1.0 + 1e-9):
+                    with pytest.raises(ValueError, match="automatic fast_query level rule"):
+                        choose_levels(Variant.FAST_QUERY, n, d, fp)
+                    continue
                 level = choose_levels(Variant.FAST_QUERY, n, d, fp)
                 assert n * fp**level <= d * (1.0 + 1e-9)
                 if level > 1:
@@ -146,6 +151,18 @@ class TestIndexConfig:
         for levels in (MAX_LEVELS + 1, 10**9):
             with pytest.raises(ValueError, match=f"levels must be in \\[1, {MAX_LEVELS}\\]"):
                 _config(levels=levels)
+
+    def test_an_automatic_level_count_past_the_cap_is_refused(self):
+        """Near the threshold (bound 0.952) fast_query's rule asks for
+        L = 114 at n = 2,000; the build names the rule, L and the cap, not
+        the levels field the caller left to auto."""
+        tau = c_threshold(FamilyKind.UNIFORM_CUBE, 2.0, 8)
+        config = IndexConfig(p=2.0, d=8, c=1.05 * tau, kind=FamilyKind.UNIFORM_CUBE,
+                             variant=Variant.FAST_QUERY)
+        points = np.random.default_rng(0).standard_normal((2000, 8))
+        with pytest.raises(ValueError, match="automatic fast_query level rule gives "
+                           f"L = 114 .* cap of {MAX_LEVELS} levels; use a larger c"):
+            LshIndex.build(points, config)
 
     def test_a_nan_factor_is_rejected_and_an_infinite_one_kept(self):
         with pytest.raises(ValueError, match="approximation factor"):
