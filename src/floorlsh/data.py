@@ -61,13 +61,17 @@ def read_points(path: str | Path) -> tuple[np.ndarray, float]:
         if len(header) != 3:
             raise ValueError(f"malformed dataset header in {path}")
         n, d = int(header[0]), int(header[1])
+        if n < 0 or d < 0:
+            raise ValueError(f"dataset header in {path} gives a negative size {n} x {d}")
         p = parse_exponent(header[2])
         points = np.empty((n, d), dtype=np.float64)
         for i in range(n):
             row = handle.readline().split()
             if len(row) != d:
-                raise ValueError(f"dataset row {i} has {len(row)} values, expected {d}")
+                raise ValueError(f"dataset row {i} in {path} has {len(row)} values, expected {d}")
             points[i] = [float(v) for v in row]
+        if handle.read().strip():
+            raise ValueError(f"dataset {path} holds more rows than its header's n = {n}")
     return points, p
 
 

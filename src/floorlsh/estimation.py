@@ -100,8 +100,8 @@ def small_ball_bound(kind: FamilyKind, alpha: float, d: int, x_norm2: float) -> 
     at zero, so no such bound can exist).
     """
     kind = FamilyKind(kind)
-    if x_norm2 <= 0.0:
-        raise ValueError("small-ball bound requires a nonzero point")
+    if not 0.0 < x_norm2 < math.inf:
+        raise ValueError(f"small-ball bound requires a nonzero finite norm, got {x_norm2}")
     if kind is FamilyKind.UNIFORM_CUBE:
         return 2.0 * SQRT3 * alpha / x_norm2
     if kind is FamilyKind.UNIT_SPHERE:
@@ -127,6 +127,8 @@ def small_ball_curve(
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.size != d:
         raise ValueError(f"x must be a vector of dimension {d}")
+    if not np.isfinite(x).all():
+        raise ValueError("x must have finite coordinates")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     alphas = [float(a) for a in alphas]
@@ -305,8 +307,10 @@ def estimate_false_positive_rate(
     else:
         x = np.asarray(pair[0], dtype=np.float64)
         y = np.asarray(pair[1], dtype=np.float64)
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            raise ValueError("pair must have finite coordinates")
     distance = lp_norm(x - y, p)
-    if distance <= c:
+    if not distance > c:
         raise ValueError(
             f"far-pair contract requires ||x - y||_p > c, got {distance} <= {c}"
         )

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import write_jsonl
-from .lpspace import SQRT_TINY, check_exponent
+from .lpspace import SQRT_TINY, check_exponent, scalar_products
 
 
 def lp_distances(points: np.ndarray, query: np.ndarray, p: float) -> np.ndarray:
@@ -29,7 +29,7 @@ def lp_distances(points: np.ndarray, query: np.ndarray, p: float) -> np.ndarray:
     if p == 1.0:
         return diff.sum(axis=1)
     if p == 2.0:
-        distances = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        distances = np.sqrt(scalar_products("ij,ij->i", diff, diff))
         # the squares overflow above ~1e154 and underflow below ~1e-154, so
         # rows whose norm is inf, or under 2^-511 while the row is nonzero,
         # are redone rescaled and every other row keeps its bits.  The gate

@@ -38,6 +38,7 @@ from .lpspace import (
     dual_exponent,
     lp_norm,
     rounding_gamma,
+    scalar_products,
     sign_c_threshold,
     sphere_c_threshold,
     sphere_scale,
@@ -46,9 +47,9 @@ from .streams import stream
 
 _POOL_BLOCK_ROWS = 8192
 _CHUNK_BYTES = 1 << 18  # 256 KiB
-#: label_ranges labels at most this many (row, level, coordinate) terms at
-#: once, 2 MiB of them.
-_CHUNK_TERMS = 1 << 18
+#: label_ranges labels rows in chunks of at most this many values, 2 MiB of
+#: them, counting d coordinates and 2 bounds per level for each row.
+_CHUNK_VALUES = 1 << 18
 
 #: Doubles hold every integer below 2^53, so floored labels are exact there.
 _EXACT_LABEL_LIMIT = 2.0**53
@@ -243,18 +244,13 @@ def _draw_pool(
     workers = _fill_workers(blocks)
 
     def work(first: int) -> None:
-        scratch = None if vectors is None else np.zeros((min(count, step), d))
+        scratch = None if vectors is None else np.empty((min(count, step), d))
         for lo in range(first * step, count, workers * step):
             hi, rng = min(count, lo + step), stream(seed, lo // step)
-            if scratch is None:
-                _fill_block(kind, out[lo:hi], rng, q)
-                continue
-            # numpy takes one row's product as a dot, while the pool's gemv
-            # took that row alone after groups of four, as 5 rows do
-            rows = scratch[: hi - lo + (4 if hi - lo == 1 < count else 0)]
-            _fill_block(kind, rows[lo - hi :], rng, q)
-            for v, products in zip(vectors, out):  # a gemm may sum in another order
-                products[lo:hi] = np.matmul(rows, v)[lo - hi :]
+            rows = out[lo:hi] if scratch is None else scratch[: hi - lo]
+            _fill_block(kind, rows, rng, q)
+            if scratch is not None:
+                scalar_products("ij,kj->ki", rows, vectors, out=out[:, lo:hi])
 
     if workers == 1:
         work(0)
@@ -273,7 +269,8 @@ def sample_pool(
     written straight into its own rows, the blocks filled concurrently.  The
     pool is deterministic in (kind, d, count, seed), its bytes do not depend
     on the core count, and row i of a longer pool equals row i of a shorter
-    one.  :func:`pool_projections` streams the same rows without the pool.
+    one.  :func:`pool_projections` streams the same rows and projects them
+    without holding the pool.
     """
     return _draw_pool(kind, d, count, seed, q)
 
@@ -281,12 +278,11 @@ def sample_pool(
 def pool_projections(
     kind: FamilyKind, d: int, count: int, seed: int, vectors, q: float | None = None
 ) -> np.ndarray:
-    """The (k, count) products ``sample_pool(kind, d, count, seed, q) @ v``
-    for the k rows v of ``vectors``, one gemv per vector and block, holding
-    one 8192-row block of the pool per worker.  Blocks start at multiples of
-    8192, so a one-thread BLAS groups a block's rows as in the whole pool and
-    the products are the pool's bit for bit (a multithreaded BLAS splits the
-    whole pool's gemv where its thread count says)."""
+    """The (k, count) products of the rows of ``sample_pool(kind, d, count,
+    seed, q)`` with the k rows of ``vectors``, holding one 8192-row block of
+    the pool per worker.  Row i is ``np.einsum("ij,j->i", pool, vectors[i])``
+    bit for bit (:func:`floorlsh.lpspace.scalar_products`), whatever the
+    worker count, the vectors' layout or the CPU's BLAS."""
     return _draw_pool(kind, d, count, seed, q, vectors)
 
 
@@ -322,10 +318,10 @@ def hash_eval_matrix(w_matrix: np.ndarray, scale: float, points: np.ndarray) -> 
         points: (n, d) points.
 
     Returns:
-        (n, L) int64 matrix of bucket labels.
+        (n, L) int64 matrix of bucket labels, the own labels of
+        :func:`label_ranges`.
     """
-    products = points @ w_matrix.T
-    return np.floor(scale * products).astype(np.int64)
+    return label_ranges(w_matrix, scale, points)[0]
 
 
 def reach(w_matrix: np.ndarray, scale: float, p: float) -> np.ndarray:
@@ -346,23 +342,11 @@ def reach_bound(w_matrix: np.ndarray, scale: float, p: float) -> np.ndarray:
     relative error bound of computed l_p distances and norms
     (:func:`floorlsh.lpspace.distance_error`).  A pair whose *computed*
     distance is at most 1 moves level l's exact projection by at most R_l,
-    even though ||w_l||_q is itself computed."""
+    even though ||w_l||_q is itself computed: its exact distance is at most
+    1 + delta, as a computed distance below 2^-1022 is, with the underflow
+    term 2^-1074, still far inside 1."""
     delta = distance_error(w_matrix.shape[1])
     return reach(w_matrix, scale, p) * ((1.0 + delta) ** 2 * _ROUND_UP)
-
-
-def _projections(
-    rows: np.ndarray, w_matrix: np.ndarray, spread: bool
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """(n, L) sums over coordinates j of x_j * w_lj and, with ``spread``, of
-    |x_j * w_lj|, each product rounded and the sums taken in coordinate
-    order j = 0, 1, ..., d - 1, so a row's sums do not depend on the other
-    rows."""
-    terms = rows[:, None, :] * w_matrix
-    values = np.add.accumulate(terms, axis=2)[:, :, -1]
-    if not spread:
-        return values, None
-    return values, np.add.accumulate(np.abs(terms, out=terms), axis=2)[:, :, -1]
 
 
 def label_ranges(
@@ -376,10 +360,11 @@ def label_ranges(
     ``w_matrix``: (lo, counts), two (n, L) int64 arrays; row i holds the
     labels lo[i, l] + j for 0 <= j < counts[i, l] at level l.
 
-    Each projection v = scale * <w_l, x> sums its d rounded products in
-    coordinate order, so a row's labels depend neither on the other rows
-    nor on a BLAS library.  Without ``reach_bounds`` a row holds its own
-    label floor(v).  With the per-level R = ``reach_bounds`` of
+    Each projection v = scale * <w_l, x>, and each sum_j |w_j x_j|, is a
+    :func:`floorlsh.lpspace.scalar_products` sum, so a row's labels depend
+    neither on the other rows, nor on the layout of ``points``, nor on a
+    BLAS library.  Without ``reach_bounds`` a row holds its own label
+    floor(v).  With the per-level R = ``reach_bounds`` of
     :func:`reach_bound` it holds [floor(v - M), floor(v + M)], where
     M = R + E and E = gamma_{d+2} * (2 * scale * sum_j |w_j x_j| + R).  If y
     lies within computed distance 1 of x, their exact projections differ by
@@ -399,62 +384,43 @@ def label_ranges(
     labels: 4 for the families' r_l <= 1, however far a row lies.
     """
     n, d = points.shape
-    margin = None
+    lo = np.empty((n, len(w_matrix)), dtype=np.int64)
+    counts = np.empty_like(lo)
     if reach_bounds is not None:
         gamma = rounding_gamma(d + 2)
-        margin = (
-            2.0 * (gamma + 2.0 * UNIT_ROUNDOFF) * scale * _ROUND_UP,
-            reach_bounds * ((1.0 + gamma) * _ROUND_UP),
-        )
-    step = max(1, _CHUNK_TERMS // (len(w_matrix) * d))
-    if n <= step:
-        return _label_chunk(w_matrix, scale, points, margin, what)
-    parts = [
-        _label_chunk(w_matrix, scale, points[start : start + step], margin, what)
-        for start in range(0, n, step)
-    ]
-    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
-
-
-def _label_chunk(
-    w_matrix: np.ndarray,
-    scale: float,
-    rows: np.ndarray,
-    margin: tuple[float, np.ndarray] | None,
-    what: str,
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`label_ranges` of a few rows, with M = spread_weight * sum_j
-    |w_j x_j| + widened R for ``margin`` = (spread_weight, widened R)."""
-    # non-finite inputs and overflows are reported by the range check
-    with np.errstate(invalid="ignore", over="ignore"):
-        values, spreads = _projections(rows, w_matrix, margin is not None)
-        values *= scale
-        if margin is None:
-            bounds = values[:, :, None]
-        else:
-            spreads *= margin[0]
-            rounding = spreads.max(initial=0.0)
-            spreads += margin[1]
-            bounds = values[:, :, None] + spreads[:, :, None] * _SIDES
-    # a non-finite coordinate always makes a bound non-finite, so it is only
-    # looked for once the range check fails
-    if bounds.size and not np.abs(bounds).max() < _EXACT_LABEL_LIMIT:
-        if not np.isfinite(rows).all():
-            raise ValueError(f"{what} must have finite coordinates")
-        raise ValueError(
-            f"{what} reach |scale*<w,x>| >= 2^53, beyond which labels are not "
-            "exact integers"
-        )
-    if margin is not None and rounding >= _MAX_ROUNDING:
-        raise ValueError(
-            f"{what} lie too far from the origin: the rounding margin of "
-            f"scale*<w,x> reaches {rounding:.3g} of a label, at most "
-            f"{_MAX_ROUNDING} is allowed (scale*sum_j |w_j x_j| below about "
-            f"2^50/(d+4))"
-        )
-    floors = np.floor(bounds).astype(np.int64)
-    lo = floors[:, :, 0]
-    return lo, (np.ones_like(lo) if margin is None else floors[:, :, 1] - lo + 1)
+        weight = 2.0 * (gamma + 2.0 * UNIT_ROUNDOFF) * scale * _ROUND_UP
+        widened = reach_bounds * ((1.0 + gamma) * _ROUND_UP)
+    step = max(1, _CHUNK_VALUES // (d + 2 * len(w_matrix)))
+    for start in range(0, n, step):
+        rows = points[start : start + step]
+        # non-finite inputs and overflows are reported by the range check
+        with np.errstate(invalid="ignore", over="ignore"):
+            bounds = scale * scalar_products("ij,kj->ik", rows, w_matrix)[:, :, None]
+            if reach_bounds is not None:
+                # M = weight * sum_j |w_j x_j| + widened R
+                spreads = weight * scalar_products("ij,kj->ik", np.abs(rows), np.abs(w_matrix))
+                rounding = spreads.max(initial=0.0)
+                bounds = bounds + (spreads + widened)[:, :, None] * _SIDES
+        # a non-finite coordinate always makes a bound non-finite, so it is
+        # only looked for once the range check fails
+        if bounds.size and not np.abs(bounds).max() < _EXACT_LABEL_LIMIT:
+            if not np.isfinite(rows).all():
+                raise ValueError(f"{what} must have finite coordinates")
+            raise ValueError(
+                f"{what} reach |scale*<w,x>| >= 2^53, beyond which labels are not "
+                "exact integers"
+            )
+        if reach_bounds is not None and rounding >= _MAX_ROUNDING:
+            raise ValueError(
+                f"{what} lie too far from the origin: the rounding margin of "
+                f"scale*<w,x> reaches {rounding:.3g} of a label, at most "
+                f"{_MAX_ROUNDING} is allowed (scale*sum_j |w_j x_j| below about "
+                f"2^50/(d+4))"
+            )
+        floors = np.floor(bounds).astype(np.int64)
+        lo[start : start + step] = floors[:, :, 0]
+        counts[start : start + step] = floors[:, :, -1] - floors[:, :, 0] + 1
+    return lo, counts
 
 
 def adjacency_certificate(h: HashFunction, x: np.ndarray, y: np.ndarray) -> bool:

@@ -34,10 +34,23 @@ def check_exponent(p: float) -> float:
     return p
 
 
+def scalar_products(subscripts: str, a, b, out: np.ndarray | None = None) -> np.ndarray:
+    """The package's one kernel for scalar products and sums of squares:
+    ``np.einsum`` on C-contiguous float64 copies of a and b.  einsum never
+    calls BLAS and sums in an order set by the operands' length and layout,
+    so on C-contiguous rows a product depends only on its two rows and the
+    numpy build: not on the CPU's BLAS kernel, the thread count or a batch."""
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    b = np.ascontiguousarray(b, dtype=np.float64)
+    return np.einsum(subscripts, a, b, out=out)
+
+
 def lp_norm(x: np.ndarray, p: float) -> float:
     """l_p norm of a vector, with p = inf meaning the max norm.
 
     Returns 0 exactly when x is the zero vector.  Raises on empty input.
+    At p = 2 it is :func:`floorlsh.exact.lp_distances` bit for bit:
+    ``lp_norm(x - y, 2) == lp_distances(x[None], y, 2)[0]``.
     """
     p = check_exponent(p)
     x = np.ascontiguousarray(x, dtype=np.float64)
@@ -48,11 +61,10 @@ def lp_norm(x: np.ndarray, p: float) -> float:
     if p == 1.0:
         return float(np.sum(np.abs(x)))
     if p == 2.0:
-        # np.vdot of a contiguous x is the dot np.linalg.norm takes, bit for
-        # bit, without its overflow warning.  The squares overflow above
-        # ~1e154 and underflow below ~1e-154; only then is the sum rescaled
-        # below, so every other vector keeps its bits
-        norm = math.sqrt(np.vdot(x, x))
+        # the kernel's sum of squares, as exact.lp_distances takes it.  The
+        # squares overflow above ~1e154 and underflow below ~1e-154; only
+        # then is the sum rescaled below, so every other vector keeps its bits
+        norm = math.sqrt(scalar_products("i,i->", x, x))
         if SQRT_TINY <= norm < math.inf:
             return norm
     # factor out the max to keep |x_i|^p in range for large p
@@ -74,9 +86,10 @@ def rounding_gamma(n: int) -> float:
 
 
 def distance_error(d: int) -> float:
-    """A bound delta on the relative error of ``lp_norm`` and
-    ``exact.lp_distances`` in R^d, for every p: the exact value is at most
-    (1 + delta) times the computed one.
+    """A bound delta on the error of ``lp_norm`` and ``exact.lp_distances``
+    in R^d, for every p: the exact value is at most (1 + delta) times a
+    computed value of at least 2^-1022, the least normal double, and at
+    most that plus 2^-1074, the least subnormal, below it.
 
     The general-p path rounds the differences, the divisions by the peak,
     the p-th powers (the C library's pow, within 1 ulp), a d-term sum and
@@ -84,6 +97,15 @@ def distance_error(d: int) -> float:
     [1, d] is at most u*ln(d); that adds up to less than (2d + 8) roundings.
     The p = 1, 2 and inf paths round less, and so does the dual exponent
     p/(p - 1), whose rounding changes a norm in R^d by at most u*ln(d).
+
+    Below 2^-1022 a rounding errs by up to 2^-1075 absolute, not u relative.
+    Sums and differences landing there are exact, and underflowed terms are
+    small beside their sum: at least 1 on the general path, and at least
+    2^-1022 for the p = 2 squares, kept only for norms of at least 2^-511,
+    where d underflows cost at most d*u/2, within that path's unused
+    roundings.  Only the final scaling by the peak adds the 2^-1074: the
+    distance from 0 to (2^-1074, 2^-1074), 2^-1074 * sqrt(2), computes as
+    2^-1074.
     """
     return rounding_gamma(2 * d + 8)
 

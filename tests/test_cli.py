@@ -409,6 +409,33 @@ class TestBuildQueryAudit:
             assert main(argv) == 2
             assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("change, message", [
+        ("extra-row", "more rows than its header's n"), ("negative-n", "negative size")],
+        ids=["extra-row", "negative-n"])
+    def test_a_header_that_miscounts_the_rows_is_a_usage_error(
+        self, tmp_path, capsys, change, message
+    ):
+        dataset = _gen_gaussian(tmp_path)
+        index_path = self._build(tmp_path, dataset)
+        lines = dataset.read_text().splitlines()
+        if change == "extra-row":
+            lines.append(lines[-1])
+        else:
+            lines[0] = " ".join(["-1", *lines[0].split()[1:]])
+        bad = tmp_path / "bad.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        argvs = [
+            ["build", "--dataset", str(bad), "--c-multiplier", "1.5", "--levels", "3",
+             "--master-seed", "11", "--out", str(tmp_path / "bad.bin")],
+            ["query", "--index", str(index_path), "--queries", str(bad),
+             "--out", str(tmp_path / "r.jsonl")],
+        ]
+        for argv in argvs:
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert message in err and str(bad) in err
+        assert not (tmp_path / "bad.bin").exists() and not (tmp_path / "r.jsonl").exists()
+
     def test_a_point_too_far_for_its_rounding_margin_is_a_usage_error(self, tmp_path, capsys):
         """A line far enough out that its rounding margin would reach a
         quarter label exits 2 as a fast_preprocessing query and in a

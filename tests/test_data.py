@@ -69,6 +69,24 @@ class TestPointFile:
         with pytest.raises(ValueError):
             write_points(path, np.zeros(4), 2.0)
 
+    @pytest.mark.parametrize("text, message", [
+        ("2 2 2\n1 2\n3 4\n5 6\n", "more rows than its header's n = 2"),
+        ("0 2 2\n1 2\n", "more rows than its header's n = 0"),
+        ("-1 2 2\n", "negative size -1 x 2"),
+        ("1 -2 2\n", "negative size 1 x -2"),
+    ], ids=["extra-row", "extra-row-at-n-0", "negative-n", "negative-d"])
+    def test_rejects_a_header_that_does_not_count_the_rows(self, tmp_path, text, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message) as excinfo:
+            read_points(path)
+        assert str(path) in str(excinfo.value)
+
+    def test_trailing_blank_lines_are_not_rows(self, tmp_path):
+        path = tmp_path / "points.txt"
+        path.write_text("2 2 2\n1 2\n3 4\n\n  \n")
+        np.testing.assert_array_equal(read_points(path)[0], [[1.0, 2.0], [3.0, 4.0]])
+
 
 class TestBackgroundClouds:
     def test_gaussian_scaling_and_determinism(self):

@@ -103,6 +103,12 @@ class TestSmallBallBound:
         with pytest.raises(ValueError):
             small_ball_bound(FamilyKind.UNIFORM_CUBE, 0.1, 4, 0.0)
 
+    @pytest.mark.parametrize("norm", [math.nan, math.inf, -1.0])
+    @pytest.mark.parametrize("kind", [FamilyKind.UNIFORM_CUBE, FamilyKind.UNIT_SPHERE])
+    def test_rejects_a_norm_that_is_not_positive_and_finite(self, kind, norm):
+        with pytest.raises(ValueError, match="nonzero finite norm"):
+            small_ball_bound(kind, 0.1, 4, norm)
+
 
 class TestSmallBallCurve:
     def test_coupled_grid_is_monotone_and_consistent(self):
@@ -138,6 +144,14 @@ class TestSmallBallCurve:
             small_ball_curve(FamilyKind.UNIFORM_CUBE, 4, x, [0.1], 0, 0)
         with pytest.raises(ValueError):
             small_ball_curve(FamilyKind.UNIFORM_CUBE, 4, np.zeros(4), [0.1], 100, 0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_point_that_is_not_finite(self, value):
+        """At a NaN the bound would be NaN, which no estimate violates."""
+        x = np.ones(4)
+        x[2] = value
+        with pytest.raises(ValueError, match="must have finite coordinates"):
+            small_ball_curve(FamilyKind.UNIFORM_CUBE, 4, x, [0.1], 100, 0)
 
 
 class TestEstimateVerdicts:
@@ -360,6 +374,19 @@ class TestFalsePositiveEstimate:
         with pytest.raises(ValueError):
             estimate_false_positive_rate(
                 FamilyKind.UNIFORM_CUBE, 2.0, 4, 2.0, 100, 0, pair=(x, np.zeros(4))
+            )
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_a_pair_that_is_not_finite_is_rejected(self, side, value):
+        """A NaN or infinite coordinate makes the pair distance NaN or inf,
+        which must not pass for a far pair."""
+        pair = [np.zeros(4), np.zeros(4)]
+        pair[0][0] = 500.0
+        pair[side][1] = value
+        with pytest.raises(ValueError, match="must have finite coordinates"):
+            estimate_false_positive_rate(
+                FamilyKind.UNIFORM_CUBE, 2.0, 4, 100.0, 100, 0, pair=tuple(pair)
             )
 
     def test_deterministic_given_seed(self):

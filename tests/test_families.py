@@ -38,7 +38,7 @@ from floorlsh.families import (
 )
 from floorlsh.estimation import estimate_false_positive_rate, small_ball_curve
 from floorlsh.exact import lp_distances
-from floorlsh.lpspace import dual_exponent, lp_norm
+from floorlsh.lpspace import dual_exponent, lp_norm, scalar_products
 from floorlsh.streams import stream
 
 KINDS = st.sampled_from(list(FamilyKind))
@@ -76,31 +76,51 @@ POOL_KINDS = [
     (FamilyKind.LQ_SPHERE_EXPERIMENTAL, math.inf),
 ]
 
-#: Compares pool_projections with the whole pool's products for one kind,
-#: for 1, 2 and 8 workers, d in {1, 8, 64, 65}, the given counts and k in
-#: {1, 2}; prints the cases checked, or fails on the first mismatch.
-_PROJECTION_CHECK = """
-import sys
+#: Prints SHA-256 digests of pool projections, planted-pair datasets, index
+#: reaches and label ranges at d in {8, 64, 65}, one line per function.
+_KERNEL_DIGESTS = """
+import hashlib
 import numpy as np
 from floorlsh import families
-kind, q = sys.argv[1], None if sys.argv[2] == "None" else float(sys.argv[2])
-counts = [int(count) for count in sys.argv[3:]]
-checked = 0
-for d in (1, 8, 64, 65):
+from floorlsh.data import planted_pairs_dataset
+from floorlsh.index import IndexConfig, LshIndex, Variant
+digests = {}
+def note(name, array):
+    digests.setdefault(name, hashlib.sha256()).update(np.ascontiguousarray(array).tobytes())
+for d in (8, 64, 65):
     vectors = np.random.default_rng(d).standard_normal((2, d))
-    for count in counts:
-        pool = families.sample_pool(kind, d, count, 7, q=q)
-        for workers in (1, 2, 8):
-            families._fill_workers = lambda blocks: workers
-            for k in (1, 2):
-                products = families.pool_projections(kind, d, count, 7, vectors[:k], q=q)
-                assert products.shape == (k, count), (workers, d, count, k)
-                for i in range(k):
-                    same = np.array_equal(products[i], pool @ vectors[i])
-                    assert same, f"workers={workers} d={d} count={count} k={k} row {i}"
-                checked += 1
-print("checked", checked)
+    for kind in families.FamilyKind:
+        q = 1.5 if kind is families.FamilyKind.LQ_SPHERE_EXPERIMENTAL else None
+        note("pool_projections", families.pool_projections(kind, d, 20000, 7, vectors, q=q))
+    points, _ = planted_pairs_dataset(2000, d, 2.0, [0.5, 1.0], 200, 7)
+    note("planted_pairs_dataset", points)
+    for kind in sorted(families.PROVEN_ADJACENCY_KINDS):
+        c = 2.0 * families.c_threshold(kind, 2.0, d)
+        config = IndexConfig(2.0, d, c, kind, Variant.FAST_QUERY, levels=3, master_seed=d)
+        index = LshIndex(config, points[:50])
+        note("LshIndex.reach", index.reach)
+        w = np.stack([h.w for h in index.hash_functions])
+        scale = families.hash_scale(kind, 2.0, d)
+        note("label_ranges", families.label_ranges(w, scale * 2.0**40, points)[0])
+        bounds = families.reach_bound(w, scale, 2.0)
+        note("label_ranges", np.stack(families.label_ranges(w, scale, points, bounds)))
+for name, digest in sorted(digests.items()):
+    print(name, digest.hexdigest())
 """
+
+
+def _runs_openblas_kernels_by_coretype():
+    """True when numpy links a DYNAMIC_ARCH OpenBLAS, whose kernel
+    OPENBLAS_CORETYPE picks, on a CPU that runs the Haswell kernels."""
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:  # numpy before 1.26 only prints its config
+        return False
+    blas = config.get("Build Dependencies", {}).get("blas", {})
+    simd = config.get("SIMD Extensions", {})
+    features = {*simd.get("baseline", []), *simd.get("found", [])}
+    return "DYNAMIC_ARCH" in blas.get("openblas configuration", "") and bool(
+        features & {"X86_V3", "AVX2"})
 
 
 class TestHashScale:
@@ -250,22 +270,22 @@ class TestSampling:
         assert peak - pool.nbytes < 2**20
 
     @pytest.mark.parametrize("kind, q", POOL_KINDS)
-    def test_projections_are_the_pool_products_bit_for_bit(self, kind, q):
-        """pool_projections(...)[i] is sample_pool(...) @ vectors[i] for every
-        d, count and k, with 1, 2 or 8 workers.  The whole pool's gemv is
-        split by a multithreaded BLAS at rows its thread count sets, so the
-        check runs in a child process with BLAS pinned to one thread."""
-        source = str(Path(families.__file__).parent.parent)
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [source, *filter(None, [os.environ.get("PYTHONPATH")])])}
-        env.update(dict.fromkeys(
-            ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
-        done = subprocess.run(
-            [sys.executable, "-c", _PROJECTION_CHECK, kind.value, str(q), *map(str, POOL_COUNTS)],
-            capture_output=True, text=True, env=env,
-        )
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.split() == ["checked", str(3 * 4 * len(POOL_COUNTS) * 2)]
+    def test_projections_are_the_pool_products_bit_for_bit(self, kind, q, monkeypatch):
+        """pool_projections(...)[i] is the einsum of the whole pool with
+        vectors[i] for every d, count and k, with 1, 2 or 8 workers."""
+        for d in (1, 8, 64, 65):
+            vectors = np.random.default_rng(d).standard_normal((2, d))
+            for count in POOL_COUNTS:
+                pool = sample_pool(kind, d, count, 7, q=q)
+                expected = [np.einsum("ij,j->i", pool, v) for v in vectors]
+                for workers in (1, 2, 8):
+                    monkeypatch.setattr(families, "_fill_workers", lambda blocks, w=workers: w)
+                    for k in (1, 2):
+                        products = pool_projections(kind, d, count, 7, vectors[:k], q=q)
+                        assert products.shape == (k, count)
+                        for i in range(k):
+                            assert products[i].tobytes() == expected[i].tobytes(), (
+                                workers, d, count, k, i)
 
     @pytest.mark.parametrize("estimate", ["small_ball", "false_positive"])
     def test_estimators_hold_one_block_per_worker(self, estimate, monkeypatch):
@@ -344,11 +364,73 @@ class TestHashEval:
         points = stream(seed, 77).standard_normal((5, d)) * 3.0
         labels = hash_eval_matrix(h.w[None, :], h.scale, points)
         for i in range(5):
-            assert labels[i, 0] == math.floor(h.scale * float(np.dot(h.w, points[i])))
+            assert labels[i, 0] == math.floor(h.scale * float(np.einsum("i,i->", h.w, points[i])))
 
 
 def _vectors(kind, p, d, seed, levels=3):
     return np.vstack([sample_vector(kind, p, d, seed + i).w for i in range(levels)])
+
+
+class TestProductKernel:
+    @pytest.mark.skipif(
+        not _runs_openblas_kernels_by_coretype(),
+        reason="numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS on an AVX2 CPU")
+    def test_outputs_do_not_depend_on_the_blas_kernel(self):
+        """Pool projections, planted-pair datasets, index reaches and label
+        ranges are the same bytes under three OpenBLAS kernels; a gemv or a
+        ddot would differ between them at d = 8, 64 or 65."""
+        source = str(Path(families.__file__).parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [source, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        outputs = {}
+        for coretype in ("Haswell", "Sandybridge", "Prescott"):
+            done = subprocess.run(
+                [sys.executable, "-c", _KERNEL_DIGESTS], capture_output=True, text=True,
+                env={**env, "OPENBLAS_CORETYPE": coretype},
+            )
+            assert done.returncode == 0, done.stderr
+            outputs[coretype] = done.stdout.splitlines()
+        assert len(outputs["Haswell"]) == 4
+        assert outputs["Sandybridge"] == outputs["Haswell"]
+        assert outputs["Prescott"] == outputs["Haswell"]
+
+    @given(
+        PROVEN,
+        st.integers(min_value=1, max_value=24),
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=1, max_value=40),
+        SEEDS,
+    )
+    @settings(deadline=None, max_examples=60)
+    def test_layout_does_not_change_labels_or_projections(self, kind, d, levels, n, seed):
+        """Fortran-ordered and strided points, vectors and pool vectors give
+        the bits of their C-contiguous copies.  The unranged labels take a
+        power of two as scale, one that puts the largest |scale * <w, x>| in
+        (2^51, 2^52], where a last bit is worth half a label or more."""
+        w = _vectors(kind, 2.0, d, seed, levels)
+        points = stream(seed, 77).standard_normal((n, d)) * 3.0
+        top = float(np.max(np.abs(np.einsum("ij,kj->ik", points, w))))
+        scale = 2.0 ** (52 - math.ceil(math.log2(top)))
+        ranged_scale = hash_scale(kind, 2.0, d)
+        bounds = reach_bound(w, ranged_scale, 2.0)
+
+        def layouts(a):
+            wide = np.zeros((2 * a.shape[0], 2 * a.shape[1]))
+            wide[::2, ::2] = a
+            return np.asfortranarray(a), wide[::2, ::2]
+
+        expected = (
+            label_ranges(w, scale, points)[0],
+            label_ranges(w, ranged_scale, points, bounds),
+            pool_projections(kind, d, 50, seed, w),
+        )
+        for other_points, other_w in zip(layouts(points), layouts(w)):
+            for got_points, got_w in ((other_points, w), (points, other_w)):
+                np.testing.assert_array_equal(label_ranges(got_w, scale, got_points)[0], expected[0])
+                lo, counts = label_ranges(got_w, ranged_scale, got_points, bounds)
+                np.testing.assert_array_equal(lo, expected[1][0])
+                np.testing.assert_array_equal(counts, expected[1][1])
+            assert pool_projections(kind, d, 50, seed, other_w).tobytes() == expected[2].tobytes()
 
 
 class TestLabelRanges:
@@ -360,7 +442,7 @@ class TestLabelRanges:
         points = stream(seed, 77).standard_normal((6, d)) * 3.0
         lo, counts = label_ranges(w, scale, points)
         np.testing.assert_array_equal(counts, 1)
-        # another summation order moves a label only on a bucket edge
+        np.testing.assert_array_equal(lo, np.floor(scale * np.einsum("ij,kj->ik", points, w)))
         np.testing.assert_array_equal(lo, hash_eval_matrix(w, scale, points))
 
     @given(PROVEN, EXPONENTS, st.integers(min_value=1, max_value=16), SEEDS)
@@ -378,11 +460,11 @@ class TestLabelRanges:
                 assert one_lo.tolist() == [lo[i].tolist()]
                 assert one_counts.tolist() == [counts[i].tolist()]
         # the sums themselves agree bit for bit, not only their floors
-        batch = families._projections(points, w, spread=True)
-        for i in range(len(points)):
-            one = families._projections(points[i : i + 1], w, spread=True)
-            for a, b in zip(one, batch):
-                assert a[0].tobytes() == b[i].tobytes()
+        for x, w_used in ((points, w), (np.abs(points), np.abs(w))):
+            batch = scalar_products("ij,kj->ik", x, w_used)
+            for i in range(len(points)):
+                one = scalar_products("ij,kj->ik", x[i : i + 1], w_used)
+                assert one[0].tobytes() == batch[i].tobytes()
 
     @given(
         PROVEN,

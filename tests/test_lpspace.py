@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from floorlsh.exact import lp_distances
@@ -77,6 +77,26 @@ class TestLpNorm:
         z = np.array([3.0, -4.0]) * magnitude
         expected = {1.0: 7.0, 2.0: 5.0, 3.0: 91.0 ** (1 / 3), math.inf: 4.0}[p]
         assert lp_norm(z, p) == pytest.approx(expected * magnitude, rel=1e-14, abs=0.0)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(min_value=-1e150, max_value=1e150),
+                st.floats(min_value=-1e150, max_value=1e150),
+            ),
+            min_size=1,
+            max_size=70,
+        ),
+        st.sampled_from([1.0, 1e-160, 1e150]),
+    )
+    @example([(0.0, 5e-324), (0.0, 5e-324)], 1.0)
+    @settings(deadline=None, max_examples=200)
+    def test_l2_norm_of_a_difference_is_the_distance_bit_for_bit(self, pairs, magnitude):
+        """lp_norm(x - y, 2) and lp_distances take the same sum of squares,
+        on the fast path and on the rescaled one (``magnitude`` pushes the
+        squares past under- and overflow)."""
+        x, y = (np.array(column) * magnitude for column in zip(*pairs))
+        assert lp_norm(x - y, 2.0) == lp_distances(x[None, :], y, 2.0)[0]
 
     @given(VECTORS, EXPONENTS)
     @settings(deadline=2000)
@@ -256,16 +276,21 @@ class TestRoundingModel:
         st.sampled_from([1.0, 2.0, 3.0, math.inf]),
         st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=2, max_size=48),
     )
+    @example(2.0, [0.0, 0.0, 5e-324, 5e-324])
     @settings(deadline=None, max_examples=200)
     def test_exact_distance_is_within_delta_of_the_computed_one(self, p, values):
         """In rational arithmetic, ||x - y||_p <= (1 + delta) * computed, for
-        lp_distances and for lp_norm; integer p compares p-th powers."""
+        lp_distances and for lp_norm, plus 2^-1074 where the computed value
+        is below 2^-1022 (the example: 2^-1074 * sqrt(2) computes as
+        2^-1074); integer p compares p-th powers."""
         d = len(values) // 2
         x, y = np.array(values[:d]), np.array(values[d : 2 * d])
         bound = 1 + Fraction(distance_error(d))
         diffs = [abs(Fraction(a) - Fraction(b)) for a, b in zip(x.tolist(), y.tolist())]
         for computed in (lp_distances(x[None, :], y, p)[0], lp_norm(x - y, p)):
             top = Fraction(computed) * bound
+            if computed < 2.0**-1022:
+                top += Fraction(2) ** -1074
             if math.isinf(p):
                 assert max(diffs) <= top
             else:
