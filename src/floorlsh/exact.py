@@ -19,33 +19,35 @@ from .lpspace import SQRT_TINY, check_exponent, scalar_products
 
 
 def lp_distances(points: np.ndarray, query: np.ndarray, p: float) -> np.ndarray:
-    """l_p distances from every row of ``points`` to ``query``."""
+    """l_p distances from every row of ``points`` to ``query``, each summed
+    over its row of C-ordered differences, whatever the layout of ``points``."""
     p = check_exponent(p)
     points = np.asarray(points, dtype=np.float64)
     query = np.asarray(query, dtype=np.float64)
-    diff = np.abs(points - query)
-    if math.isinf(p):
-        return diff.max(axis=1)
-    if p == 1.0:
-        return diff.sum(axis=1)
+    diff = np.subtract(points, query, order="C")
     if p == 2.0:
         distances = np.sqrt(scalar_products("ij,ij->i", diff, diff))
         # the squares overflow above ~1e154 and underflow below ~1e-154, so
         # rows whose norm is inf, or under 2^-511 while the row is nonzero,
-        # are redone rescaled and every other row keeps its bits.  The gate
-        # runs on every verified query, so it uses argmax/argmin and counts,
-        # which cost less than reductions; a nonzero row under 2^-511 has an
-        # entry in (0, 2^-511), unlike a stored point queried as itself.
+        # are redone rescaled from |diff| and every other row keeps its bits.
+        # The gate runs on every verified query, so it uses argmax/argmin,
+        # which cost less than reductions, and counts nonzero entries only in
+        # the rows under 2^-511; a stored point queried as itself is zeros.
         if distances.size and (
             not distances[distances.argmax()] < math.inf
             or distances[distances.argmin()] < SQRT_TINY
-            and np.count_nonzero(diff) != np.count_nonzero(diff >= SQRT_TINY)
+            and np.count_nonzero(diff[distances < SQRT_TINY])
         ):
-            peak = diff.max(axis=1)
+            peak = np.abs(diff, out=diff).max(axis=1)
             redo = (distances == math.inf) & (peak < math.inf)
             redo |= (distances < SQRT_TINY) & (peak > 0.0)
             distances[redo] = _rescaled_norms(diff[redo], p)
         return distances
+    np.abs(diff, out=diff)
+    if math.isinf(p):
+        return diff.max(axis=1)
+    if p == 1.0:
+        return diff.sum(axis=1)
     return _rescaled_norms(diff, p)
 
 

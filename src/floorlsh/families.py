@@ -384,14 +384,13 @@ def label_ranges(
     labels: 4 for the families' r_l <= 1, however far a row lies.
     """
     n, d = points.shape
-    lo = np.empty((n, len(w_matrix)), dtype=np.int64)
-    counts = np.empty_like(lo)
     if reach_bounds is not None:
         gamma = rounding_gamma(d + 2)
         weight = 2.0 * (gamma + 2.0 * UNIT_ROUNDOFF) * scale * _ROUND_UP
         widened = reach_bounds * ((1.0 + gamma) * _ROUND_UP)
     step = max(1, _CHUNK_VALUES // (d + 2 * len(w_matrix)))
-    for start in range(0, n, step):
+    chunks = []
+    for start in range(0, max(n, 1), step):  # an empty batch is one empty chunk
         rows = points[start : start + step]
         # non-finite inputs and overflows are reported by the range check
         with np.errstate(invalid="ignore", over="ignore"):
@@ -417,10 +416,9 @@ def label_ranges(
                 f"{_MAX_ROUNDING} is allowed (scale*sum_j |w_j x_j| below about "
                 f"2^50/(d+4))"
             )
-        floors = np.floor(bounds).astype(np.int64)
-        lo[start : start + step] = floors[:, :, 0]
-        counts[start : start + step] = floors[:, :, -1] - floors[:, :, 0] + 1
-    return lo, counts
+        chunks.append(np.floor(bounds).astype(np.int64))
+    floors = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+    return floors[:, :, 0], floors[:, :, -1] - floors[:, :, 0] + 1
 
 
 def adjacency_certificate(h: HashFunction, x: np.ndarray, y: np.ndarray) -> bool:

@@ -287,17 +287,11 @@ def _entry_total(counts: np.ndarray, max_entries: int) -> int:
     return int(total)
 
 
-def _cell_bits(entries: int) -> int:
-    """k = bit_length(entries - 1) + 3: of the 2^k cells of the key space at
-    most one in 8 holds a stored key."""
-    return (entries - 1).bit_length() + 3
-
-
 def _occupied_cells(sorted_keys: np.ndarray) -> tuple[np.uint64, np.ndarray]:
     """(shift, occupied): whether each of the 2^k cells ``key >> shift`` of
-    the key space holds a stored key, k = :func:`_cell_bits`; one byte per
-    cell."""
-    bits = _cell_bits(sorted_keys.size)
+    the key space holds a stored key, one byte per cell; with
+    k = bit_length(entries - 1) + 3 at most one cell in 8 does."""
+    bits = (sorted_keys.size - 1).bit_length() + 3
     shift = np.uint64(64 - bits)
     occupied = np.zeros(1 << bits, dtype=bool)
     occupied[sorted_keys >> shift] = True
@@ -340,10 +334,10 @@ class _Fingerprinter:
         yielded as a (rows, keys) pair: keys[i] are the keys of row rows[i],
         its tuples in lexicographic order (level 0 varying slowest); every
         row is in exactly one block.  key(t) is the XOR over levels l of
-        mix64((t_l * mult_l) ^ init), built level by level as a cross
-        product, so a row costs one mix per label; each level value is a
-        bijection of its label, so tuples that differ in one level never
-        share a key.
+        mix64((t_l * mult_l) ^ init), each level value a bijection of its
+        label, so tuples that differ in one level never share a key.  A row
+        costs one mix per label: rows of one label per level (own labels)
+        take one XOR reduction, wider rows a cross product level by level.
         """
         levels = counts.shape[1]
         if len(counts) > 1 and (counts != counts[0]).any():
@@ -355,9 +349,17 @@ class _Fingerprinter:
             groups = [(np.arange(len(counts)), lo)] if len(counts) else []
         for group, first in groups:
             widths = counts[group[0]].tolist()
-            block = max(1, _CHUNK_ENTRIES // math.prod(widths))
+            size = math.prod(widths)
+            block = max(1, _CHUNK_ENTRIES // size)
             for start in range(0, len(group), block):
                 rows = group[start : start + block]
+                if size == 1:
+                    # one label per level: the key is one XOR over the levels,
+                    # laid out level by level so that it reduces whole rows
+                    own = np.multiply(first[start : start + block].T.view(np.uint64),
+                                      self._mults, order="C")
+                    yield rows, np.bitwise_xor.reduce(_mix64(own ^ self.init))[:, None]
+                    continue
                 labels = first[start : start + block, :, None] + np.arange(max(widths))
                 # mixed[r, l, j]: row r's level-l label lo + j, mixed
                 mixed = _mix64((labels.view(np.uint64) * self._mults) ^ self.init)
@@ -502,9 +504,10 @@ class LshIndex:
     def query_batch(self, queries: np.ndarray) -> list[QueryResult]:
         """:meth:`query` for every row of ``queries``, answer for answer.
 
-        Labels, folds and bucket lookups run over the whole batch at once;
-        candidates are then verified query by query.  A query's labels do
-        not depend on its batch.
+        Labels, folds and bucket searches run over the whole batch at once,
+        so a batch pays their fixed cost of 50-90 calls once; candidates
+        are then verified query by query, at about 35 calls each.  A
+        query's labels do not depend on its batch.
         """
         queries = np.asarray(queries, dtype=np.float64)
         if queries.ndim != 2 or queries.shape[1] != self.config.d:
@@ -516,52 +519,48 @@ class LshIndex:
         )
         results = [None] * len(queries)
         for rows, probes in self._fingerprinter.fold(lo, counts):
-            pulled, bounds = self._lookup(probes)
-            for i, row in enumerate(rows.tolist()):
-                run = pulled[bounds[i] : bounds[i + 1]]
-                results[row] = self._verify(queries[row], run, probes.shape[1])
+            pulled, starts, stops = self._lookup(probes)
+            for row, start, stop in zip(rows.tolist(), starts, stops):
+                results[row] = self._verify(queries[row], pulled[start:stop], probes.shape[1])
         return results
 
-    def _lookup(self, probes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Ids stored under each row of the (m, k) probe keys, row after
-        row, and the bounds of each row's run in them."""
+    def _lookup(self, probes: np.ndarray) -> tuple[np.ndarray, list[int], list[int]]:
+        """The ids stored under each row of the (m, k) probe keys, as
+        (ids, starts, stops): row i's are ids[starts[i] : stops[i]].  It
+        calls array methods, not the np.* wrappers, which add a call each."""
         entry_keys = self._entry_keys
         rows, width = probes.shape
         probes = probes.ravel()
         probes &= self._key_mask
-        if self._occupied is not None:
-            # most of the many probes of a ranged query find no bucket; only
-            # those into an occupied cell of the key space are searched
-            searched = self._occupied[probes >> self._cell_shift].nonzero()[0]
-            probes = probes[searched]
-        # methods, not the np.* wrappers: a one-query batch makes ~30 calls
-        first = entry_keys.searchsorted(probes)
-        hits = (entry_keys[np.minimum(first, entry_keys.size - 1)] == probes).nonzero()[0]
-        starts = first[hits]
+        if self._occupied is None:
+            # a fast_query row is one probe, its own bucket: a left and a
+            # right search give its run of the entries, empty on a miss
+            starts = entry_keys.searchsorted(probes)
+            stops = entry_keys.searchsorted(probes, side="right")
+            return self._entry_ids, starts.tolist(), stops.tolist()
+        # most of the many probes of a ranged query find no bucket; only
+        # those into an occupied cell of the key space are searched, and
+        # only those that find their key are searched for its end
+        hits = self._occupied[probes >> self._cell_shift].nonzero()[0]
+        first = entry_keys.searchsorted(probes[hits])
+        found = (entry_keys[np.minimum(first, entry_keys.size - 1)] == probes[hits]).nonzero()[0]
+        starts, hits = first[found], hits[found]
         counts = entry_keys.searchsorted(probes[hits], side="right") - starts
-        if self._occupied is not None:
-            hits = searched[hits]
         ends = counts.cumsum()
-        gather = np.arange(counts.sum()) + np.repeat(starts - ends + counts, counts)
-        row_hits = hits.searchsorted(np.arange(rows + 1) * width)
-        bounds = np.concatenate(([0], ends))[row_hits]
-        return self._entry_ids[gather], bounds
+        gather = np.arange(counts.sum()) + (starts - ends + counts).repeat(counts)
+        bounds = np.concatenate(([0], ends))[hits.searchsorted(np.arange(rows + 1) * width)]
+        return self._entry_ids[gather], bounds[:-1].tolist(), bounds[1:].tolist()
 
     def _verify(self, query: np.ndarray, pulled: np.ndarray, probes: int) -> QueryResult:
         candidates = np.unique(pulled)
-        stats = QueryStats(
-            buckets_probed=probes,
-            candidates_scanned=int(pulled.size),
-            distance_evals=int(candidates.size),
-            duplicates_suppressed=int(pulled.size - candidates.size),
-        )
+        stats = QueryStats(probes, pulled.size, candidates.size, pulled.size - candidates.size)
         distances = lp_distances(self.points[candidates], query, self.config.p)
         keep = distances <= self.config.c
         ids, distances = candidates[keep], distances[keep]
         # candidates ascend by id, so a stable sort orders by (distance, id)
-        order = np.argsort(distances, kind="stable")
+        order = distances.argsort(kind="stable")
         neighbors = list(zip(ids[order].tolist(), distances[order].tolist()))
-        return QueryResult(neighbors=neighbors, stats=stats)
+        return QueryResult(neighbors, stats)
 
     # -- serialization ------------------------------------------------------
 

@@ -45,6 +45,24 @@ class TestLpDistances:
         expected = [lp_norm(row - query, p) for row in points]
         np.testing.assert_allclose(got, expected, rtol=1e-12)
 
+    @given(
+        st.sampled_from([1.0, 1.5, 3.0, math.inf]),
+        st.sampled_from([8, 64, 200]),
+        st.integers(min_value=0, max_value=2**32),
+    )
+    @settings(deadline=None, max_examples=40)
+    def test_distances_do_not_depend_on_the_layout_of_points(self, p, d, seed):
+        """Each row's distance is the same to the last bit whether the points
+        come C-ordered, Fortran-ordered or one row at a time: the sums run
+        over C-ordered differences."""
+        rng = np.random.default_rng(seed)
+        points = rng.standard_normal((60, d))
+        query = rng.standard_normal(d)
+        expected = lp_distances(points, query, p)
+        np.testing.assert_array_equal(lp_distances(np.asfortranarray(points), query, p), expected)
+        for row, distance in zip(points[:5], expected):
+            assert lp_distances(row[None, :], query, p)[0] == distance
+
     @pytest.mark.parametrize("magnitude", [1e200, 1e-170])
     def test_euclidean_rows_neither_overflow_nor_underflow(self, magnitude):
         """Squares of 1e200 overflow and those of 1e-170 underflow."""

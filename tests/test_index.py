@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import math
 import struct
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -556,6 +557,66 @@ class TestQueryGuarantees:
         np.testing.assert_array_equal(chunked._entry_keys, index._entry_keys)
         np.testing.assert_array_equal(chunked._entry_ids, index._entry_ids)
         assert chunked.query_batch(queries) == singles
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_lookup_edges_answer_as_rows_one_by_one(self, variant):
+        """A fast_query probe that finds no bucket, a fast_preprocessing
+        query whose probes the occupancy map screens out entirely, and a
+        batch mixing them with near queries of other range widths answer as
+        their rows do one by one, and every within-1 answer equals brute force
+        (test_batch_answers_query_by_query covers the empty batch)."""
+        points = _cloud(n=300, seed=6)
+        index = LshIndex.build(points, _config(variant=variant))
+        far = _cloud(n=200, seed=11, spread=40.0)
+        lo, counts = label_ranges(index._w_matrix, index._scale, far, index._probe_bounds)
+
+        def finds_nothing(row):
+            [(_, keys)] = index._fingerprinter.fold(lo[row : row + 1], counts[row : row + 1])
+            keys &= index._key_mask
+            if index._occupied is None:
+                return not np.isin(keys, index._entry_keys).any()
+            return not index._occupied[keys >> index._cell_shift].any()
+
+        lonely = far[next(row for row in range(len(far)) if finds_nothing(row))]
+        batch = np.vstack([points[:30] + 0.02, lonely, far[:20], points[40:50] - 0.3])
+        widths = label_ranges(index._w_matrix, index._scale, batch, index._probe_bounds)[1]
+        if variant is Variant.FAST_PREPROCESSING:
+            assert len(np.unique(widths, axis=0)) > 1
+        results = index.query_batch(batch)
+        assert results == [index.query(query) for query in batch]
+        assert results[30].neighbors == [] and results[30].stats.candidates_scanned == 0
+        assert results[30].stats.buckets_probed == widths[30].prod()
+        for query, result in zip(batch, results):
+            distances = lp_distances(points, query, 2.0)
+            within = np.flatnonzero(distances <= 1.0)
+            expected = sorted(zip(distances[within].tolist(), within.tolist()))
+            assert [(dist, i) for i, dist in result.neighbors if dist <= 1.0] == expected
+
+    @pytest.mark.parametrize(
+        "variant, budget", [(Variant.FAST_QUERY, 89), (Variant.FAST_PREPROCESSING, 121)]
+    )
+    def test_a_query_stays_within_its_call_budget(self, variant, budget):
+        """One query on a 500-point, L = 4 index makes at most ``budget``
+        Python and C function calls, counted by a profile hook: a count no
+        machine can move (numpy and Python upgrades can), which shows the
+        fixed cost of a batch of one."""
+        points = _cloud(n=500, seed=3)
+        index = LshIndex.build(points, _config(variant=variant, levels=4))
+        query = points[7] + 0.05
+        index.query(query)
+        calls = []
+
+        def count(frame, event, arg):
+            if event in ("call", "c_call"):
+                calls.append(event)
+
+        sys.setprofile(count)
+        try:
+            result = index.query(query)
+        finally:
+            sys.setprofile(None)
+        assert result.neighbors
+        assert len(calls) <= budget, len(calls)
 
 
 class TestVariantEquivalence:
