@@ -42,7 +42,6 @@ from .exact import (
     RecallRecord,
     audit_results,
     ground_truth,
-    lp_distances,
     range_search_exact,
     recall_report,
 )
@@ -72,6 +71,7 @@ from .lpspace import (
     cube_c_threshold,
     cube_scale,
     dual_exponent,
+    lp_distances,
     lp_norm,
     norm_sandwich_factor,
     sign_c_threshold,

@@ -20,7 +20,7 @@ from typing import IO, Iterable, Sequence
 import numpy as np
 
 from .families import lp_sphere_block
-from .lpspace import check_exponent, lp_norm
+from .lpspace import check_exponent, lp_distances
 from .streams import stream
 
 #: Auxiliary stream indexes; keep clear of block indexes used elsewhere.
@@ -131,22 +131,16 @@ def planted_pairs_dataset(
     if not all(0.0 < t < math.inf for t in distances):
         raise ValueError("planted distances must be positive and finite")
     points = gaussian_points(n, d, seed, scale=spread)
-    pairs = []
-    if n_pairs > 0:
-        directions = lp_sphere_block(stream(seed, _STREAM_DIRECTIONS), d, p, n_pairs)
-        for i in range(n_pairs):
-            target = float(distances[i % len(distances)])
-            offset = directions[i] * target
-            realized = lp_norm(offset, p)
-            offset *= target / realized
-            points[n_pairs + i] = points[i] + offset
-            pairs.append(
-                PlantedPair(
-                    anchor_id=i,
-                    partner_id=n_pairs + i,
-                    distance=lp_norm(points[n_pairs + i] - points[i], p),
-                )
-            )
+    directions = lp_sphere_block(stream(seed, _STREAM_DIRECTIONS), d, p, n_pairs)
+    targets = np.resize(np.array(distances, dtype=np.float64), n_pairs)
+    offsets = directions * targets[:, None]
+    offsets *= (targets / lp_distances(offsets, 0.0, p))[:, None]
+    anchors, partners = points[:n_pairs], points[n_pairs : 2 * n_pairs]
+    np.add(anchors, offsets, out=partners)
+    pairs = [
+        PlantedPair(anchor_id=i, partner_id=n_pairs + i, distance=distance)
+        for i, distance in enumerate(lp_distances(partners, anchors, p).tolist())
+    ]
     return points, pairs
 
 

@@ -2,12 +2,13 @@
 
 Everything here is deliberately brute force: full l_p distance scans with no
 data structure in the way, so index results can be audited against an
-independent answer.
+answer found without hashing.  The scans measure with
+:func:`floorlsh.lpspace.lp_distances`, the one distance kernel, which the
+index verifies with too, so both judge distance 1 alike.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -15,49 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import write_jsonl
-from .lpspace import SQRT_TINY, check_exponent, scalar_products
-
-
-def lp_distances(points: np.ndarray, query: np.ndarray, p: float) -> np.ndarray:
-    """l_p distances from every row of ``points`` to ``query``, each summed
-    over its row of C-ordered differences, whatever the layout of ``points``."""
-    p = check_exponent(p)
-    points = np.asarray(points, dtype=np.float64)
-    query = np.asarray(query, dtype=np.float64)
-    diff = np.subtract(points, query, order="C")
-    if p == 2.0:
-        distances = np.sqrt(scalar_products("ij,ij->i", diff, diff))
-        # the squares overflow above ~1e154 and underflow below ~1e-154, so
-        # rows whose norm is inf, or under 2^-511 while the row is nonzero,
-        # are redone rescaled from |diff| and every other row keeps its bits.
-        # The gate runs on every verified query, so it uses argmax/argmin,
-        # which cost less than reductions, and counts nonzero entries only in
-        # the rows under 2^-511; a stored point queried as itself is zeros.
-        if distances.size and (
-            not distances[distances.argmax()] < math.inf
-            or distances[distances.argmin()] < SQRT_TINY
-            and np.count_nonzero(diff[distances < SQRT_TINY])
-        ):
-            peak = np.abs(diff, out=diff).max(axis=1)
-            redo = (distances == math.inf) & (peak < math.inf)
-            redo |= (distances < SQRT_TINY) & (peak > 0.0)
-            distances[redo] = _rescaled_norms(diff[redo], p)
-        return distances
-    np.abs(diff, out=diff)
-    if math.isinf(p):
-        return diff.max(axis=1)
-    if p == 1.0:
-        return diff.sum(axis=1)
-    return _rescaled_norms(diff, p)
-
-
-def _rescaled_norms(diff: np.ndarray, p: float) -> np.ndarray:
-    """Row l_p norms of the nonnegative ``diff``, each row's largest entry
-    factored out to keep |diff|^p in range, as lp_norm does; a row of zeros
-    stays 0."""
-    peak = diff.max(axis=1, keepdims=True, initial=0.0)
-    scaled = np.divide(diff, peak, out=np.zeros_like(diff), where=peak > 0.0)
-    return peak[:, 0] * (scaled**p).sum(axis=1) ** (1.0 / p)
+from .lpspace import lp_distances
 
 
 def range_search_exact(

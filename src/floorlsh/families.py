@@ -36,6 +36,7 @@ from .lpspace import (
     cube_scale,
     distance_error,
     dual_exponent,
+    lp_distances,
     lp_norm,
     rounding_gamma,
     scalar_products,
@@ -333,8 +334,7 @@ def reach(w_matrix: np.ndarray, scale: float, p: float) -> np.ndarray:
     scales keep r_l <= 1 for every vector a family can draw; a drawn vector
     usually reaches less.
     """
-    q = dual_exponent(p)
-    return scale * np.array([lp_norm(w, q) for w in w_matrix])
+    return scale * lp_distances(w_matrix, 0.0, dual_exponent(p))
 
 
 def reach_bound(w_matrix: np.ndarray, scale: float, p: float) -> np.ndarray:

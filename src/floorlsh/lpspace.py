@@ -45,34 +45,64 @@ def scalar_products(subscripts: str, a, b, out: np.ndarray | None = None) -> np.
     return np.einsum(subscripts, a, b, out=out)
 
 
+def lp_distances(points: np.ndarray, query: np.ndarray, p: float) -> np.ndarray:
+    """The package's one l_p distance kernel: the distances from every row
+    of ``points`` to ``query`` (p = inf the max norm), each summed over its
+    row of C-ordered differences, whatever the layout of ``points``.  Every
+    distance and norm the package judges by is a call to it; only the
+    samplers normalize their draws by their own arithmetic."""
+    p = check_exponent(p)
+    points = np.asarray(points, dtype=np.float64)
+    query = np.asarray(query, dtype=np.float64)
+    diff = np.subtract(points, query, order="C")
+    if p == 2.0:
+        distances = np.sqrt(scalar_products("ij,ij->i", diff, diff))
+        # the squares overflow above ~1e154 and underflow below ~1e-154, so
+        # rows whose norm is inf, or under 2^-511 while the row is nonzero,
+        # are redone rescaled from |diff| and every other row keeps its bits.
+        # The gate runs on every verified query, so it uses argmax/argmin,
+        # which cost less than reductions, and counts nonzero entries only in
+        # the rows under 2^-511; a stored point queried as itself is zeros.
+        if distances.size and (
+            not distances[distances.argmax()] < math.inf
+            or distances[distances.argmin()] < SQRT_TINY
+            and np.count_nonzero(diff[distances < SQRT_TINY])
+        ):
+            peak = np.abs(diff, out=diff).max(axis=1)
+            redo = (distances == math.inf) & (peak < math.inf)
+            redo |= (distances < SQRT_TINY) & (peak > 0.0)
+            distances[redo] = _rescaled_norms(diff[redo], p)
+        return distances
+    np.abs(diff, out=diff)
+    if math.isinf(p):
+        return diff.max(axis=1)
+    if p == 1.0:
+        return diff.sum(axis=1)
+    return _rescaled_norms(diff, p)
+
+
+def _rescaled_norms(diff: np.ndarray, p: float) -> np.ndarray:
+    """Row l_p norms of the nonnegative ``diff``, each row's largest entry
+    factored out to keep |diff|^p in range.  A nonzero finite row's sum is
+    at least 1, its peak's term; raising every sum to at least 1 keeps a
+    row of zeros at 0 and an infinite row at inf."""
+    peak = diff.max(axis=1, keepdims=True, initial=0.0)
+    finite = (peak > 0.0) & (peak < math.inf)
+    scaled = np.divide(diff, peak, out=np.zeros_like(diff), where=finite)
+    return peak[:, 0] * np.fmax((scaled**p).sum(axis=1), 1.0) ** (1.0 / p)
+
+
 def lp_norm(x: np.ndarray, p: float) -> float:
-    """l_p norm of a vector, with p = inf meaning the max norm.
+    """l_p norm of a vector, with p = inf meaning the max norm: its
+    :func:`lp_distances` from the origin, so
+    ``lp_norm(x - y, p) == lp_distances(x[None], y, p)[0]`` bit for bit.
 
     Returns 0 exactly when x is the zero vector.  Raises on empty input.
-    At p = 2 it is :func:`floorlsh.exact.lp_distances` bit for bit:
-    ``lp_norm(x - y, 2) == lp_distances(x[None], y, 2)[0]``.
     """
-    p = check_exponent(p)
-    x = np.ascontiguousarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
     if x.size == 0:
         raise ValueError("norm of an empty vector is undefined")
-    if math.isinf(p):
-        return float(np.max(np.abs(x)))
-    if p == 1.0:
-        return float(np.sum(np.abs(x)))
-    if p == 2.0:
-        # the kernel's sum of squares, as exact.lp_distances takes it.  The
-        # squares overflow above ~1e154 and underflow below ~1e-154; only
-        # then is the sum rescaled below, so every other vector keeps its bits
-        norm = math.sqrt(scalar_products("i,i->", x, x))
-        if SQRT_TINY <= norm < math.inf:
-            return norm
-    # factor out the max to keep |x_i|^p in range for large p
-    magnitudes = np.abs(x)
-    peak = float(np.max(magnitudes))
-    if peak == 0.0 or math.isinf(peak):
-        return peak
-    return peak * float(np.sum((magnitudes / peak) ** p) ** (1.0 / p))
+    return float(lp_distances(x.reshape(1, -1), 0.0, p)[0])
 
 
 def rounding_gamma(n: int) -> float:
@@ -86,10 +116,11 @@ def rounding_gamma(n: int) -> float:
 
 
 def distance_error(d: int) -> float:
-    """A bound delta on the error of ``lp_norm`` and ``exact.lp_distances``
-    in R^d, for every p: the exact value is at most (1 + delta) times a
-    computed value of at least 2^-1022, the least normal double, and at
-    most that plus 2^-1074, the least subnormal, below it.
+    """A bound delta on the error of the one distance kernel
+    :func:`lp_distances`, and so of ``lp_norm``, in R^d, for every p: the
+    exact value is at most (1 + delta) times a computed value of at least
+    2^-1022, the least normal double, and at most that plus 2^-1074, the
+    least subnormal, below it.
 
     The general-p path rounds the differences, the divisions by the peak,
     the p-th powers (the C library's pow, within 1 ulp), a d-term sum and

@@ -33,7 +33,7 @@ from floorlsh.estimation import (
     theoretical_q_bound,
     unit_direction,
 )
-from floorlsh.exact import ground_truth, lp_distances
+from floorlsh.exact import ground_truth
 from floorlsh.families import FamilyKind, c_threshold, sample_pool, sample_vector
 from floorlsh.index import IndexConfig, LshIndex, Variant
 from floorlsh.lpspace import (
@@ -42,6 +42,7 @@ from floorlsh.lpspace import (
     beta_lower_bound_margin,
     cap_probability,
     dual_exponent,
+    lp_distances,
     lp_norm,
 )
 from floorlsh.streams import derive_seed

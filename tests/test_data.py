@@ -26,9 +26,8 @@ from floorlsh.data import (
     write_points,
     write_table,
 )
-from floorlsh.exact import lp_distances
 from floorlsh.families import FamilyKind
-from floorlsh.lpspace import lp_norm
+from floorlsh.lpspace import lp_distances, lp_norm
 
 
 class TestExponentFormat:

@@ -1,19 +1,15 @@
 """Tests for the brute-force ground-truth and audit helpers."""
 
 import json
-import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from floorlsh.exact import (
     GroundTruth,
     RecallRecord,
     ground_truth,
-    lp_distances,
     range_search_exact,
     recall_report,
     write_ground_truth_jsonl,
@@ -23,68 +19,6 @@ from floorlsh.lpspace import lp_norm
 
 POINTS = np.array([[0.0, 0.0], [3.0, 4.0], [6.0, 8.0]])
 ORIGIN = np.zeros(2)
-
-
-class TestLpDistances:
-    def test_hand_worked_values(self):
-        np.testing.assert_allclose(lp_distances(POINTS, ORIGIN, 2.0), [0.0, 5.0, 10.0])
-        np.testing.assert_allclose(lp_distances(POINTS, ORIGIN, 1.0), [0.0, 7.0, 14.0])
-        np.testing.assert_allclose(lp_distances(POINTS, ORIGIN, math.inf), [0.0, 4.0, 8.0])
-
-    @given(
-        st.sampled_from([1.0, 2.0, 2.5, 4.0, math.inf]),
-        st.integers(min_value=0, max_value=2**32),
-    )
-    @settings(deadline=2000, max_examples=40)
-    def test_rowwise_scan_matches_the_norm(self, p, seed):
-        """The vectorized specializations agree with the scalar norm."""
-        rng = np.random.default_rng(seed)
-        points = rng.standard_normal((12, 5)) * 3.0
-        query = rng.standard_normal(5)
-        got = lp_distances(points, query, p)
-        expected = [lp_norm(row - query, p) for row in points]
-        np.testing.assert_allclose(got, expected, rtol=1e-12)
-
-    @given(
-        st.sampled_from([1.0, 1.5, 3.0, math.inf]),
-        st.sampled_from([8, 64, 200]),
-        st.integers(min_value=0, max_value=2**32),
-    )
-    @settings(deadline=None, max_examples=40)
-    def test_distances_do_not_depend_on_the_layout_of_points(self, p, d, seed):
-        """Each row's distance is the same to the last bit whether the points
-        come C-ordered, Fortran-ordered or one row at a time: the sums run
-        over C-ordered differences."""
-        rng = np.random.default_rng(seed)
-        points = rng.standard_normal((60, d))
-        query = rng.standard_normal(d)
-        expected = lp_distances(points, query, p)
-        np.testing.assert_array_equal(lp_distances(np.asfortranarray(points), query, p), expected)
-        for row, distance in zip(points[:5], expected):
-            assert lp_distances(row[None, :], query, p)[0] == distance
-
-    @pytest.mark.parametrize("magnitude", [1e200, 1e-170])
-    def test_euclidean_rows_neither_overflow_nor_underflow(self, magnitude):
-        """Squares of 1e200 overflow and those of 1e-170 underflow."""
-        got = lp_distances(POINTS * magnitude, ORIGIN, 2.0)
-        np.testing.assert_allclose(got, [0.0, 5.0 * magnitude, 10.0 * magnitude], rtol=1e-15, atol=0.0)
-
-    @given(
-        st.floats(min_value=1.0, max_value=2000.0),
-        st.integers(min_value=-200, max_value=200),
-        st.integers(min_value=0, max_value=2**32),
-    )
-    @settings(deadline=2000, max_examples=60)
-    def test_large_exponents_and_extreme_magnitudes(self, p, exponent, seed):
-        """|diff|^p neither underflows nor overflows: every row matches the
-        rescaled scalar norm, and a row equal to the query gives 0."""
-        rng = np.random.default_rng(seed)
-        query = rng.standard_normal(4) * 10.0**exponent
-        points = np.vstack([query, query + rng.uniform(-1.0, 1.0, (8, 4)) * 10.0**exponent])
-        got = lp_distances(points, query, p)
-        expected = [lp_norm(row - query, p) for row in points]
-        assert got[0] == 0.0
-        np.testing.assert_allclose(got, expected, rtol=1e-12)
 
 
 class TestRangeSearch:

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -37,8 +38,7 @@ from floorlsh.families import (
     sphere_scale,
 )
 from floorlsh.estimation import estimate_false_positive_rate, small_ball_curve
-from floorlsh.exact import lp_distances
-from floorlsh.lpspace import dual_exponent, lp_norm, scalar_products
+from floorlsh.lpspace import dual_exponent, lp_distances, lp_norm, scalar_products
 from floorlsh.streams import stream
 
 KINDS = st.sampled_from(list(FamilyKind))
@@ -476,8 +476,10 @@ class TestLabelRanges:
     @settings(deadline=4000, max_examples=80)
     def test_a_range_holds_every_label_of_a_near_point(self, kind, p, d, seed, radius):
         """For y within computed distance 1 of x, y's label, by this
-        labeller, by np.dot or by a matrix product, lies in x's range; the
-        range holds at most 2 + 2 r_l labels."""
+        labeller, by np.dot, by a matrix product or exactly, in rational
+        arithmetic over the doubles' values, lies in x's range; the range
+        holds at most 2 + 2 r_l labels, and at most ceil(2 R_l + 1/2) + 1
+        with R_l the reach bound the margin proof uses."""
         w = _vectors(kind, p, d, seed)
         scale = hash_scale(kind, p, d)
         rng = stream(seed, 99)
@@ -486,15 +488,23 @@ class TestLabelRanges:
         y = x + direction * (radius / max(lp_norm(direction, p), 1e-300))
         while lp_distances(x[None, :], y, p)[0] > 1.0:
             y = x + (y - x) * (1.0 - 2.0**-40)
-        lo, counts = label_ranges(w, scale, x[None, :], reach_bound(w, scale, p))
+        bounds = reach_bound(w, scale, p)
+        lo, counts = label_ranges(w, scale, x[None, :], bounds)
+        y_exact = [Fraction(t) for t in y.tolist()]
+        exact = [
+            math.floor(Fraction(scale) * sum(Fraction(a) * b for a, b in zip(v, y_exact)))
+            for v in w.tolist()
+        ]
         labels = [
             label_ranges(w, scale, y[None, :])[0][0],
             np.floor(scale * np.array([np.dot(v, y) for v in w])),
             hash_eval_matrix(w, scale, y[None, :])[0],
+            np.array(exact),
         ]
         for label in labels:
             assert (lo[0] <= label).all() and (label < lo[0] + counts[0]).all()
         assert (counts[0] <= 2.0 + 2.0 * reach(w, scale, p)).all()
+        assert (counts[0] <= np.ceil(2.0 * bounds + 0.5) + 1.0).all()
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
     @pytest.mark.parametrize("d", [1, 2, 8, 64])

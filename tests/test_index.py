@@ -1,6 +1,7 @@
 """Tests for the bucket index: level selection, storage layouts, the
 no-false-negative query guarantee, and the binary image format."""
 
+import gc
 import hashlib
 import itertools
 import math
@@ -22,7 +23,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from floorlsh import index as index_module
-from floorlsh.exact import lp_distances, recall_report
+from floorlsh.exact import recall_report
 from floorlsh.families import (
     FamilyKind,
     HashFunction,
@@ -40,7 +41,7 @@ from floorlsh.index import (
     _Fingerprinter,
     choose_levels,
 )
-from floorlsh.lpspace import dual_exponent, lp_norm
+from floorlsh.lpspace import dual_exponent, lp_distances, lp_norm
 
 
 def _config(**overrides):
@@ -593,7 +594,7 @@ class TestQueryGuarantees:
             assert [(dist, i) for i, dist in result.neighbors if dist <= 1.0] == expected
 
     @pytest.mark.parametrize(
-        "variant, budget", [(Variant.FAST_QUERY, 89), (Variant.FAST_PREPROCESSING, 121)]
+        "variant, budget", [(Variant.FAST_QUERY, 77), (Variant.FAST_PREPROCESSING, 110)]
     )
     def test_a_query_stays_within_its_call_budget(self, variant, budget):
         """One query on a 500-point, L = 4 index makes at most ``budget``
@@ -602,21 +603,43 @@ class TestQueryGuarantees:
         fixed cost of a batch of one."""
         points = _cloud(n=500, seed=3)
         index = LshIndex.build(points, _config(variant=variant, levels=4))
-        query = points[7] + 0.05
-        index.query(query)
-        calls = []
-
-        def count(frame, event, arg):
-            if event in ("call", "c_call"):
-                calls.append(event)
-
-        sys.setprofile(count)
-        try:
-            result = index.query(query)
-        finally:
-            sys.setprofile(None)
+        result, calls = _counted_calls(index.query, points[7] + 0.05)
         assert result.neighbors
-        assert len(calls) <= budget, len(calls)
+        assert calls <= budget, calls
+
+    @pytest.mark.parametrize(
+        "variant, budget", [(Variant.FAST_QUERY, 2553), (Variant.FAST_PREPROCESSING, 3185)]
+    )
+    def test_a_batch_stays_within_its_call_budget(self, variant, budget):
+        """A batch of 100 queries on the same index makes at most ``budget``
+        calls: the batch's fixed cost once, and each query's verification."""
+        points = _cloud(n=500, seed=3)
+        index = LshIndex.build(points, _config(variant=variant, levels=4))
+        results, calls = _counted_calls(index.query_batch, points[:100] + 0.05)
+        assert all(result.neighbors for result in results)
+        assert calls <= budget, calls
+
+
+def _counted_calls(method, queries):
+    """``method(queries)`` and the Python and C function calls it makes,
+    counted by a profile hook after a first, uncounted call.  The garbage
+    collector is off while counting: a collection would add the calls of
+    any gc callback (hypothesis registers one)."""
+    method(queries)
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event in ("call", "c_call")
+
+    gc.disable()
+    sys.setprofile(count)
+    try:
+        result = method(queries)
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+    return result, calls
 
 
 class TestVariantEquivalence:

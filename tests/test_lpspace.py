@@ -14,7 +14,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from floorlsh.exact import lp_distances
 from floorlsh.lpspace import (
     SQRT3,
     beta_function_half,
@@ -25,6 +24,7 @@ from floorlsh.lpspace import (
     cube_scale,
     distance_error,
     dual_exponent,
+    lp_distances,
     lp_norm,
     rounding_gamma,
     norm_sandwich_factor,
@@ -88,15 +88,18 @@ class TestLpNorm:
             max_size=70,
         ),
         st.sampled_from([1.0, 1e-160, 1e150]),
+        st.sampled_from([1.0, 1.5, 2.0, 3.0, math.inf]),
     )
-    @example([(0.0, 5e-324), (0.0, 5e-324)], 1.0)
-    @settings(deadline=None, max_examples=200)
-    def test_l2_norm_of_a_difference_is_the_distance_bit_for_bit(self, pairs, magnitude):
-        """lp_norm(x - y, 2) and lp_distances take the same sum of squares,
-        on the fast path and on the rescaled one (``magnitude`` pushes the
-        squares past under- and overflow)."""
+    @example([(0.0, 5e-324), (0.0, 5e-324)], 1.0, 2.0)
+    @example([(0.4, -7.8), (-2.9, -2.6)], 1.0, 1.5)
+    @example([(-3.8, 6.5), (20.4, 6.6)], 1.0, 3.0)
+    @settings(deadline=None, max_examples=300)
+    def test_lp_norm_of_a_difference_is_the_distance_bit_for_bit(self, pairs, magnitude, p):
+        """lp_norm(x - y, p) is lp_distances' value for the row x, bit for
+        bit, at every p: on the fast paths and on the rescaled one
+        (``magnitude`` pushes the p = 2 squares past under- and overflow)."""
         x, y = (np.array(column) * magnitude for column in zip(*pairs))
-        assert lp_norm(x - y, 2.0) == lp_distances(x[None, :], y, 2.0)[0]
+        assert lp_norm(x - y, p) == lp_distances(x[None, :], y, p)[0]
 
     @given(VECTORS, EXPONENTS)
     @settings(deadline=2000)
@@ -116,6 +119,88 @@ class TestLpNorm:
     @settings(deadline=2000)
     def test_homogeneity(self, z, p, t):
         assert lp_norm(t * z, p) == pytest.approx(t * lp_norm(z, p), rel=1e-9, abs=1e-9)
+
+
+_POINTS = np.array([[0.0, 0.0], [3.0, 4.0], [6.0, 8.0]])
+_ORIGIN = np.zeros(2)
+
+
+def _reference_distance(row, query, p):
+    """The l_p distance in plain Python: the largest difference factored out
+    of an exactly rounded sum of p-th powers."""
+    diffs = [abs(a - b) for a, b in zip(row.tolist(), query.tolist())]
+    peak = max(diffs)
+    if math.isinf(p) or peak == 0.0:
+        return peak
+    return peak * math.fsum((t / peak) ** p for t in diffs) ** (1.0 / p)
+
+
+class TestLpDistances:
+    def test_hand_worked_values(self):
+        np.testing.assert_allclose(lp_distances(_POINTS, _ORIGIN, 2.0), [0.0, 5.0, 10.0])
+        np.testing.assert_allclose(lp_distances(_POINTS, _ORIGIN, 1.0), [0.0, 7.0, 14.0])
+        np.testing.assert_allclose(lp_distances(_POINTS, _ORIGIN, math.inf), [0.0, 4.0, 8.0])
+
+    @given(
+        st.sampled_from([1.0, 2.0, 2.5, 4.0, math.inf]),
+        st.integers(min_value=0, max_value=2**32),
+    )
+    @settings(deadline=2000, max_examples=40)
+    def test_rowwise_scan_matches_the_norm(self, p, seed):
+        """The vectorized specializations agree with a plain-Python sum."""
+        rng = np.random.default_rng(seed)
+        points = rng.standard_normal((12, 5)) * 3.0
+        query = rng.standard_normal(5)
+        got = lp_distances(points, query, p)
+        expected = [_reference_distance(row, query, p) for row in points]
+        np.testing.assert_allclose(got, expected, rtol=1e-12)
+
+    @given(
+        st.sampled_from([1.0, 1.5, 3.0, math.inf]),
+        st.sampled_from([8, 64, 200]),
+        st.integers(min_value=0, max_value=2**32),
+    )
+    @settings(deadline=None, max_examples=40)
+    def test_distances_do_not_depend_on_the_layout_of_points(self, p, d, seed):
+        """Each row's distance is the same to the last bit whether the points
+        come C-ordered, Fortran-ordered or one row at a time: the sums run
+        over C-ordered differences."""
+        rng = np.random.default_rng(seed)
+        points = rng.standard_normal((60, d))
+        query = rng.standard_normal(d)
+        expected = lp_distances(points, query, p)
+        np.testing.assert_array_equal(lp_distances(np.asfortranarray(points), query, p), expected)
+        for row, distance in zip(points[:5], expected):
+            assert lp_distances(row[None, :], query, p)[0] == distance
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
+    def test_a_row_with_an_infinite_coordinate_is_infinitely_far(self, p):
+        points = np.array([[math.inf, 1.0], [1.0, -math.inf], [0.0, 0.0]])
+        assert lp_distances(points, _ORIGIN, p).tolist() == [math.inf, math.inf, 0.0]
+        assert lp_norm(points[0], p) == math.inf
+
+    @pytest.mark.parametrize("magnitude", [1e200, 1e-170])
+    def test_euclidean_rows_neither_overflow_nor_underflow(self, magnitude):
+        """Squares of 1e200 overflow and those of 1e-170 underflow."""
+        got = lp_distances(_POINTS * magnitude, _ORIGIN, 2.0)
+        np.testing.assert_allclose(got, [0.0, 5.0 * magnitude, 10.0 * magnitude], rtol=1e-15, atol=0.0)
+
+    @given(
+        st.floats(min_value=1.0, max_value=2000.0),
+        st.integers(min_value=-200, max_value=200),
+        st.integers(min_value=0, max_value=2**32),
+    )
+    @settings(deadline=2000, max_examples=60)
+    def test_large_exponents_and_extreme_magnitudes(self, p, exponent, seed):
+        """|diff|^p neither underflows nor overflows: every row matches the
+        rescaled plain-Python sum, and a row equal to the query gives 0."""
+        rng = np.random.default_rng(seed)
+        query = rng.standard_normal(4) * 10.0**exponent
+        points = np.vstack([query, query + rng.uniform(-1.0, 1.0, (8, 4)) * 10.0**exponent])
+        got = lp_distances(points, query, p)
+        expected = [_reference_distance(row, query, p) for row in points]
+        assert got[0] == 0.0
+        np.testing.assert_allclose(got, expected, rtol=1e-12)
 
 
 class TestDualExponent:
