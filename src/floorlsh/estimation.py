@@ -1,11 +1,13 @@
 """Monte Carlo verification of the anti-concentration and collision bounds.
 
 Every estimator here is deterministic given (seed, trials): one streamed
-pass of :func:`floorlsh.families.pool_projections` draws the vectors of
-:func:`floorlsh.families.sample_pool` block by block and projects them.
-Estimates over a grid of thresholds share that pass (coupled sampling),
-which makes empirical curves exactly monotone in the threshold and makes
-the exact collision event a pointwise subset of its dominating event.
+pass of :func:`floorlsh.families.pool_counts` draws the vectors of
+:func:`floorlsh.families.sample_pool` chunk by chunk, projects them and
+counts each block's hits before the next block is drawn, so no estimator
+holds its pool or its products, whatever ``trials`` is.  Estimates over a
+grid of thresholds share that pass (coupled sampling), which makes
+empirical curves exactly monotone in the threshold and makes the exact
+collision event a pointwise subset of its dominating event.
 
 Uncertainty is reported as exact two-sided 99% Clopper-Pearson intervals;
 a theoretical bound is *violated* only when the lower confidence limit
@@ -28,7 +30,7 @@ from .families import (
     false_positive_bound,
     hash_scale,
     lp_sphere_block,
-    pool_projections,
+    pool_counts,
 )
 from .lpspace import SQRT3, check_exponent, dual_exponent, lp_norm
 from .streams import stream
@@ -137,10 +139,13 @@ def small_ball_curve(
     norm2 = lp_norm(x, 2.0)
     if norm2 == 0.0:
         raise ValueError("small-ball estimation requires a nonzero point")
-    magnitudes = np.abs(pool_projections(kind, d, trials, seed, x[None, :], q=q)[0])
+
+    def count_below(products):
+        return np.count_nonzero(np.abs(products) < np.array(alphas)[:, None], axis=1)
+
+    counts = pool_counts(kind, d, trials, seed, x[None, :], count_below, q=q).tolist()
     estimates = []
-    for alpha in alphas:
-        hits = int(np.count_nonzero(magnitudes < alpha))
+    for alpha, hits in zip(alphas, counts):
         ci_low, ci_high = clopper_pearson(hits, trials)
         estimates.append(
             AntiConcEstimate(
@@ -307,6 +312,10 @@ def estimate_false_positive_rate(
     else:
         x = np.asarray(pair[0], dtype=np.float64)
         y = np.asarray(pair[1], dtype=np.float64)
+        if x.shape != (d,) or y.shape != (d,):
+            raise ValueError(
+                f"pair must hold two points of dimension {d}, got shapes {x.shape} and {y.shape}"
+            )
         if not (np.isfinite(x).all() and np.isfinite(y).all()):
             raise ValueError("pair must have finite coordinates")
     distance = lp_norm(x - y, p)
@@ -322,11 +331,13 @@ def estimate_false_positive_rate(
             stacklevel=2,
         )
     scale = hash_scale(kind, p, d)
-    s_x, s_y = scale * pool_projections(kind, d, trials, seed, np.stack([x, y]))
-    exact = np.abs(np.floor(s_x) - np.floor(s_y)) <= 1.0
-    dominating = np.abs(s_x - s_y) <= 2.0
-    hits = int(np.count_nonzero(exact))
-    dom_hits = int(np.count_nonzero(dominating))
+
+    def count_hits(products):
+        s_x, s_y = scale * products
+        exact = np.abs(np.floor(s_x) - np.floor(s_y)) <= 1.0
+        return np.count_nonzero([exact, np.abs(s_x - s_y) <= 2.0], axis=1)
+
+    hits, dom_hits = pool_counts(kind, d, trials, seed, np.stack([x, y]), count_hits).tolist()
     ci_low, ci_high = clopper_pearson(hits, trials)
     dom_low, dom_high = clopper_pearson(dom_hits, trials)
     return FalsePositiveEstimate(

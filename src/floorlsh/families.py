@@ -171,47 +171,42 @@ def lp_sphere_block(rng: np.random.Generator, d: int, q: float, rows: int) -> np
     """
     q = check_exponent(q)
     if math.isinf(q):
-        u = rng.uniform(-1.0, 1.0, size=(rows, d))
-        return u / np.max(np.abs(u), axis=1, keepdims=True)
-    signs = 2.0 * rng.integers(0, 2, size=(rows, d)) - 1.0
-    magnitudes = rng.standard_gamma(1.0 / q, size=(rows, d)) ** (1.0 / q)
-    g = signs * magnitudes
+        g = rng.uniform(-1.0, 1.0, size=(rows, d))
+        return np.divide(g, np.max(np.abs(g), axis=1, keepdims=True), out=g)
+    g = rng.integers(0, 2, size=(rows, d)) * 2.0  # the signs, then in place
+    g -= 1.0
+    magnitudes = rng.standard_gamma(1.0 / q, size=(rows, d))
+    magnitudes **= 1.0 / q
+    g *= magnitudes
     if q == 1.0:
-        norms = np.sum(np.abs(g), axis=1, keepdims=True)
+        norms = np.sum(np.abs(g, out=magnitudes), axis=1, keepdims=True)
     elif q == 2.0:
         norms = np.linalg.norm(g, axis=1, keepdims=True)
     else:
-        norms = np.sum(np.abs(g) ** q, axis=1, keepdims=True) ** (1.0 / q)
-    return g / norms
+        np.power(np.abs(g, out=magnitudes), q, out=magnitudes)
+        norms = np.sum(magnitudes, axis=1, keepdims=True) ** (1.0 / q)
+    return np.divide(g, norms, out=g)
 
 
-def _fill_block(
-    kind: FamilyKind, rows: np.ndarray, rng: np.random.Generator, q: float | None
-) -> None:
-    """Fill ``rows``, C-contiguous pool rows, from one substream.
-    Single-phase draws are prefix-stable, so a partial block draws only its
-    own rows; row chunks bound each temporary to _CHUNK_BYTES."""
+def _fill_chunk(kind: FamilyKind, rows: np.ndarray, rng: np.random.Generator, q: float | None):
+    """Fill ``rows``, C-contiguous, with the next chunk of a block from the
+    block's substream.  Single-phase draws are prefix-stable, so a partial
+    block draws only its own rows."""
     if kind is FamilyKind.LQ_SPHERE_EXPERIMENTAL:
         # signs, then magnitudes: prefix-stable only at the fixed block shape
         rows[...] = lp_sphere_block(rng, rows.shape[1], q, _POOL_BLOCK_ROWS)[: len(rows)]
         return
-    if kind is FamilyKind.UNIFORM_CUBE:
+    if kind is FamilyKind.RADEMACHER:
+        rows[...] = rng.integers(0, 2, size=rows.shape)
+    elif kind is FamilyKind.UNIFORM_CUBE:
         # the same bits as rng.uniform(-1, 1), which computes -1 + 2 * r
         rng.random(out=rows)
-        rows *= 2.0
-        rows -= 1.0
-        return
-    if kind is FamilyKind.UNIT_SPHERE:
+    else:
         rng.standard_normal(out=rows)
-    step = max(1, _CHUNK_BYTES // rows[0].nbytes)
-    for lo in range(0, len(rows), step):
-        chunk = rows[lo : lo + step]
-        if kind is FamilyKind.RADEMACHER:
-            chunk[...] = rng.integers(0, 2, size=chunk.shape)
-            chunk *= 2.0
-            chunk -= 1.0
-        else:
-            chunk /= np.linalg.norm(chunk, axis=1, keepdims=True)
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        return
+    rows *= 2.0
+    rows -= 1.0
 
 
 def _fill_workers(blocks: int) -> int:
@@ -222,10 +217,13 @@ def _fill_workers(blocks: int) -> int:
 
 
 def _draw_pool(
-    kind: FamilyKind, d: int, count: int, seed: int, q: float | None, vectors=None
-) -> np.ndarray:
-    """Check a pool's arguments and draw its blocks across the usable CPUs: the
-    (count, d) pool, or with (k, d) ``vectors`` their (k, count) products."""
+    kind: FamilyKind, d: int, count: int, seed: int, q: float | None, vectors=None, count_hits=None
+):
+    """Check a pool's arguments and draw its 8192-row blocks across the usable
+    CPUs, block j from substream (seed, j) in chunks of _CHUNK_BYTES: the
+    (count, d) pool; with (k, d) ``vectors`` their (k, count) products, each
+    chunk drawn into one scratch per worker; with ``count_hits`` too, the sum
+    of count_hits over the blocks' products, each reduced once it is drawn."""
     kind = FamilyKind(kind)
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
@@ -239,26 +237,36 @@ def _draw_pool(
         raise ValueError("q is only meaningful for the experimental l_q family")
     if vectors is not None and (np.ndim(vectors) != 2 or np.shape(vectors)[1] != d):
         raise ValueError(f"vectors must have shape (k, {d}), got {np.shape(vectors)}")
-    out = np.empty((count, d) if vectors is None else (len(vectors), count))
-    step = _POOL_BLOCK_ROWS
-    blocks = -(-count // step)
-    workers = _fill_workers(blocks)
+    out = None if count_hits else np.empty((count, d) if vectors is None else (len(vectors), count))
+    step = chunk = _POOL_BLOCK_ROWS  # whole blocks for the experimental draw, shaped by the block
+    if kind is not FamilyKind.LQ_SPHERE_EXPERIMENTAL:
+        chunk = min(step, max(1, _CHUNK_BYTES // (8 * d)))
+    workers = _fill_workers(-(-count // step))
 
-    def work(first: int) -> None:
-        scratch = None if vectors is None else np.empty((min(count, step), d))
+    def work(first: int):
+        scratch = None if vectors is None else np.empty((min(count, chunk), d))
+        products = out if count_hits is None else np.empty((len(vectors), min(count, step)))
+        hits = None if count_hits is None else count_hits(products[:, :0])
         for lo in range(first * step, count, workers * step):
             hi, rng = min(count, lo + step), stream(seed, lo // step)
-            rows = out[lo:hi] if scratch is None else scratch[: hi - lo]
-            _fill_block(kind, rows, rng, q)
-            if scratch is not None:
-                scalar_products("ij,kj->ki", rows, vectors, out=out[:, lo:hi])
+            at = 0 if count_hits is None else lo  # the pool row of products' column 0
+            block = out[lo:hi] if vectors is None else products[:, lo - at : hi - at]
+            for start in range(0, hi - lo, chunk):
+                stop = min(hi - lo, start + chunk)
+                rows = block[start:stop] if vectors is None else scratch[: stop - start]
+                _fill_chunk(kind, rows, rng, q)
+                if vectors is not None:
+                    scalar_products("ij,kj->ki", rows, vectors, out=block[:, start:stop])
+            if count_hits is not None:
+                hits = hits + count_hits(block)
+        return hits
 
     if workers == 1:
-        work(0)
+        results = [work(0)]
     else:
         with ThreadPoolExecutor(workers) as executor:
-            list(executor.map(work, range(workers)))  # re-raises a worker's error
-    return out
+            results = list(executor.map(work, range(workers)))  # re-raises a worker's error
+    return out if count_hits is None else sum(results)
 
 
 def sample_pool(
@@ -267,11 +275,12 @@ def sample_pool(
     """Draw ``count`` hash vectors as a (count, d) matrix.
 
     Rows come in fixed blocks of 8192, block j from substream (seed, j) and
-    written straight into its own rows, the blocks filled concurrently.  The
-    pool is deterministic in (kind, d, count, seed), its bytes do not depend
-    on the core count, and row i of a longer pool equals row i of a shorter
-    one.  :func:`pool_projections` streams the same rows and projects them
-    without holding the pool.
+    drawn chunk by chunk straight into its own rows, the blocks filled
+    concurrently.  The pool is deterministic in (kind, d, count, seed), its
+    bytes do not depend on the core count, and row i of a longer pool
+    equals row i of a shorter one.  :func:`pool_projections` and
+    :func:`pool_counts` draw the same rows, one 256 KiB chunk at a time per
+    worker, without holding the pool.
     """
     return _draw_pool(kind, d, count, seed, q)
 
@@ -280,11 +289,21 @@ def pool_projections(
     kind: FamilyKind, d: int, count: int, seed: int, vectors, q: float | None = None
 ) -> np.ndarray:
     """The (k, count) products of the rows of ``sample_pool(kind, d, count,
-    seed, q)`` with the k rows of ``vectors``, holding one 8192-row block of
-    the pool per worker.  Row i is ``np.einsum("ij,j->i", pool, vectors[i])``
-    bit for bit (:func:`floorlsh.lpspace.scalar_products`), whatever the
-    worker count, the vectors' layout or the CPU's BLAS."""
+    seed, q)`` with the k rows of ``vectors``, holding one chunk of the pool
+    per worker.  Row i is ``np.einsum("ij,j->i", pool, vectors[i])`` bit for
+    bit (:func:`floorlsh.lpspace.scalar_products`), whatever the worker
+    count, the vectors' layout or the CPU's BLAS."""
     return _draw_pool(kind, d, count, seed, q, vectors)
+
+
+def pool_counts(
+    kind: FamilyKind, d: int, count: int, seed: int, vectors, count_hits, q: float | None = None
+):
+    """The sum of ``count_hits(block)`` over the (k, <= 8192) column blocks
+    of ``pool_projections(kind, d, count, seed, vectors, q)``, each with that
+    array's bits, or count_hits of a (k, 0) block for an empty pool.  Each
+    worker holds one chunk of the pool and one block, whatever ``count`` is."""
+    return _draw_pool(kind, d, count, seed, q, vectors, count_hits)
 
 
 def sample_vector(

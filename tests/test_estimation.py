@@ -389,6 +389,19 @@ class TestFalsePositiveEstimate:
                 FamilyKind.UNIFORM_CUBE, 2.0, 4, 100.0, 100, 0, pair=tuple(pair)
             )
 
+    @pytest.mark.parametrize(
+        "x, y, shapes",
+        [
+            (np.zeros(5), np.ones(5), r"\(5,\) and \(5,\)"),
+            (np.zeros((2, 4)), np.ones((2, 4)), r"\(2, 4\) and \(2, 4\)"),
+            (np.zeros(4), np.ones(5), r"\(4,\) and \(5,\)"),
+        ],
+    )
+    def test_a_pair_of_the_wrong_shape_is_rejected_by_name(self, x, y, shapes):
+        message = "pair must hold two points of dimension 4, got shapes " + shapes
+        with pytest.raises(ValueError, match=message):
+            estimate_false_positive_rate(FamilyKind.UNIFORM_CUBE, 2.0, 4, 1.0, 100, 0, pair=(x, y))
+
     def test_deterministic_given_seed(self):
         a = estimate_false_positive_rate(FamilyKind.UNIT_SPHERE, 2.0, 8, 50.0, 1000, 42)
         b = estimate_false_positive_rate(FamilyKind.UNIT_SPHERE, 2.0, 8, 50.0, 1000, 42)

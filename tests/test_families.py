@@ -28,6 +28,7 @@ from floorlsh.families import (
     hash_scale,
     label_ranges,
     lp_sphere_block,
+    pool_counts,
     pool_projections,
     reach,
     reach_bound,
@@ -287,29 +288,51 @@ class TestSampling:
                             assert products[i].tobytes() == expected[i].tobytes(), (
                                 workers, d, count, k, i)
 
+    @pytest.mark.parametrize("kind, q", POOL_KINDS)
+    def test_counts_do_not_depend_on_workers_or_chunk_edges(self, kind, q, monkeypatch):
+        """pool_counts sums, block by block, the counts that thresholds take
+        over the einsum of the whole pool, for every count, at the 256 KiB
+        chunk edges of d = 8 and 64, with 1, 2 or 8 workers."""
+        def count_below(products):
+            return np.count_nonzero(products[:, None, :] < levels[:, None], axis=2).ravel()
+
+        levels = np.array([-0.5, 0.0, 0.25, 1.0])
+        for d in (1, 8, 64):
+            vectors = np.random.default_rng(d).standard_normal((2, d))
+            edges = {8: (4095, 4096, 4097), 64: (511, 512, 513)}.get(d, ())
+            for count in POOL_COUNTS + edges:
+                pool = sample_pool(kind, d, count, 7, q=q)
+                expected = count_below(np.einsum("ij,kj->ki", pool, vectors))
+                for workers in (1, 2, 8):
+                    monkeypatch.setattr(families, "_fill_workers", lambda blocks, w=workers: w)
+                    counts = pool_counts(kind, d, count, 7, vectors, count_below, q=q)
+                    assert np.array_equal(counts, expected), (workers, d, count)
+
     @pytest.mark.parametrize("estimate", ["small_ball", "false_positive"])
-    def test_estimators_hold_one_block_per_worker(self, estimate, monkeypatch):
+    def test_estimators_hold_one_chunk_per_worker(self, estimate, monkeypatch):
         """200,000 unit_sphere draws at d = 64 make a 102 MB pool; the
-        streamed estimators peak below 16 MiB, two 4 MiB scratch blocks and
-        the products among it."""
+        estimators count each block's hits as it is drawn, so they peak
+        below 2 MiB, two 256 KiB chunks and two blocks' products among it,
+        and ten times the trials leave the peak within 1.25x."""
         monkeypatch.setattr(families, "_fill_workers", lambda blocks: min(blocks, 2))
         kind, x = FamilyKind.UNIT_SPHERE, np.ones(64)
         c = 4.0 * c_threshold(kind, 2.0, 64)
 
-        def run(trials):
-            if estimate == "small_ball":
-                small_ball_curve(kind, 64, x, [0.05, 0.5], trials, 5)
-            else:
-                estimate_false_positive_rate(kind, 2.0, 64, c, trials, 5)
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                if estimate == "small_ball":
+                    small_ball_curve(kind, 64, x, [0.05, 0.5], trials, 5)
+                else:
+                    estimate_false_positive_rate(kind, 2.0, 64, c, trials, 5)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
 
-        run(10)
-        tracemalloc.start()
-        try:
-            run(200_000)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 16 * 2**20
+        peak(10)
+        small, large = peak(200_000), peak(2_000_000)
+        assert small < 2 * 2**20
+        assert large < 1.25 * small
 
     def test_projections_take_vectors_of_the_pool_dimension(self):
         with pytest.raises(ValueError, match=r"vectors must have shape \(k, 4\)"):
