@@ -15,8 +15,8 @@ import math
 import numpy as np
 
 from floorlsh.estimation import small_ball_curve
-from floorlsh.families import FamilyKind
-from floorlsh.lpspace import SQRT3, cap_probability
+from floorlsh.families import SQRT3, FamilyKind
+from floorlsh.lpspace import cap_probability
 
 TRIALS, SEED = 50_000, 7
 ALPHAS = [0.05, 0.1, 0.25, 0.5]

@@ -33,7 +33,6 @@ from .estimation import (
     far_pair,
     unit_direction,
     levy_concentration,
-    small_ball_bound,
     small_ball_curve,
     theoretical_q_bound,
 )
@@ -55,6 +54,7 @@ from .families import (
     hash_scale,
     sample_pool,
     sample_vector,
+    small_ball_bound,
 )
 from .index import (
     BuildStats,
@@ -68,15 +68,10 @@ from .index import (
 from .lpspace import (
     beta_lower_bound_margin,
     cap_probability,
-    cube_c_threshold,
-    cube_scale,
     dual_exponent,
     lp_distances,
     lp_norm,
     norm_sandwich_factor,
-    sign_c_threshold,
-    sphere_c_threshold,
-    sphere_scale,
 )
 from .streams import derive_seed, stream
 
@@ -107,8 +102,6 @@ __all__ = [
     "choose_levels",
     "clopper_pearson",
     "conjecture_probe",
-    "cube_c_threshold",
-    "cube_scale",
     "derive_seed",
     "dual_exponent",
     "estimate_false_positive_rate",
@@ -130,11 +123,8 @@ __all__ = [
     "recall_report",
     "sample_pool",
     "sample_vector",
-    "sign_c_threshold",
     "small_ball_bound",
     "small_ball_curve",
-    "sphere_c_threshold",
-    "sphere_scale",
     "stream",
     "theoretical_q_bound",
     "uniform_cube_points",

@@ -61,7 +61,7 @@ from .estimation import (
     unit_direction,
 )
 from .exact import audit_results, ground_truth, write_recall_jsonl
-from .families import FamilyKind, c_threshold, pool_projections
+from .families import PROVEN_ADJACENCY_KINDS, FamilyKind, c_threshold, pool_projections
 from .index import DEFAULT_MAX_ENTRIES, IndexConfig, LshIndex, Variant, choose_levels
 from .lpspace import check_exponent
 
@@ -723,11 +723,10 @@ def build_parser(allow_abbrev: bool = True) -> argparse.ArgumentParser:
     build.add_argument("--dataset", required=True, help="points file")
     build.add_argument(
         "--kind", default="uniform_cube",
-        choices=("rademacher", "uniform_cube", "unit_sphere"),
+        choices=[kind.value for kind in FamilyKind if kind in PROVEN_ADJACENCY_KINDS],
     )
     build.add_argument(
-        "--variant", default="fast_query",
-        choices=("fast_query", "fast_preprocessing"),
+        "--variant", default="fast_query", choices=[variant.value for variant in Variant]
     )
     build.add_argument("--c", type=float, help="approximation factor")
     build.add_argument(

@@ -20,7 +20,7 @@ from typing import IO, Iterable, Sequence
 import numpy as np
 
 from .families import lp_sphere_block
-from .lpspace import check_exponent, lp_distances
+from .lpspace import check_dimension, check_exponent, lp_distances
 from .streams import stream
 
 #: Auxiliary stream indexes; keep clear of block indexes used elsewhere.
@@ -77,6 +77,7 @@ def read_points(path: str | Path) -> tuple[np.ndarray, float]:
 
 def gaussian_points(n: int, d: int, seed: int, scale: float = 1.0) -> np.ndarray:
     """n standard Gaussian points scaled by ``scale``."""
+    check_dimension(d)
     with np.errstate(over="ignore"):
         points = stream(seed, _STREAM_POINTS).standard_normal((n, d)) * scale
     if not np.isfinite(points).all():
@@ -86,6 +87,7 @@ def gaussian_points(n: int, d: int, seed: int, scale: float = 1.0) -> np.ndarray
 
 def uniform_cube_points(n: int, d: int, seed: int, scale: float = 1.0) -> np.ndarray:
     """n points uniform on the cube (-scale, scale)^d."""
+    check_dimension(d)
     # a draw is -scale plus a fraction of the width 2 * scale, so every
     # coordinate is finite exactly when the width is
     if not math.isfinite(2.0 * scale):

@@ -11,7 +11,8 @@ collision event a pointwise subset of its dominating event.
 
 Uncertainty is reported as exact two-sided 99% Clopper-Pearson intervals;
 a theoretical bound is *violated* only when the lower confidence limit
-clears it, never on the point estimate alone.
+clears it, never on the point estimate alone.  The bounds themselves are
+the family laws of :mod:`floorlsh.families`.
 """
 
 from __future__ import annotations
@@ -31,8 +32,9 @@ from .families import (
     hash_scale,
     lp_sphere_block,
     pool_counts,
+    small_ball_bound,
 )
-from .lpspace import SQRT3, check_exponent, dual_exponent, lp_norm
+from .lpspace import check_dimension, check_exponent, dual_exponent, lp_norm
 from .streams import stream
 
 #: Stream indexes reserved for auxiliary draws so they never collide with
@@ -91,24 +93,6 @@ class AntiConcEstimate(_BoundVerdict):
     ci_low: float
     ci_high: float
     bound: float | None
-
-
-def small_ball_bound(kind: FamilyKind, alpha: float, d: int, x_norm2: float) -> float | None:
-    """Theoretical bound on P(|<w, x>| < alpha) for family ``kind``.
-
-    2*sqrt(3)*alpha/||x||_2 for the uniform cube, alpha*sqrt(d)/||x||_2 for
-    the unit sphere; the sign and experimental families have no bound (a
-    sign vector against a two-coordinate input keeps an atom of mass 1/2
-    at zero, so no such bound can exist).
-    """
-    kind = FamilyKind(kind)
-    if not 0.0 < x_norm2 < math.inf:
-        raise ValueError(f"small-ball bound requires a nonzero finite norm, got {x_norm2}")
-    if kind is FamilyKind.UNIFORM_CUBE:
-        return 2.0 * SQRT3 * alpha / x_norm2
-    if kind is FamilyKind.UNIT_SPHERE:
-        return alpha * math.sqrt(d) / x_norm2
-    return None
 
 
 def small_ball_curve(
@@ -215,6 +199,7 @@ def unit_direction(shape: FarPairShape, p: float, d: int) -> np.ndarray:
     the first two axes equally."""
     shape = FarPairShape(shape)
     p = check_exponent(p)
+    check_dimension(d)
     if shape is FarPairShape.AXIS:
         z = np.zeros(d)
         z[0] = 1.0
@@ -397,8 +382,6 @@ def conjecture_probe(
     so the ratios approach the uniform-cube family's.
     """
     q = check_exponent(q)
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
     x = lp_sphere_block(stream(seed, _AUX_STREAM_BASE + 1), d, q, 1)[0]
     curve = small_ball_curve(
         FamilyKind.LQ_SPHERE_EXPERIMENTAL, d, x, epsilons, trials, seed, q=dual_exponent(q)

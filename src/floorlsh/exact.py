@@ -38,15 +38,12 @@ class GroundTruth:
     """Exact neighborhoods of one query.
 
     ``within_r`` are the must-return ids (distance <= r), ``within_c`` the
-    acceptable ids (distance <= c), each a sorted, read-only int64 array;
-    nearest is the closest point overall.
+    acceptable ids (distance <= c), each a sorted, read-only int64 array.
     """
 
     query_id: int
     within_r: np.ndarray
     within_c: np.ndarray
-    nearest_id: int
-    nearest_distance: float
 
 
 def ground_truth(
@@ -64,19 +61,10 @@ def ground_truth(
     truths = []
     for query_id, query in enumerate(queries):
         distances = lp_distances(points, query, p)
-        nearest = int(np.argmin(distances))
         within_r = np.flatnonzero(distances <= r)
         within_c = np.flatnonzero(distances <= c)
         within_r.flags.writeable = within_c.flags.writeable = False
-        truths.append(
-            GroundTruth(
-                query_id=query_id,
-                within_r=within_r,
-                within_c=within_c,
-                nearest_id=nearest,
-                nearest_distance=float(distances[nearest]),
-            )
-        )
+        truths.append(GroundTruth(query_id=query_id, within_r=within_r, within_c=within_c))
     return truths
 
 
@@ -87,14 +75,11 @@ class RecallRecord:
     ``recall`` is against the must-return set (1.0 when that set is empty);
     ``precision`` is against the acceptable set.  ``missing`` lists any
     must-return ids the index failed to produce: each one is a concrete
-    counterexample to the no-false-negative guarantee.  ``within_r`` and
-    ``within_c`` are the ground truth's arrays.
+    counterexample to the no-false-negative guarantee.
     """
 
     query_id: int
     returned: tuple[int, ...]
-    within_r: np.ndarray
-    within_c: np.ndarray
     recall: float
     precision: float
     missing: tuple[int, ...]
@@ -133,8 +118,6 @@ def audit_results(results: Sequence, truths: Sequence[GroundTruth]) -> list[Reca
             RecallRecord(
                 query_id=truth.query_id,
                 returned=returned,
-                within_r=truth.within_r,
-                within_c=truth.within_c,
                 recall=recall,
                 precision=precision,
                 missing=missing,
@@ -145,18 +128,6 @@ def audit_results(results: Sequence, truths: Sequence[GroundTruth]) -> list[Reca
     return records
 
 
-def write_ground_truth_jsonl(path: str | Path, truths: Sequence[GroundTruth]) -> None:
-    """Emit ground truth as JSON lines, one query per line."""
-    # vars, not asdict, which would deep-copy the id arrays
-    write_jsonl(path, map(vars, truths))
-
-
 def write_recall_jsonl(path: str | Path, records: Sequence[RecallRecord]) -> None:
-    """Emit per-query recall audits as JSON lines, without the truth sets
-    ``within_r`` and ``within_c``."""
-    truth_sets = ("within_r", "within_c")
-    lines = (
-        {key: value for key, value in vars(record).items() if key not in truth_sets}
-        for record in records
-    )
-    write_jsonl(path, lines)
+    """Emit per-query recall audits as JSON lines, one query per line."""
+    write_jsonl(path, map(vars, records))

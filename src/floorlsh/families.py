@@ -11,6 +11,12 @@ Four sampling distributions for w are provided:
   cone measure on the unit l_q sphere; provided for empirical probing only
   and carries no proven guarantees.
 
+Each family's laws live here too: its pre-floor scale (:func:`hash_scale`),
+its threshold on the approximation factor (:func:`c_threshold`), and its
+small-ball and far-pair collision bounds (:func:`small_ball_bound`,
+:func:`false_positive_bound`), each of which checks its arguments for every
+family.
+
 For the first three families, points x, y with ||x - y||_p <= 1 land in the
 same or adjacent buckets over the reals.  In IEEE-754 doubles the floors of
 two computed projections can differ by 2 for such a pair, so
@@ -31,18 +37,14 @@ import numpy as np
 
 from .lpspace import (
     UNIT_ROUNDOFF,
+    check_dimension,
     check_exponent,
-    cube_c_threshold,
-    cube_scale,
     distance_error,
     dual_exponent,
     lp_distances,
     lp_norm,
     rounding_gamma,
     scalar_products,
-    sign_c_threshold,
-    sphere_c_threshold,
-    sphere_scale,
 )
 from .streams import stream
 
@@ -62,6 +64,9 @@ _MAX_ROUNDING = 0.25
 _ROUND_UP = 1.0 + 2.0**-48
 _SIDES = np.array([-1.0, 1.0])
 _SIDES.flags.writeable = False
+#: The cube family's constant: a coordinate uniform on (-1, 1) has standard
+#: deviation 1/sqrt(3).
+SQRT3 = math.sqrt(3.0)
 
 
 class FamilyKind(str, Enum):
@@ -78,25 +83,38 @@ PROVEN_ADJACENCY_KINDS = frozenset(
 
 
 def hash_scale(kind: FamilyKind, p: float, d: int) -> float:
-    """Pre-floor scale factor of family ``kind`` for exponent p in R^d."""
-    kind = FamilyKind(kind)
+    """Pre-floor scale factor of family ``kind`` for exponent p in R^d:
+    d^{1/p - 1} for cube and sign vectors, d^{min(1/2 - 1/q, 0)} for
+    unit-sphere vectors, q the dual exponent of p (the
+    :func:`floorlsh.lpspace.norm_sandwich_factor` of q), and 1 for the
+    experimental family."""
+    kind, p = FamilyKind(kind), check_exponent(p)
+    check_dimension(d)
     if kind in (FamilyKind.RADEMACHER, FamilyKind.UNIFORM_CUBE):
-        return cube_scale(p, d)
+        return float(d) ** (1.0 / p - 1.0)
     if kind is FamilyKind.UNIT_SPHERE:
-        return sphere_scale(p, d)
+        return float(d) ** min(0.5 - 1.0 / dual_exponent(p), 0.0)
     return 1.0
 
 
 def c_threshold(kind: FamilyKind, p: float, d: int) -> float | None:
-    """Minimum approximation factor of ``kind``; None for the experimental
-    family, which has no proven false-positive bound."""
-    kind = FamilyKind(kind)
+    """Minimum approximation factor of ``kind`` for exponent p in R^d.
+
+    4*sqrt(3) * d^{max(1 - 1/p, 1/2)} for the uniform cube and
+    2 * d^{1/2 + |1/2 - 1/p|} for the unit sphere, below the cube's for
+    p >= 2; for c above either, far pairs collide with probability below
+    threshold / c.  sqrt(8) * max(d^{1/2}, d^{1 - 1/p}) for the sign family,
+    whose bound has the weaker form of :func:`false_positive_bound`.  None
+    for the experimental family, which has no proven false-positive bound.
+    """
+    kind, p = FamilyKind(kind), check_exponent(p)
+    check_dimension(d)
     if kind is FamilyKind.UNIFORM_CUBE:
-        return cube_c_threshold(p, d)
+        return 4.0 * SQRT3 * float(d) ** max(1.0 - 1.0 / p, 0.5)
     if kind is FamilyKind.UNIT_SPHERE:
-        return sphere_c_threshold(p, d)
+        return 2.0 * float(d) ** (0.5 + abs(0.5 - 1.0 / p))
     if kind is FamilyKind.RADEMACHER:
-        return sign_c_threshold(p, d)
+        return math.sqrt(8.0) * max(float(d) ** 0.5, float(d) ** (1.0 - 1.0 / p))
     return None
 
 
@@ -111,18 +129,38 @@ def false_positive_bound(
     1 - (1 - threshold/c)^2 / 2, which is meaningless for c <= threshold,
     so None is returned there.  The experimental family has no bound.
     """
-    kind = FamilyKind(kind)
+    threshold = c_threshold(kind, p, d)  # checks kind, p and d
     if not c > 0.0:
         raise ValueError(f"approximation factor must be positive, got {c}")
-    threshold = c_threshold(kind, p, d)
     if threshold is None:
         return None, None
-    if kind is FamilyKind.RADEMACHER:
+    if FamilyKind(kind) is FamilyKind.RADEMACHER:
         if c <= threshold:
             return None, threshold
         ratio = threshold / c
         return 1.0 - (1.0 - ratio) ** 2 / 2.0, threshold
     return threshold / c, threshold
+
+
+def small_ball_bound(kind: FamilyKind, alpha: float, d: int, x_norm2: float) -> float | None:
+    """Theoretical bound on P(|<w, x>| < alpha) for family ``kind`` in R^d.
+
+    2*sqrt(3)*alpha/||x||_2 for the uniform cube, alpha*sqrt(d)/||x||_2 for
+    the unit sphere; the sign and experimental families have no bound (a
+    sign vector against a two-coordinate input keeps an atom of mass 1/2
+    at zero, so no such bound can exist).
+    """
+    kind = FamilyKind(kind)
+    check_dimension(d)
+    if not alpha >= 0.0:
+        raise ValueError(f"small-ball radius alpha must be nonnegative, got {alpha}")
+    if not 0.0 < x_norm2 < math.inf:
+        raise ValueError(f"small-ball bound requires a nonzero finite norm, got {x_norm2}")
+    if kind is FamilyKind.UNIFORM_CUBE:
+        return 2.0 * SQRT3 * alpha / x_norm2
+    if kind is FamilyKind.UNIT_SPHERE:
+        return alpha * math.sqrt(d) / x_norm2
+    return None
 
 
 @dataclass(frozen=True)
@@ -170,6 +208,7 @@ def lp_sphere_block(rng: np.random.Generator, d: int, q: float, rows: int) -> np
     cone measure of the sphere.  At q = 2 this is the uniform direction.
     """
     q = check_exponent(q)
+    check_dimension(d)
     if math.isinf(q):
         g = rng.uniform(-1.0, 1.0, size=(rows, d))
         return np.divide(g, np.max(np.abs(g), axis=1, keepdims=True), out=g)
@@ -225,8 +264,7 @@ def _draw_pool(
     chunk drawn into one scratch per worker; with ``count_hits`` too, the sum
     of count_hits over the blocks' products, each reduced once it is drawn."""
     kind = FamilyKind(kind)
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
+    check_dimension(d)
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
     if kind is FamilyKind.LQ_SPHERE_EXPERIMENTAL:

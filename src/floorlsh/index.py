@@ -60,7 +60,7 @@ from .families import (
     reach_bound,
     sample_vector,
 )
-from .lpspace import check_exponent, lp_distances
+from .lpspace import check_dimension, check_exponent, lp_distances
 from .streams import derive_seed
 
 LN3 = math.log(3.0)
@@ -158,8 +158,7 @@ class IndexConfig:
                 f"family {self.kind.value!r} has no adjacency guarantee and "
                 "cannot back an index"
             )
-        if self.d < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.d}")
+        check_dimension(self.d)
         if not self.c >= 1.0:
             raise ValueError(f"approximation factor must be >= 1, got {self.c}")
         if self.levels is not None and not 1 <= self.levels <= MAX_LEVELS:
@@ -208,8 +207,7 @@ def choose_levels(variant: Variant, n: int, d: int, fp_bound: float) -> int:
     variant = Variant(variant)
     if n < 1:
         raise ValueError(f"point count must be >= 1, got {n}")
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
+    check_dimension(d)
     if not 0.0 < fp_bound < 1.0:
         raise ValueError(
             f"per-level false-positive bound must be in (0, 1) to derive a "

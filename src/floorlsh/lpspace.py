@@ -1,10 +1,11 @@
 """l_p geometry and the special functions behind the hashing guarantees.
 
-All hash families in this package floor a scaled scalar product.  The scale
-factors, the norm-comparison constants relating l_p norms to the Euclidean
-norm, and the family thresholds on the approximation factor ``c`` live here,
-together with the exact spherical cap probability, the Beta(1/2, (d-1)/2)
-law evaluated by ``scipy.special``.
+The package's one scalar-product kernel and one l_p distance kernel, the
+dual exponent, the norm-comparison constants relating l_p norms to the
+Euclidean norm, the rounding bounds of computed norms, and the exact
+spherical cap probability, the Beta(1/2, (d-1)/2) law evaluated by
+``scipy.special``, live here.  The per-family laws built on them (scales,
+thresholds and bounds) live in :mod:`floorlsh.families`.
 
 Exponents are plain floats; ``math.inf`` is the max norm.  Exponent
 arithmetic (``1/p``, ``1 - 1/p``) is exact for the anchor values 1, 2 and
@@ -18,7 +19,6 @@ import math
 import numpy as np
 from scipy import special
 
-SQRT3 = math.sqrt(3.0)
 #: Smallest Euclidean norm whose square is a normal double (2^-511).
 SQRT_TINY = math.sqrt(np.finfo(np.float64).tiny)
 #: Unit roundoff u of doubles: rounding to nearest moves a result by at most
@@ -32,6 +32,12 @@ def check_exponent(p: float) -> float:
     if not p >= 1.0:
         raise ValueError(f"norm exponent must be in [1, inf], got {p}")
     return p
+
+
+def check_dimension(d: int, least: int = 1) -> None:
+    """Validate a dimension: raise unless d >= ``least``, which NaN fails."""
+    if not d >= least:
+        raise ValueError(f"dimension must be >= {least}, got {d}")
 
 
 def scalar_products(subscripts: str, a, b, out: np.ndarray | None = None) -> np.ndarray:
@@ -159,65 +165,14 @@ def norm_sandwich_factor(s: float, d: int) -> float:
     ||z||_s * factor(s, d) <= ||z||_2 <= ||z||_s / factor(q, d).
     """
     s = check_exponent(s)
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
+    check_dimension(d)
     exponent = min(0.5 - 1.0 / s, 0.0)
     return float(d) ** exponent
 
 
-def cube_scale(p: float, d: int) -> float:
-    """Pre-floor scale d^{1/p - 1} used with cube and sign hash vectors."""
-    p = check_exponent(p)
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
-    return float(d) ** (1.0 / p - 1.0)
-
-
-def sphere_scale(p: float, d: int) -> float:
-    """Pre-floor scale for unit-sphere hash vectors: the dual comparison
-    constant d^{min(1/2 - 1/q, 0)}."""
-    return norm_sandwich_factor(dual_exponent(p), d)
-
-
-def cube_c_threshold(p: float, d: int) -> float:
-    """Minimum approximation factor for the uniform-cube family.
-
-    Equals 4*sqrt(3) * d^{max(1 - 1/p, 1/2)}.  For c above this threshold
-    the false-positive probability of far pairs is below threshold / c.
-    """
-    p = check_exponent(p)
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
-    return 4.0 * SQRT3 * float(d) ** max(1.0 - 1.0 / p, 0.5)
-
-
-def sphere_c_threshold(p: float, d: int) -> float:
-    """Minimum approximation factor for the unit-sphere family.
-
-    Equals 2 * d^{1/2 + |1/2 - 1/p|}; below the cube threshold for p >= 2.
-    """
-    p = check_exponent(p)
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
-    return 2.0 * float(d) ** (0.5 + abs(0.5 - 1.0 / p))
-
-
-def sign_c_threshold(p: float, d: int) -> float:
-    """Minimum approximation factor for the legacy sign-vector family.
-
-    Equals sqrt(8) * max(d^{1/2}, d^{1 - 1/p}).  The sign family's
-    false-positive bound has the weaker form 1 - (1 - threshold/c)^2 / 2.
-    """
-    p = check_exponent(p)
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
-    return math.sqrt(8.0) * max(float(d) ** 0.5, float(d) ** (1.0 - 1.0 / p))
-
-
 def beta_function_half(d: int) -> float:
     """B(1/2, (d - 1)/2)."""
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
+    check_dimension(d, 2)
     return float(special.beta(0.5, (d - 1.0) / 2.0))
 
 
@@ -238,8 +193,7 @@ def cap_probability(alpha: float, d: int) -> float:
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
+    check_dimension(d, 2)
     return float(special.betainc(0.5, (d - 1.0) / 2.0, alpha * alpha))
 
 
@@ -252,7 +206,6 @@ def beta_lower_bound_margin(d: int) -> float:
     d = 3 and tends to exp(-1/2), which is what makes the linear cap bound
     alpha * sqrt(d) valid in every dimension.
     """
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
+    check_dimension(d, 2)
     g = math.exp((d - 3.0) / 2.0 * math.log((d - 1.0) / d))
     return beta_function_half(d) * math.sqrt(d) / 2.0 - g

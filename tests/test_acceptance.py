@@ -34,10 +34,9 @@ from floorlsh.estimation import (
     unit_direction,
 )
 from floorlsh.exact import ground_truth
-from floorlsh.families import FamilyKind, c_threshold, sample_pool, sample_vector
+from floorlsh.families import SQRT3, FamilyKind, c_threshold, sample_pool, sample_vector
 from floorlsh.index import IndexConfig, LshIndex, Variant
 from floorlsh.lpspace import (
-    SQRT3,
     beta_function_half,
     beta_lower_bound_margin,
     cap_probability,

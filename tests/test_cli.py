@@ -531,8 +531,9 @@ _GEN = "gen-data --n 20 --d 3 --p 2 --seed 0 --out {out}/g.txt"
 _VERIFY = "verify-bounds --ds 4 --trials 100 --seeds 0 --out {out}/v.csv"
 
 #: Command lines that pass NaN (or an infinity where only finite values
-#: make sense, or a scale that makes generated coordinates overflow) to a
-#: range check, each of which must fail before anything is written.
+#: make sense, a scale that makes generated coordinates overflow, or a
+#: dimension below 1) to a range check, each of which must fail before
+#: anything is written.
 _NAN_RUNS = {
     "build --c": "build --dataset {data} --c nan --levels 2 --master-seed 0 "
     "--out {out}/x.bin",
@@ -556,6 +557,15 @@ _NAN_RUNS = {
     "gen-data far_ring --c": f"{_GEN} --shape far_ring --c nan",
     "gen-data far_ring --c inf": f"{_GEN} --shape far_ring --c inf",
     "gen-data near_queries --c": f"{_GEN} --shape near_queries --c nan",
+    "verify-bounds --ds 0": "verify-bounds --ds 0 --shapes axis --seeds 1 --out {out}/v.csv",
+    "verify-bounds false-positive --ds 0": f"{_VERIFY} --mode false-positive --ds 0",
+    "gen-data gaussian --d 0": "gen-data --shape gaussian --n 5 --d 0 --p 2 --seed 0 "
+    "--out {out}/g.txt",
+    "gen-data cube --d 0": f"{_GEN} --shape uniform_cube --d 0",
+    "gen-data planted_pairs --d 0": "gen-data --shape planted_pairs --n 20 --d 0 --p 2 "
+    "--seed 0 --pairs 4 --out {out}/g.txt",
+    "gen-data far_ring --d 0": f"{_GEN} --shape far_ring --c 5 --d 0",
+    "gen-data near_queries --d 0": f"{_GEN} --shape near_queries --c 5 --d 0",
 }
 
 

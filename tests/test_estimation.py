@@ -19,14 +19,13 @@ from floorlsh.estimation import (
     false_positive_record,
     far_pair,
     levy_concentration,
-    small_ball_bound,
     small_ball_curve,
     small_ball_record,
     theoretical_q_bound,
     unit_direction,
 )
-from floorlsh.families import FamilyKind, false_positive_bound
-from floorlsh.lpspace import SQRT3, cap_probability, lp_norm
+from floorlsh.families import SQRT3, FamilyKind, false_positive_bound, small_ball_bound
+from floorlsh.lpspace import cap_probability, lp_norm
 
 
 class TestClopperPearson:

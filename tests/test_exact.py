@@ -7,15 +7,12 @@ import numpy as np
 import pytest
 
 from floorlsh.exact import (
-    GroundTruth,
     RecallRecord,
     ground_truth,
     range_search_exact,
     recall_report,
-    write_ground_truth_jsonl,
     write_recall_jsonl,
 )
-from floorlsh.lpspace import lp_norm
 
 POINTS = np.array([[0.0, 0.0], [3.0, 4.0], [6.0, 8.0]])
 ORIGIN = np.zeros(2)
@@ -35,14 +32,12 @@ class TestRangeSearch:
 
 
 class TestGroundTruth:
-    def test_neighborhoods_and_nearest(self):
+    def test_neighborhoods(self):
         truths = ground_truth(POINTS, np.array([[3.0, 3.0]]), c=5.0, p=2.0, r=1.0)
         truth = truths[0]
         assert truth.query_id == 0
         assert truth.within_r.tolist() == [1]
         assert truth.within_c.tolist() == [0, 1]
-        assert truth.nearest_id == 1
-        assert truth.nearest_distance == 1.0
 
     def test_neighborhoods_are_sorted_read_only_int64_arrays(self):
         rng = np.random.default_rng(3)
@@ -59,9 +54,6 @@ class TestGroundTruth:
         queries = rng.standard_normal((5, 3))
         for truth in ground_truth(points, queries, c=2.0, p=2.0):
             assert set(truth.within_r) <= set(truth.within_c)
-            assert truth.nearest_distance == pytest.approx(
-                lp_norm(points[truth.nearest_id] - queries[truth.query_id], 2.0)
-            )
 
     def test_rejects_factor_below_radius(self):
         with pytest.raises(ValueError):
@@ -112,48 +104,32 @@ class TestRecallReport:
 
     def test_empty_must_return_set_counts_as_full_recall(self):
         index = _stub_index([[]], c=1.0)
-        record = recall_report(index, POINTS, np.array([[50.0, 50.0]]))[0]
-        assert record.within_r.tolist() == []
+        queries = np.array([[50.0, 50.0]])
+        assert ground_truth(POINTS, queries, c=1.0, p=2.0)[0].within_r.size == 0
+        record = recall_report(index, POINTS, queries)[0]
         assert record.recall == 1.0
         assert record.precision == 1.0
 
 
 class TestJsonlWriters:
-    def test_ground_truth_bytes_are_pinned(self, tmp_path):
-        """Array-valued truths write the bytes that tuple-valued ones did."""
+    def test_recall_bytes_are_pinned(self, tmp_path):
+        """An audit line holds the record's fields, never the truth sets."""
+        index = _stub_index([[(1, 1.0), (2, 5.830951894845301)], [], [(0, 0.0)]])
         queries = np.array([[3.0, 3.0], [50.0, 50.0], [0.0, 0.0]])
-        path = tmp_path / "truth.jsonl"
-        write_ground_truth_jsonl(path, ground_truth(POINTS, queries, c=5.0, p=2.0))
+        path = tmp_path / "audit.jsonl"
+        write_recall_jsonl(path, recall_report(index, POINTS, queries))
         assert path.read_bytes() == (
-            b'{"query_id": 0, "within_r": [1], "within_c": [0, 1], "nearest_id": 1, '
-            b'"nearest_distance": 1.0}\n'
-            b'{"query_id": 1, "within_r": [], "within_c": [], "nearest_id": 2, '
-            b'"nearest_distance": 60.8276253029822}\n'
-            b'{"query_id": 2, "within_r": [0], "within_c": [0, 1], "nearest_id": 0, '
-            b'"nearest_distance": 0.0}\n'
+            b'{"query_id": 0, "returned": [1, 2], "recall": 1.0, "precision": 0.5, '
+            b'"missing": [], "extraneous": [2], "candidates_scanned": 2}\n'
+            b'{"query_id": 1, "returned": [], "recall": 1.0, "precision": 1.0, '
+            b'"missing": [], "extraneous": [], "candidates_scanned": 0}\n'
+            b'{"query_id": 2, "returned": [0], "recall": 1.0, "precision": 1.0, '
+            b'"missing": [], "extraneous": [], "candidates_scanned": 1}\n'
         )
-
-    def test_ground_truth_round_trips(self, tmp_path):
-        truths = [
-            GroundTruth(0, np.array([1]), np.array([0, 1]), 1, 1.0),
-            GroundTruth(1, np.array([], dtype=np.int64), np.array([2]), 2, 3.5),
-        ]
-        path = tmp_path / "truth.jsonl"
-        write_ground_truth_jsonl(path, truths)
-        lines = path.read_text().splitlines()
-        assert len(lines) == 2
-        first = json.loads(lines[0])
-        assert first == {
-            "query_id": 0,
-            "within_r": [1],
-            "within_c": [0, 1],
-            "nearest_id": 1,
-            "nearest_distance": 1.0,
-        }
 
     def test_recall_round_trips(self, tmp_path):
         records = [
-            RecallRecord(3, (5,), np.array([5]), np.array([5, 6]), 1.0, 1.0, (), (), 9)
+            RecallRecord(3, (5,), 1.0, 1.0, (), (), 9)
         ]
         path = tmp_path / "audit.jsonl"
         write_recall_jsonl(path, records)

@@ -17,12 +17,11 @@ from hypothesis import strategies as st
 from floorlsh import families
 from floorlsh.families import (
     PROVEN_ADJACENCY_KINDS,
+    SQRT3,
     FamilyKind,
     HashFunction,
     adjacency_certificate,
     c_threshold,
-    cube_c_threshold,
-    cube_scale,
     false_positive_bound,
     hash_eval_matrix,
     hash_scale,
@@ -34,9 +33,7 @@ from floorlsh.families import (
     reach_bound,
     sample_pool,
     sample_vector,
-    sign_c_threshold,
-    sphere_c_threshold,
-    sphere_scale,
+    small_ball_bound,
 )
 from floorlsh.estimation import estimate_false_positive_rate, small_ball_curve
 from floorlsh.lpspace import dual_exponent, lp_distances, lp_norm, scalar_products
@@ -124,36 +121,128 @@ def _runs_openblas_kernels_by_coretype():
         features & {"X86_V3", "AVX2"})
 
 
-class TestHashScale:
-    def test_cube_and_sign_share_scale(self):
-        for p, d in [(1.0, 4), (2.0, 9), (math.inf, 16)]:
-            expected = cube_scale(p, d)
-            assert hash_scale(FamilyKind.UNIFORM_CUBE, p, d) == expected
-            assert hash_scale(FamilyKind.RADEMACHER, p, d) == expected
+LAW_EXPONENTS = (1.0, 1.5, 2.0, 3.0, math.inf)
+LAW_DIMENSIONS = (1, 2, 8, 64, 1000)
 
-    def test_sphere_scale(self):
-        assert hash_scale(FamilyKind.UNIT_SPHERE, 2.0, 9) == sphere_scale(2.0, 9)
-        assert hash_scale(FamilyKind.UNIT_SPHERE, math.inf, 9) == pytest.approx(
-            9 ** (-0.5)
-        )
 
-    def test_experimental_scale_is_one(self):
+def _closed_form_laws(kind, p, d):
+    """The scale and threshold of ``kind``, written out apart from the
+    package, in the exact expressions and order that fix their bits."""
+    q = math.inf if p == 1.0 else 1.0 if p == math.inf else p / (p - 1.0)
+    scale = {
+        FamilyKind.RADEMACHER: float(d) ** (1.0 / p - 1.0),
+        FamilyKind.UNIFORM_CUBE: float(d) ** (1.0 / p - 1.0),
+        FamilyKind.UNIT_SPHERE: float(d) ** min(0.5 - 1.0 / q, 0.0),
+    }.get(kind, 1.0)
+    threshold = {
+        FamilyKind.RADEMACHER: math.sqrt(8.0)
+        * max(float(d) ** 0.5, float(d) ** (1.0 - 1.0 / p)),
+        FamilyKind.UNIFORM_CUBE: 4.0 * math.sqrt(3.0) * float(d) ** max(1.0 - 1.0 / p, 0.5),
+        FamilyKind.UNIT_SPHERE: 2.0 * float(d) ** (0.5 + abs(0.5 - 1.0 / p)),
+    }.get(kind)
+    return scale, threshold
+
+
+#: Each family law called with one bad argument, and the words of its error.
+BAD_LAW_CALLS = {
+    "hash_scale p=nan": (lambda kind: hash_scale(kind, math.nan, 8), "norm exponent"),
+    "hash_scale p=0.5": (lambda kind: hash_scale(kind, 0.5, 8), "norm exponent"),
+    "hash_scale d=0": (lambda kind: hash_scale(kind, 2.0, 0), "dimension"),
+    "c_threshold p=nan": (lambda kind: c_threshold(kind, math.nan, 8), "norm exponent"),
+    "c_threshold p=0.5 d=-3": (lambda kind: c_threshold(kind, 0.5, -3), "norm exponent"),
+    "c_threshold d=-3": (lambda kind: c_threshold(kind, 2.0, -3), "dimension"),
+    "c_threshold d=nan": (lambda kind: c_threshold(kind, 2.0, math.nan), "dimension"),
+    "false_positive_bound p=nan": (
+        lambda kind: false_positive_bound(kind, math.nan, 8, 5.0), "norm exponent"
+    ),
+    "false_positive_bound d=0": (
+        lambda kind: false_positive_bound(kind, 2.0, 0, 5.0), "dimension"
+    ),
+    "false_positive_bound c=nan": (
+        lambda kind: false_positive_bound(kind, 2.0, 8, math.nan), "approximation factor"
+    ),
+    "false_positive_bound c=0": (
+        lambda kind: false_positive_bound(kind, 2.0, 8, 0.0), "approximation factor"
+    ),
+    "small_ball_bound alpha=nan": (lambda kind: small_ball_bound(kind, math.nan, 4, 1.0), "alpha"),
+    "small_ball_bound alpha=-0.1": (lambda kind: small_ball_bound(kind, -0.1, 4, 1.0), "alpha"),
+    "small_ball_bound d=-4": (lambda kind: small_ball_bound(kind, 0.1, -4, 1.0), "dimension"),
+    "small_ball_bound d=nan": (
+        lambda kind: small_ball_bound(kind, 0.1, math.nan, 1.0), "dimension"
+    ),
+    "small_ball_bound norm=-1": (
+        lambda kind: small_ball_bound(kind, 0.1, 4, -1.0), "nonzero finite norm"
+    ),
+    "small_ball_bound norm=nan": (
+        lambda kind: small_ball_bound(kind, 0.1, 4, math.nan), "nonzero finite norm"
+    ),
+}
+
+
+class TestLaws:
+    @pytest.mark.parametrize("d", LAW_DIMENSIONS)
+    @pytest.mark.parametrize("p", LAW_EXPONENTS)
+    @pytest.mark.parametrize("kind", list(FamilyKind))
+    def test_laws_are_the_closed_forms_bit_for_bit(self, kind, p, d):
+        scale, tau = _closed_form_laws(kind, p, d)
+        assert hash_scale(kind, p, d) == scale
+        assert c_threshold(kind, p, d) == tau
+        for c in (0.5, 5.0) if tau is None else (0.5 * tau, tau, 2.0 * tau, 4.0 * tau):
+            if tau is None:
+                expected = (None, None)
+            elif kind is FamilyKind.RADEMACHER:
+                expected = (None if c <= tau else 1.0 - (1.0 - tau / c) ** 2 / 2.0, tau)
+            else:
+                expected = (tau / c, tau)
+            assert false_positive_bound(kind, p, d, c) == expected
+        for alpha in (0.0, 0.05, 0.5, 2.0, math.inf):
+            for norm2 in (0.5, 1.0, math.sqrt(d), 1e3):
+                expected = {
+                    FamilyKind.UNIFORM_CUBE: 2.0 * math.sqrt(3.0) * alpha / norm2,
+                    FamilyKind.UNIT_SPHERE: alpha * math.sqrt(d) / norm2,
+                }.get(kind)
+                assert small_ball_bound(kind, alpha, d, norm2) == expected
+
+    def test_hand_values(self):
+        cube, sphere, sign = FamilyKind.UNIFORM_CUBE, FamilyKind.UNIT_SPHERE, FamilyKind.RADEMACHER
+        for kind in (cube, sign):
+            assert hash_scale(kind, 2.0, 4) == pytest.approx(4 ** (-0.5))
+            assert hash_scale(kind, 1.0, 4) == pytest.approx(1.0)
+            assert hash_scale(kind, math.inf, 4) == pytest.approx(0.25)
+        # the sphere scale is the sandwich factor of the dual exponent
+        assert hash_scale(sphere, 2.0, 4) == 1.0
+        assert hash_scale(sphere, math.inf, 9) == pytest.approx(9 ** (-0.5))
+        assert hash_scale(sphere, 1.0, 9) == 1.0
         assert hash_scale(FamilyKind.LQ_SPHERE_EXPERIMENTAL, 1.5, 8) == 1.0
+        assert c_threshold(cube, 2.0, 4) == pytest.approx(8 * SQRT3)
+        assert c_threshold(cube, 1.0, 4) == pytest.approx(8 * SQRT3)
+        assert c_threshold(cube, math.inf, 4) == pytest.approx(16 * SQRT3)
+        assert c_threshold(sphere, 2.0, 4) == pytest.approx(4.0)
+        assert c_threshold(sphere, math.inf, 4) == pytest.approx(8.0)
+        assert c_threshold(sign, 2.0, 4) == pytest.approx(math.sqrt(8) * 2)
+        assert c_threshold(sign, math.inf, 4) == pytest.approx(math.sqrt(8) * 4)
+        assert c_threshold(FamilyKind.LQ_SPHERE_EXPERIMENTAL, 2.0, 4) is None
+
+    @given(EXPONENTS, st.integers(min_value=1, max_value=4096))
+    @settings(deadline=2000)
+    def test_thresholds_positive_and_growing(self, p, d):
+        for kind in PROVEN_ADJACENCY_KINDS:
+            assert c_threshold(kind, p, d) > 0.0
+            assert c_threshold(kind, p, 4 * d) > c_threshold(kind, p, d)
+
+    @pytest.mark.parametrize("call", list(BAD_LAW_CALLS))
+    @pytest.mark.parametrize("kind", list(FamilyKind))
+    def test_every_law_rejects_a_bad_argument_for_every_family(self, kind, call):
+        """Each check is written so that NaN fails it, and the experimental
+        family is checked like the others."""
+        law, message = BAD_LAW_CALLS[call]
+        with pytest.raises(ValueError, match=message):
+            law(kind)
 
 
 class TestThresholdsAndBounds:
-    def test_c_threshold_dispatch(self):
-        assert c_threshold(FamilyKind.UNIFORM_CUBE, 2.0, 4) == cube_c_threshold(
-            2.0, 4
-        )
-        assert c_threshold(FamilyKind.UNIT_SPHERE, 2.0, 4) == sphere_c_threshold(
-            2.0, 4
-        )
-        assert c_threshold(FamilyKind.RADEMACHER, 2.0, 4) == sign_c_threshold(2.0, 4)
-        assert c_threshold(FamilyKind.LQ_SPHERE_EXPERIMENTAL, 2.0, 4) is None
-
     def test_cube_bound_is_threshold_over_c(self):
-        tau = cube_c_threshold(2.0, 16)
+        tau = c_threshold(FamilyKind.UNIFORM_CUBE, 2.0, 16)
         bound, threshold = false_positive_bound(
             FamilyKind.UNIFORM_CUBE, 2.0, 16, 4 * tau
         )
@@ -161,17 +250,17 @@ class TestThresholdsAndBounds:
         assert bound == pytest.approx(0.25)
 
     def test_sphere_bound_is_threshold_over_c(self):
-        tau = sphere_c_threshold(math.inf, 16)
+        tau = c_threshold(FamilyKind.UNIT_SPHERE, math.inf, 16)
         bound, _ = false_positive_bound(FamilyKind.UNIT_SPHERE, math.inf, 16, 10 * tau)
         assert bound == pytest.approx(0.1)
 
     def test_sign_bound_formula(self):
-        tau = sign_c_threshold(2.0, 16)
+        tau = c_threshold(FamilyKind.RADEMACHER, 2.0, 16)
         bound, _ = false_positive_bound(FamilyKind.RADEMACHER, 2.0, 16, 2 * tau)
         assert bound == pytest.approx(1.0 - (1.0 - 0.5) ** 2 / 2.0)
 
     def test_sign_bound_vacuous_below_threshold(self):
-        tau = sign_c_threshold(2.0, 16)
+        tau = c_threshold(FamilyKind.RADEMACHER, 2.0, 16)
         bound, threshold = false_positive_bound(
             FamilyKind.RADEMACHER, 2.0, 16, 0.5 * tau
         )
@@ -364,7 +453,7 @@ class TestHashEval:
             d=2,
             seed=0,
             w=np.array([-1.0, -1.0]),
-            scale=cube_scale(2.0, 2),
+            scale=hash_scale(FamilyKind.RADEMACHER, 2.0, 2),
         )
         # scale = 2^{-1/2}; dot = -1.2; floor(-0.8485...) = -1
         assert hash_eval_matrix(h.w[None, :], h.scale, np.array([[0.6, 0.6]])) == -1

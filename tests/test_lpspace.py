@@ -1,4 +1,4 @@
-"""Tests for norms, duality, thresholds, and the spherical cap law.
+"""Tests for norms, duality, rounding bounds, and the spherical cap law.
 
 Reference values are closed forms frozen in the assertions: the arcsine law
 at d = 2, the identity at d = 3, and B(1/2, (d-1)/2) at d = 2, 3, 4.  The
@@ -15,22 +15,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from floorlsh.lpspace import (
-    SQRT3,
     beta_function_half,
     beta_lower_bound_margin,
     cap_probability,
+    check_dimension,
     check_exponent,
-    cube_c_threshold,
-    cube_scale,
     distance_error,
     dual_exponent,
     lp_distances,
     lp_norm,
     rounding_gamma,
     norm_sandwich_factor,
-    sign_c_threshold,
-    sphere_c_threshold,
-    sphere_scale,
 )
 
 EXPONENTS = st.one_of(
@@ -50,6 +45,17 @@ class TestCheckExponent:
     def test_rejects_invalid(self, p):
         with pytest.raises(ValueError):
             check_exponent(p)
+
+
+class TestCheckDimension:
+    def test_accepts_a_dimension_at_the_least(self):
+        check_dimension(1)
+        check_dimension(2, 2)
+
+    @pytest.mark.parametrize("d, least", [(0, 1), (-3, 1), (math.nan, 1), (1, 2)])
+    def test_rejects_a_dimension_below_the_least(self, d, least):
+        with pytest.raises(ValueError, match=f"dimension must be >= {least}"):
+            check_dimension(d, least)
 
 
 class TestLpNorm:
@@ -245,7 +251,7 @@ class TestNormSandwich:
     @given(VECTORS, EXPONENTS)
     @settings(deadline=2000)
     def test_sandwich_holds_for_nonzero(self, z, p):
-        """The comparison inequality that sphere_scale relies on:
+        """The comparison inequality that the unit-sphere scale relies on:
         ||z||_p * factor(p) <= ||z||_2 <= ||z||_p / factor(dual of p)."""
         norm_2 = lp_norm(z, 2.0)
         if norm_2 == 0.0:
@@ -254,35 +260,6 @@ class TestNormSandwich:
         slack = 1e-9 * norm_2
         assert norm_p * norm_sandwich_factor(p, z.size) <= norm_2 + slack
         assert norm_2 <= norm_p / norm_sandwich_factor(dual_exponent(p), z.size) + slack
-
-
-class TestScalesAndThresholds:
-    def test_cube_scale(self):
-        assert cube_scale(2.0, 4) == pytest.approx(4 ** (-0.5))
-        assert cube_scale(1.0, 4) == pytest.approx(1.0)
-        assert cube_scale(math.inf, 4) == pytest.approx(0.25)
-
-    def test_sphere_scale(self):
-        # scale is the sandwich factor of the dual exponent
-        assert sphere_scale(2.0, 4) == 1.0
-        assert sphere_scale(math.inf, 9) == pytest.approx(9 ** (-0.5))
-        assert sphere_scale(1.0, 9) == 1.0
-
-    def test_threshold_hand_values(self):
-        assert cube_c_threshold(2.0, 4) == pytest.approx(8 * SQRT3)
-        assert cube_c_threshold(1.0, 4) == pytest.approx(8 * SQRT3)
-        assert cube_c_threshold(math.inf, 4) == pytest.approx(16 * SQRT3)
-        assert sphere_c_threshold(2.0, 4) == pytest.approx(4.0)
-        assert sphere_c_threshold(math.inf, 4) == pytest.approx(8.0)
-        assert sign_c_threshold(2.0, 4) == pytest.approx(math.sqrt(8) * 2)
-        assert sign_c_threshold(math.inf, 4) == pytest.approx(math.sqrt(8) * 4)
-
-    @given(EXPONENTS, st.integers(min_value=1, max_value=4096))
-    @settings(deadline=2000)
-    def test_thresholds_positive_and_growing(self, p, d):
-        for threshold in (cube_c_threshold, sphere_c_threshold, sign_c_threshold):
-            assert threshold(p, d) > 0.0
-            assert threshold(p, 4 * d) > threshold(p, d)
 
 
 class TestBetaFunctionHalf:
