@@ -4,7 +4,7 @@ benchmarking, and manifest-driven replay.
 ``build_parser`` is the one declaration of every option: its name, type and
 default.  The parsed namespace is the parameter set a runner reads, and
 every command writes ``<out>.manifest.json`` recording that set together
-with the values the run resolved from it (the canonical dataset shape, the
+with the values the run resolved from it (the planted pairs' truth path, the
 factor ``c``, the level count, a dataset's ``n``/``d``/``p``).  ``replay``
 turns a manifest's parameters back into ``--flag=value`` arguments and
 parses them with the same parser, so a replayed run is typed and checked
@@ -51,7 +51,6 @@ from .estimation import (
     FarPairShape,
     LEVY_COLUMNS,
     conjecture_probe,
-    conjecture_record,
     estimate_false_positive_rate,
     false_positive_record,
     levy_concentration,
@@ -89,16 +88,6 @@ BENCH_COLUMNS = (
     "entries",
     "unique_buckets",
 )
-
-_SHAPE_ALIASES = {
-    "gaussian": "gaussian",
-    "uniform_cube": "uniform_cube",
-    "uniform_cube_points": "uniform_cube",
-    "planted_pairs": "planted_pairs",
-    "far_ring": "far_ring",
-    "near_queries": "near_queries",
-}
-
 
 def _comma_list(convert):
     """Argparse type: a nonempty comma-separated list of ``convert`` values."""
@@ -150,10 +139,10 @@ def _write_manifest(
 
 
 def run_gen_data(params: dict) -> int:
-    shape = _SHAPE_ALIASES[params["shape"]]
+    shape = params["shape"]
     n, d, seed, out = params["n"], params["d"], params["seed"], params["out"]
     p = check_exponent(params["p"])
-    resolved = {**params, "shape": shape, "p": p}
+    resolved = {**params, "p": p}
 
     if shape in {"gaussian", "uniform_cube"}:
         maker = gaussian_points if shape == "gaussian" else uniform_cube_points
@@ -300,7 +289,7 @@ def run_probe_conjecture(params: dict) -> int:
         rows = conjecture_probe(
             q, d, params["epsilons"], params["trials"], params["seed"]
         )
-        records.extend(conjecture_record(row) for row in rows)
+        records.extend(map(dataclasses.asdict, rows))
     paths = write_table(params["out"], params["format"], CONJECTURE_COLUMNS, records)
     _write_manifest(params["out"], "probe-conjecture", params)
     max_ratio = max((record["ratio"] for record in records), default=0.0)
@@ -389,7 +378,7 @@ def run_build(params: dict) -> int:
     print(
         f"build: {n} points, levels={index.levels}, entries={stats.entries} "
         f"({stats.entries / n:.4g} per point), unique_buckets={stats.unique_buckets}, "
-        f"reach=[{reach}], c={c:.6g} (threshold {index.config.c_threshold:.6g}) -> {out}"
+        f"reach=[{reach}], c={c:.6g} (threshold {c_threshold(kind, p, d):.6g}) -> {out}"
     )
     return 0
 
@@ -621,7 +610,8 @@ def build_parser(allow_abbrev: bool = True) -> argparse.ArgumentParser:
         "gen-data", help="generate a dataset or query file in the text format"
     )
     gen.add_argument(
-        "--shape", required=True, choices=sorted(_SHAPE_ALIASES),
+        "--shape", required=True,
+        choices=("far_ring", "gaussian", "near_queries", "planted_pairs", "uniform_cube"),
         help="dataset shape",
     )
     gen.add_argument("--n", type=int, required=True, help="number of points")

@@ -75,8 +75,15 @@ def read_points(path: str | Path) -> tuple[np.ndarray, float]:
     return points, p
 
 
+def _check_count(n: int) -> None:
+    """Validate a generator's point count n: raise unless n >= 0."""
+    if not n >= 0:
+        raise ValueError(f"point count n must be nonnegative, got {n}")
+
+
 def gaussian_points(n: int, d: int, seed: int, scale: float = 1.0) -> np.ndarray:
     """n standard Gaussian points scaled by ``scale``."""
+    _check_count(n)
     check_dimension(d)
     with np.errstate(over="ignore"):
         points = stream(seed, _STREAM_POINTS).standard_normal((n, d)) * scale
@@ -87,6 +94,7 @@ def gaussian_points(n: int, d: int, seed: int, scale: float = 1.0) -> np.ndarray
 
 def uniform_cube_points(n: int, d: int, seed: int, scale: float = 1.0) -> np.ndarray:
     """n points uniform on the cube (-scale, scale)^d."""
+    _check_count(n)
     check_dimension(d)
     # a draw is -scale plus a fraction of the width 2 * scale, so every
     # coordinate is finite exactly when the width is
@@ -123,6 +131,7 @@ def planted_pairs_dataset(
     Layout: rows [0, n_pairs) are anchors, [n_pairs, 2 * n_pairs) their
     partners, the rest background drawn with standard deviation ``spread``.
     """
+    _check_count(n)
     p = check_exponent(p)
     if n_pairs < 0:
         raise ValueError("n_pairs must be nonnegative")
@@ -161,6 +170,7 @@ def far_ring_dataset(
     strictly farther than c from every query, which isolates false-positive
     scanning: no query has any point to return.
     """
+    _check_count(n)
     p = check_exponent(p)
     if not 0.0 < c < math.inf:
         raise ValueError(f"c must be positive and finite, got {c}")
@@ -175,6 +185,7 @@ def near_origin_queries(
     n: int, d: int, p: float, c: float, seed: int, max_norm_factor: float = 0.04
 ) -> np.ndarray:
     """n query points with l_p norm at most ``max_norm_factor * c``."""
+    _check_count(n)
     p = check_exponent(p)
     if not 0.0 < c < math.inf:
         raise ValueError(f"c must be positive and finite, got {c}")

@@ -9,22 +9,22 @@ grid of thresholds share that pass (coupled sampling), which makes
 empirical curves exactly monotone in the threshold and makes the exact
 collision event a pointwise subset of its dominating event.
 
-Uncertainty is reported as exact two-sided 99% Clopper-Pearson intervals;
-a theoretical bound is *violated* only when the lower confidence limit
-clears it, never on the point estimate alone.  The bounds themselves are
-the family laws of :mod:`floorlsh.families`.
+Uncertainty is reported as exact two-sided 99% Clopper-Pearson intervals,
+whose ``scipy.special`` quantiles are imported on the first interval, not
+with the module; a theoretical bound is *violated* only when the lower
+confidence limit clears it, never on the point estimate alone.  The bounds
+themselves are the family laws of :mod:`floorlsh.families`.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.special import betaincinv
 
 from .families import (
     FamilyKind,
@@ -53,6 +53,8 @@ def clopper_pearson(hits: int, trials: int, confidence: float = 0.99) -> tuple[f
     Returns:
         (ci_low, ci_high) with ci_low <= hits/trials <= ci_high.
     """
+    from scipy.special import betaincinv  # loaded on first use: the index never needs it
+
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not 0 <= hits <= trials:
@@ -255,7 +257,6 @@ class FalsePositiveEstimate(_BoundVerdict):
     dominating_ci_low: float
     dominating_ci_high: float
     bound: float | None
-    c_threshold: float | None
     pair_distance: float
 
 
@@ -340,7 +341,6 @@ def estimate_false_positive_rate(
         dominating_ci_low=dom_low,
         dominating_ci_high=dom_high,
         bound=bound,
-        c_threshold=threshold,
         pair_distance=distance,
     )
 
@@ -424,40 +424,21 @@ CONJECTURE_COLUMNS = ("q", "d", "epsilon", "trials", "hits", "p_hat", "ratio")
 LEVY_COLUMNS = ("d", "lam", "trials", "q_hat", "bound", "sigma")
 
 
+def _bound_record(estimate, p: float | None, alpha_or_c: float, p_hat: float) -> dict:
+    """An estimate as a row of :data:`BOUND_COLUMNS`, given the three values
+    in which the small-ball and false-positive rows differ."""
+    values = (
+        estimate.kind.value, p, estimate.d, alpha_or_c, estimate.trials, estimate.hits,
+        p_hat, estimate.ci_low, estimate.ci_high, estimate.bound, estimate.vacuous,
+    )
+    return dict(zip(BOUND_COLUMNS, values, strict=True))
+
+
 def small_ball_record(estimate: AntiConcEstimate) -> dict:
     """Flatten a small-ball estimate into the shared bound-row schema."""
-    return {
-        "kind": estimate.kind.value,
-        "p": None,
-        "d": estimate.d,
-        "alpha_or_c": estimate.alpha,
-        "trials": estimate.trials,
-        "hits": estimate.hits,
-        "p_hat": estimate.p_hat,
-        "ci_low": estimate.ci_low,
-        "ci_high": estimate.ci_high,
-        "bound": estimate.bound,
-        "vacuous": estimate.vacuous,
-    }
+    return _bound_record(estimate, None, estimate.alpha, estimate.p_hat)
 
 
 def false_positive_record(estimate: FalsePositiveEstimate) -> dict:
     """Flatten a false-positive estimate into the shared bound-row schema."""
-    return {
-        "kind": estimate.kind.value,
-        "p": estimate.p,
-        "d": estimate.d,
-        "alpha_or_c": estimate.c,
-        "trials": estimate.trials,
-        "hits": estimate.hits,
-        "p_hat": estimate.p_fp_hat,
-        "ci_low": estimate.ci_low,
-        "ci_high": estimate.ci_high,
-        "bound": estimate.bound,
-        "vacuous": estimate.vacuous,
-    }
-
-
-def conjecture_record(row: ConjectureRow) -> dict:
-    """A conjecture row's fields, which are the conjecture columns."""
-    return asdict(row)
+    return _bound_record(estimate, estimate.p, estimate.c, estimate.p_fp_hat)

@@ -18,6 +18,9 @@ import numpy as np
 from .data import write_jsonl
 from .lpspace import lp_distances
 
+#: The radius r of the index's contract: every point within r is returned.
+_R = 1.0
+
 
 def range_search_exact(
     points: np.ndarray, query: np.ndarray, radius: float, p: float
@@ -37,7 +40,7 @@ def range_search_exact(
 class GroundTruth:
     """Exact neighborhoods of one query.
 
-    ``within_r`` are the must-return ids (distance <= r), ``within_c`` the
+    ``within_r`` are the must-return ids (distance <= r = 1), ``within_c`` the
     acceptable ids (distance <= c), each a sorted, read-only int64 array.
     """
 
@@ -46,22 +49,16 @@ class GroundTruth:
     within_c: np.ndarray
 
 
-def ground_truth(
-    points: np.ndarray,
-    queries: np.ndarray,
-    c: float,
-    p: float,
-    r: float = 1.0,
-) -> list[GroundTruth]:
+def ground_truth(points: np.ndarray, queries: np.ndarray, c: float, p: float) -> list[GroundTruth]:
     """Exact neighborhoods for every query row."""
-    if not c >= r:
-        raise ValueError(f"approximation factor c={c} must be >= r={r}")
+    if not c >= _R:
+        raise ValueError(f"approximation factor c={c} must be >= r={_R}")
     points = np.asarray(points, dtype=np.float64)
     queries = np.asarray(queries, dtype=np.float64)
     truths = []
     for query_id, query in enumerate(queries):
         distances = lp_distances(points, query, p)
-        within_r = np.flatnonzero(distances <= r)
+        within_r = np.flatnonzero(distances <= _R)
         within_c = np.flatnonzero(distances <= c)
         within_r.flags.writeable = within_c.flags.writeable = False
         truths.append(GroundTruth(query_id=query_id, within_r=within_r, within_c=within_c))

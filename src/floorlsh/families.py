@@ -199,20 +199,26 @@ class HashFunction:
         )
 
 
-def lp_sphere_block(rng: np.random.Generator, d: int, q: float, rows: int) -> np.ndarray:
-    """Draw ``rows`` cone-measure points on the unit l_q sphere in R^d.
+def lp_sphere_block(
+    rng: np.random.Generator, d: int, q: float, rows: int, block: int = 0
+) -> np.ndarray:
+    """Draw ``rows`` cone-measure points on the unit l_q sphere in R^d: the
+    first ``rows`` of a draw of ``max(rows, block)`` rows.
 
     Coordinates start as generalized-Gaussian draws with density
     proportional to exp(-|t|^q) (uniform on (-1, 1) at q = inf), then each
     row is normalized to unit l_q norm; the resulting direction law is the
     cone measure of the sphere.  At q = 2 this is the uniform direction.
+    A finite q draws the signs of the whole block before any magnitude, so
+    the first rows of a block cost all its signs but only their own
+    magnitudes and normalizations.
     """
     q = check_exponent(q)
     check_dimension(d)
     if math.isinf(q):
         g = rng.uniform(-1.0, 1.0, size=(rows, d))
         return np.divide(g, np.max(np.abs(g), axis=1, keepdims=True), out=g)
-    g = rng.integers(0, 2, size=(rows, d)) * 2.0  # the signs, then in place
+    g = rng.integers(0, 2, size=(max(rows, block), d))[:rows] * 2.0  # the signs, then in place
     g -= 1.0
     magnitudes = rng.standard_gamma(1.0 / q, size=(rows, d))
     magnitudes **= 1.0 / q
@@ -232,8 +238,8 @@ def _fill_chunk(kind: FamilyKind, rows: np.ndarray, rng: np.random.Generator, q:
     block's substream.  Single-phase draws are prefix-stable, so a partial
     block draws only its own rows."""
     if kind is FamilyKind.LQ_SPHERE_EXPERIMENTAL:
-        # signs, then magnitudes: prefix-stable only at the fixed block shape
-        rows[...] = lp_sphere_block(rng, rows.shape[1], q, _POOL_BLOCK_ROWS)[: len(rows)]
+        # all of a block's signs come first, so a partial block draws them all
+        rows[...] = lp_sphere_block(rng, rows.shape[1], q, len(rows), _POOL_BLOCK_ROWS)
         return
     if kind is FamilyKind.RADEMACHER:
         rows[...] = rng.integers(0, 2, size=rows.shape)

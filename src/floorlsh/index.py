@@ -107,15 +107,14 @@ class Variant(str, Enum):
     FAST_PREPROCESSING = "fast_preprocessing"
 
 
-_KIND_TAGS = {
-    FamilyKind.RADEMACHER: 0,
-    FamilyKind.UNIFORM_CUBE: 1,
-    FamilyKind.UNIT_SPHERE: 2,
-    FamilyKind.LQ_SPHERE_EXPERIMENTAL: 3,
-}
-_TAG_KINDS = {tag: kind for kind, tag in _KIND_TAGS.items()}
-_VARIANT_TAGS = {Variant.FAST_QUERY: 0, Variant.FAST_PREPROCESSING: 1}
-_TAG_VARIANTS = {tag: variant for variant, tag in _VARIANT_TAGS.items()}
+#: An image's family and variant tags: each tag is a position in its tuple.
+_KIND_TAGS = (
+    FamilyKind.RADEMACHER,
+    FamilyKind.UNIFORM_CUBE,
+    FamilyKind.UNIT_SPHERE,
+    FamilyKind.LQ_SPHERE_EXPERIMENTAL,
+)
+_VARIANT_TAGS = (Variant.FAST_QUERY, Variant.FAST_PREPROCESSING)
 
 @dataclass(frozen=True)
 class IndexConfig:
@@ -167,18 +166,13 @@ class IndexConfig:
             raise ValueError("master_seed must be a 64-bit unsigned integer")
         if self.max_entries < 1:
             raise ValueError("max_entries must be positive")
-        threshold = self.c_threshold
+        threshold = c_threshold(self.kind, self.p, self.d)
         if self.c <= threshold and not self.unsafe_override:
             raise ValueError(
                 f"approximation factor c={self.c} is at or below the "
                 f"{self.kind.value} threshold {threshold}; the false-positive "
                 "bound would be vacuous (set unsafe_override to force)"
             )
-
-    @property
-    def c_threshold(self) -> float:
-        """Family threshold on c for this (kind, p, d)."""
-        return c_threshold(self.kind, self.p, self.d)
 
     @property
     def false_positive_bound(self) -> float | None:
@@ -316,7 +310,6 @@ class _Fingerprinter:
             [derive_seed(master_seed, base + 2 + 2 * i) | 1 for i in range(levels)],
             dtype=np.uint64,
         )
-        self._mults = self.mults[:, None]
 
     def fold(
         self, lo: np.ndarray, counts: np.ndarray
@@ -354,12 +347,12 @@ class _Fingerprinter:
                     # one label per level: the key is one XOR over the levels,
                     # laid out level by level so that it reduces whole rows
                     own = np.multiply(first[start : start + block].T.view(np.uint64),
-                                      self._mults, order="C")
+                                      self.mults[:, None], order="C")
                     yield rows, np.bitwise_xor.reduce(_mix64(own ^ self.init))[:, None]
                     continue
                 labels = first[start : start + block, :, None] + np.arange(max(widths))
                 # mixed[r, l, j]: row r's level-l label lo + j, mixed
-                mixed = _mix64((labels.view(np.uint64) * self._mults) ^ self.init)
+                mixed = _mix64((labels.view(np.uint64) * self.mults[:, None]) ^ self.init)
                 keys = mixed[:, 0, : widths[0]]
                 for level in range(1, levels):
                     step = mixed[:, level, None, : widths[level]]
@@ -581,8 +574,8 @@ class LshIndex:
             _BLOCK.pack(
                 p_tag,
                 0.0 if p_tag else float(config.p),
-                _KIND_TAGS[config.kind],
-                _VARIANT_TAGS[config.variant],
+                _KIND_TAGS.index(config.kind),
+                _VARIANT_TAGS.index(config.variant),
                 config.d,
                 config.c,
                 self.levels,
@@ -652,16 +645,16 @@ class LshIndex:
             max_entries,
             n,
         ) = _BLOCK.unpack_from(payload, 0)
-        if kind_tag not in _TAG_KINDS:
+        if kind_tag >= len(_KIND_TAGS):
             raise ValueError(f"index image has unknown family tag {kind_tag}")
-        if variant_tag not in _TAG_VARIANTS:
+        if variant_tag >= len(_VARIANT_TAGS):
             raise ValueError(f"index image has unknown variant tag {variant_tag}")
         config = IndexConfig(
             p=math.inf if p_tag else p_value,
             d=d,
             c=c,
-            kind=_TAG_KINDS[kind_tag],
-            variant=_TAG_VARIANTS[variant_tag],
+            kind=_KIND_TAGS[kind_tag],
+            variant=_VARIANT_TAGS[variant_tag],
             levels=levels,
             master_seed=master_seed,
             unsafe_override=bool(unsafe),

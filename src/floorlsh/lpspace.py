@@ -5,7 +5,9 @@ dual exponent, the norm-comparison constants relating l_p norms to the
 Euclidean norm, the rounding bounds of computed norms, and the exact
 spherical cap probability, the Beta(1/2, (d-1)/2) law evaluated by
 ``scipy.special``, live here.  The per-family laws built on them (scales,
-thresholds and bounds) live in :mod:`floorlsh.families`.
+thresholds and bounds) live in :mod:`floorlsh.families`.  ``scipy`` is
+imported on the first call of a Beta function, not with the module, so
+importing the package and running the index commands load none of it.
 
 Exponents are plain floats; ``math.inf`` is the max norm.  Exponent
 arithmetic (``1/p``, ``1 - 1/p``) is exact for the anchor values 1, 2 and
@@ -17,7 +19,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special
 
 #: Smallest Euclidean norm whose square is a normal double (2^-511).
 SQRT_TINY = math.sqrt(np.finfo(np.float64).tiny)
@@ -172,6 +173,8 @@ def norm_sandwich_factor(s: float, d: int) -> float:
 
 def beta_function_half(d: int) -> float:
     """B(1/2, (d - 1)/2)."""
+    from scipy import special  # loaded on first use: the index never needs it
+
     check_dimension(d, 2)
     return float(special.beta(0.5, (d - 1.0) / 2.0))
 
@@ -191,6 +194,8 @@ def cap_probability(alpha: float, d: int) -> float:
     Returns:
         The two-sided cap probability in [0, 1].
     """
+    from scipy import special  # loaded on first use: the index never needs it
+
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
     check_dimension(d, 2)

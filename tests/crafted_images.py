@@ -34,6 +34,14 @@ def image(fields, points, digest):
     ) + payload
 
 
+def restated(blob, version):
+    """``blob`` with its header stating format ``version``; the checksum
+    covers the payload alone, so it still holds."""
+    magic, _, length, digest = index_module._HEADER.unpack_from(blob)
+    header = index_module._HEADER.pack(magic, version, length, digest)
+    return header + blob[index_module._HEADER.size :]
+
+
 def retagged(blob, field, tag):
     """``blob`` with its family (``field`` 0) or variant (``field`` 1) tag
     set to ``tag`` and the checksum recomputed, so only the tag is bad."""
@@ -58,9 +66,11 @@ CONTRADICTIONS = [
     (lambda fields, points, digest: (fields, points * 1e300, digest), "points reach .* 2\\^53"),
     (lambda fields, points, digest: (fields[:9] + [1] + fields[10:], points, digest),
      "above the max_entries guard of 1"),
+    (lambda fields, points, digest: (fields, points, digest + bytes(8)),
+     "trailing or missing bytes"),
 ]
 CONTRADICTION_IDS = ["no-points", "vector-digest", "seed-changed", "levels-max", "points-nan",
-                     "points-far", "entry-guard"]
+                     "points-far", "entry-guard", "trailing-bytes"]
 
 
 def limit_draws(monkeypatch):

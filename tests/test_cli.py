@@ -16,6 +16,7 @@ from crafted_images import (
     CONTRADICTIONS,
     contradicting,
     limit_draws,
+    restated,
     retagged,
 )
 
@@ -469,15 +470,25 @@ class TestBuildQueryAudit:
         assert code == 2
         assert f"unknown {message} 7" in capsys.readouterr().err
 
+    def test_an_image_stating_another_version_is_a_usage_error(self, tmp_path, capsys):
+        dataset = _gen_gaussian(tmp_path)
+        index_path = self._build(tmp_path, dataset)
+        index_path.write_bytes(restated(index_path.read_bytes(), 9))
+        code = main(["query", "--index", str(index_path), "--queries", str(dataset),
+                     "--out", str(tmp_path / "r.jsonl")])
+        assert code == 2
+        assert "unsupported index image version 9" in capsys.readouterr().err
+        assert not (tmp_path / "r.jsonl").exists()
+
     @pytest.mark.parametrize("craft, message", CONTRADICTIONS, ids=CONTRADICTION_IDS)
     def test_an_image_that_contradicts_itself_is_a_usage_error(
         self, tmp_path, capsys, monkeypatch, craft, message
     ):
         """A checksummed image with no points, with a digest of other hash
         vectors than its seeds draw (a changed digest or seed), with more
-        levels than the cap, with points a build would refuse or with more
-        entries than its own max_entries guard is rejected on load, not at
-        query time."""
+        levels than the cap, with points a build would refuse, with more
+        entries than its own max_entries guard or with bytes after its
+        digest is rejected on load, not at query time."""
         dataset = _gen_gaussian(tmp_path)
         index_path = self._build(tmp_path, dataset)
         index_path.write_bytes(contradicting(index_path.read_bytes(), craft))
@@ -486,6 +497,16 @@ class TestBuildQueryAudit:
                      "--out", str(tmp_path / "r.jsonl")])
         assert code == 2
         assert re.search(message, capsys.readouterr().err)
+        assert not (tmp_path / "r.jsonl").exists()
+
+    def test_a_query_file_of_another_dimension_is_a_usage_error(self, tmp_path, capsys):
+        dataset = _gen_gaussian(tmp_path)
+        index_path = self._build(tmp_path, dataset)
+        queries = _gen_gaussian(tmp_path, name="q5.txt", n=3, d=5)
+        code = main(["query", "--index", str(index_path), "--queries", str(queries),
+                     "--out", str(tmp_path / "r.jsonl")])
+        assert code == 2
+        assert "query dimension 5 != index dimension 6" in capsys.readouterr().err
         assert not (tmp_path / "r.jsonl").exists()
 
     def test_mismatched_norms_are_a_usage_error(self, tmp_path, capsys):
@@ -531,9 +552,10 @@ _GEN = "gen-data --n 20 --d 3 --p 2 --seed 0 --out {out}/g.txt"
 _VERIFY = "verify-bounds --ds 4 --trials 100 --seeds 0 --out {out}/v.csv"
 
 #: Command lines that pass NaN (or an infinity where only finite values
-#: make sense, a scale that makes generated coordinates overflow, or a
-#: dimension below 1) to a range check, each of which must fail before
-#: anything is written.
+#: make sense, a scale that makes generated coordinates overflow, a
+#: dimension below 1, a negative point count, or no --c where a shape needs
+#: one) to a range check, each of which must fail before anything is
+#: written.
 _NAN_RUNS = {
     "build --c": "build --dataset {data} --c nan --levels 2 --master-seed 0 "
     "--out {out}/x.bin",
@@ -566,6 +588,12 @@ _NAN_RUNS = {
     "--seed 0 --pairs 4 --out {out}/g.txt",
     "gen-data far_ring --d 0": f"{_GEN} --shape far_ring --c 5 --d 0",
     "gen-data near_queries --d 0": f"{_GEN} --shape near_queries --c 5 --d 0",
+    "gen-data gaussian --n -1": f"{_GEN} --shape gaussian --n -1",
+    "gen-data cube --n -1": f"{_GEN} --shape uniform_cube --n -1",
+    "gen-data planted_pairs --n -1": f"{_GEN} --shape planted_pairs --pairs 4 --n -1",
+    "gen-data far_ring --n -1": f"{_GEN} --shape far_ring --c 5 --n -1",
+    "gen-data near_queries --n -1": f"{_GEN} --shape near_queries --c 5 --n -1",
+    "gen-data far_ring without --c": f"{_GEN} --shape far_ring",
 }
 
 
@@ -580,6 +608,19 @@ def test_a_nan_value_is_a_usage_error_that_writes_nothing(name, tmp_path, capsys
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "ds, message",
+    [(",", "expected a nonempty comma-separated list"), ("2,x", "invalid literal for int")],
+)
+def test_a_malformed_list_is_a_usage_error_that_writes_nothing(ds, message, tmp_path, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["levy", "--ds", ds, "--trials", "100", "--seed", "0",
+              "--out", str(tmp_path / "l.csv")])
+    assert excinfo.value.code == 2
+    assert f"argument --ds: {message}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 class TestBenchIndex:
@@ -738,6 +779,10 @@ def _floorlsh(*args):
 
 DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+BENCHMARK_WORKLOADS = [
+    workload["name"]
+    for workload in json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())["workloads"]
+]
 
 
 class TestEntryPoints:
@@ -758,6 +803,17 @@ class TestEntryPoints:
             "-c",
             "import sys, floorlsh, floorlsh.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'stats']))",
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
+
+    def test_import_leaves_scipy_unloaded(self):
+        """The index commands need nothing from scipy; the intervals and the
+        cap law import ``scipy.special`` on first use."""
+        result = _python(
+            "-c",
+            "import sys, floorlsh, floorlsh.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[]"
@@ -786,6 +842,23 @@ class TestEntryPoints:
             for part in name[1:].split("."):
                 assert hasattr(target, part), f"F{name}"
                 target = getattr(target, part)
+
+    @pytest.mark.parametrize("workload", BENCHMARK_WORKLOADS)
+    def test_one_traced_round_of_each_benchmark_workload_passes(self, workload):
+        """The benchmark also reads attributes off what the package returns
+        (index counts, query stats, estimate fields), which the name check
+        above cannot see.  One traced round reads all of them and checks
+        every answer against the benchmark's own oracle; it writes only to
+        the ignored ``perfbench/out/``."""
+        result = subprocess.run(
+            [sys.executable, str(PERFBENCH / "run.py"), "--workload", workload,
+             "--seed", "1", "--seconds", "0", "--trace", "1"],
+            capture_output=True, text=True, cwd=PERFBENCH.parent,
+        )
+        assert result.returncode == 0, result.stderr
+        outcome = json.loads(result.stdout.splitlines()[-1])
+        assert outcome["correct"] is True, result.stderr
+        assert outcome["failed"] == 0
 
     @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
     def test_demo_runs(self, demo, tmp_path):
@@ -896,6 +969,22 @@ class TestReplayContract:
                   "out": str(replay_out), "format": "csv", "n": 60, "d": 6, "p": 2.0}
         assert self._replay(tmp_path, "bench-index", params) == 0
         assert replay_out.read_bytes() == flags_out.read_bytes()
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [("schema_version", 2, "manifest schema_version 2 not supported (expected 1)"),
+         ("command", "bogus", "manifest names unknown command 'bogus'")],
+    )
+    def test_a_manifest_of_another_schema_or_command_is_a_usage_error(
+        self, tmp_path, capsys, key, value, message
+    ):
+        params = {"ds": [4], "lambdas": [0.5], "trials": 100, "seed": 1,
+                  "out": str(tmp_path / "levy.csv"), "format": "csv"}
+        manifest = _write_manifest(tmp_path / "m.manifest.json", "levy", params)
+        manifest.write_text(json.dumps({**json.loads(manifest.read_text()), key: value}))
+        assert main(["replay", "--manifest", str(manifest)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "levy.csv").exists()
 
     @pytest.mark.parametrize(
         "change, message",

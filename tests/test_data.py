@@ -131,6 +131,8 @@ class TestPlantedPairs:
         assert points.shape == (50, 3)
 
     def test_rejects_bad_requests(self):
+        with pytest.raises(ValueError, match="n_pairs must be nonnegative"):
+            planted_pairs_dataset(10, 3, 2.0, [1.0], -1, 0)
         with pytest.raises(ValueError):
             planted_pairs_dataset(10, 3, 2.0, [1.0], 6, 0)
         with pytest.raises(ValueError):
@@ -165,6 +167,25 @@ class TestFarRingAndNearQueries:
             far_ring_dataset(20, 3, 2.0, 0.0, 9)
         with pytest.raises(ValueError):
             far_ring_dataset(20, 3, 2.0, 2.0, 9, lo_factor=0.9)
+        with pytest.raises(ValueError, match="max_norm_factor must be nonnegative"):
+            near_origin_queries(20, 3, 2.0, 2.0, 9, max_norm_factor=-1.0)
+
+
+@pytest.mark.parametrize(
+    "generate",
+    [
+        lambda n: gaussian_points(n, 3, 0),
+        lambda n: uniform_cube_points(n, 3, 0),
+        lambda n: planted_pairs_dataset(n, 3, 2.0, [0.5], 0, 0),
+        lambda n: far_ring_dataset(n, 3, 2.0, 2.0, 0),
+        lambda n: near_origin_queries(n, 3, 2.0, 2.0, 0),
+    ],
+    ids=["gaussian", "uniform_cube", "planted_pairs", "far_ring", "near_queries"],
+)
+def test_every_generator_refuses_a_negative_count_by_name(generate):
+    with pytest.raises(ValueError, match="point count n must be nonnegative, got -1"):
+        generate(-1)
+    generate(0)
 
 
 class TestPairsTruthFile:

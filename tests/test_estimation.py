@@ -1,5 +1,6 @@
 """Tests for the Monte Carlo estimators and their result records."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,11 +11,11 @@ from scipy import special, stats
 
 from floorlsh.estimation import (
     BOUND_COLUMNS,
+    CONJECTURE_COLUMNS,
     AntiConcEstimate,
     FarPairShape,
     clopper_pearson,
     conjecture_probe,
-    conjecture_record,
     estimate_false_positive_rate,
     false_positive_record,
     far_pair,
@@ -472,6 +473,7 @@ class TestRecordEmission:
 
     def test_conjecture_record_fields(self):
         row = conjecture_probe(1.5, 8, [0.2], 300, 1)[0]
-        record = conjecture_record(row)
+        record = dataclasses.asdict(row)
+        assert tuple(record) == CONJECTURE_COLUMNS
         assert record["epsilon"] == 0.2
         assert record["ratio"] == row.ratio

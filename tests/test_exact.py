@@ -33,7 +33,7 @@ class TestRangeSearch:
 
 class TestGroundTruth:
     def test_neighborhoods(self):
-        truths = ground_truth(POINTS, np.array([[3.0, 3.0]]), c=5.0, p=2.0, r=1.0)
+        truths = ground_truth(POINTS, np.array([[3.0, 3.0]]), c=5.0, p=2.0)
         truth = truths[0]
         assert truth.query_id == 0
         assert truth.within_r.tolist() == [1]
@@ -56,8 +56,8 @@ class TestGroundTruth:
             assert set(truth.within_r) <= set(truth.within_c)
 
     def test_rejects_factor_below_radius(self):
-        with pytest.raises(ValueError):
-            ground_truth(POINTS, ORIGIN[None, :], c=0.5, p=2.0, r=1.0)
+        with pytest.raises(ValueError, match=r"c=0.5 must be >= r=1.0"):
+            ground_truth(POINTS, ORIGIN[None, :], c=0.5, p=2.0)
 
 
 def _stub_index(answers, c=5.0, p=2.0):

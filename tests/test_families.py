@@ -444,6 +444,10 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_pool(FamilyKind.LQ_SPHERE_EXPERIMENTAL, 4, 10, 0)
 
+    def test_a_negative_count_is_rejected(self):
+        with pytest.raises(ValueError, match="count must be nonnegative, got -1"):
+            sample_pool(FamilyKind.UNIFORM_CUBE, 4, -1, 0)
+
 
 class TestHashEval:
     def test_floor_hand_value(self):
@@ -769,6 +773,16 @@ class TestLpSphereBlock:
         assert block.shape == (50, d)
         for row in block:
             assert lp_norm(row, q) == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 3.0, math.inf])
+    def test_the_first_rows_of_a_block_are_its_rows_bit_for_bit(self, q):
+        """A block's first rows cost only their own magnitudes and
+        normalizations, yet keep the bits they have in the whole block."""
+        whole = lp_sphere_block(stream(9, 2), 7, q, 300)
+        for rows in (0, 1, 5, 300):
+            np.testing.assert_array_equal(
+                lp_sphere_block(stream(9, 2), 7, q, rows, 300), whole[:rows]
+            )
 
     def test_sign_symmetry(self):
         block = lp_sphere_block(stream(8, 0), 4, 1.0, 40000)

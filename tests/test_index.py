@@ -17,13 +17,14 @@ from crafted_images import (
     CONTRADICTIONS,
     contradicting,
     limit_draws,
+    restated,
     retagged,
 )
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from floorlsh import index as index_module
-from floorlsh.exact import recall_report
+from floorlsh.exact import range_search_exact, recall_report
 from floorlsh.families import (
     FamilyKind,
     HashFunction,
@@ -173,7 +174,6 @@ class TestIndexConfig:
 
     def test_derived_properties_match_the_family_formulas(self):
         cfg = _config()
-        assert cfg.c_threshold == c_threshold(cfg.kind, cfg.p, cfg.d)
         assert cfg.false_positive_bound == false_positive_bound(
             cfg.kind, cfg.p, cfg.d, cfg.c
         )[0]
@@ -619,6 +619,32 @@ class TestQueryGuarantees:
         assert all(result.neighbors for result in results)
         assert calls <= budget, calls
 
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_a_point_met_twice_is_verified_once(self, variant):
+        """Folds cut down to their top two bits put many label tuples under
+        one key, so a fast_query bucket holds a point once per tuple of its
+        that shares the key, and fast_preprocessing probes gather one bucket
+        once per probe that shares it.  Each repeat is dropped before
+        verification and counted, and the within-1 answers stay exact."""
+        points, queries = _cloud(n=80), _cloud(n=12, seed=5)
+        cut = np.uint64(0xC000000000000000)
+        fold = _Fingerprinter.fold
+
+        def cut_fold(self, *args):
+            return [(rows, keys & cut) for rows, keys in fold(self, *args)]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_Fingerprinter, "fold", cut_fold)
+            results = LshIndex.build(points, _config(variant=variant)).query_batch(queries)
+        assert sum(result.stats.duplicates_suppressed for result in results) > 0
+        for query, result in zip(queries, results):
+            stats = result.stats
+            assert stats.distance_evals + stats.duplicates_suppressed == stats.candidates_scanned
+            ids = [point_id for point_id, _ in result.neighbors]
+            assert len(ids) == len(set(ids))
+            within = [point_id for point_id, distance in result.neighbors if distance <= 1.0]
+            assert sorted(within) == range_search_exact(points, query, 1.0, 2.0).tolist()
+
 
 def _counted_calls(method, queries):
     """``method(queries)`` and the Python and C function calls it makes,
@@ -809,9 +835,9 @@ class TestSerialization:
         """No points, a digest of other hash vectors than its seeds draw (a
         changed digest, or a changed master seed), more levels than
         MAX_LEVELS (refused before a vector is drawn), points a build would
-        refuse (non-finite, or beyond exact labels) or points taking more
-        entries than the image's own max_entries guard fail the load, not a
-        later query, and name what is wrong."""
+        refuse (non-finite, or beyond exact labels), points taking more
+        entries than the image's own max_entries guard or bytes after the
+        digest fail the load, not a later query, and name what is wrong."""
         index = LshIndex.build(_cloud(n=30), _config(variant=variant))
         limit_draws(monkeypatch)
         with pytest.raises(ValueError, match=message):
@@ -832,6 +858,13 @@ class TestSerialization:
         monkeypatch.setattr(index_module, "sample_vector", shifted)
         with pytest.raises(ValueError, match="vector digest mismatch.*rebuild the index"):
             LshIndex.from_bytes(blob)
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_an_image_stating_another_version_is_refused(self, variant):
+        blob = LshIndex.build(_cloud(n=15), _config(variant=variant)).to_bytes()
+        assert restated(blob, 8) == blob
+        with pytest.raises(ValueError, match="unsupported index image version 9"):
+            LshIndex.from_bytes(restated(blob, 9))
 
     @pytest.mark.parametrize("version", range(1, 8))
     def test_retired_images_ask_for_a_rebuild(self, version):
