@@ -323,6 +323,8 @@ def _build_index(
     n, d = points.shape
     levels = None if params["levels"] == "auto" else params["levels"]
     trials = params["calibrate_fp_trials"]
+    if not trials >= 0:
+        raise ValueError(f"--calibrate-fp-trials must be nonnegative, got {trials}")
     if levels is None and trials > 0:
         # the level count from a measured per-level collision rate in place
         # of the theoretical bound

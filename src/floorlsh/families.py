@@ -200,27 +200,25 @@ class HashFunction:
 
 
 def lp_sphere_block(
-    rng: np.random.Generator, d: int, q: float, rows: int, block: int = 0
+    rng: np.random.Generator, d: int, q: float, rows: int, magnitude_rng=None
 ) -> np.ndarray:
-    """Draw ``rows`` cone-measure points on the unit l_q sphere in R^d: the
-    first ``rows`` of a draw of ``max(rows, block)`` rows.
+    """Draw ``rows`` cone-measure points on the unit l_q sphere in R^d.
 
     Coordinates start as generalized-Gaussian draws with density
     proportional to exp(-|t|^q) (uniform on (-1, 1) at q = inf), then each
     row is normalized to unit l_q norm; the resulting direction law is the
     cone measure of the sphere.  At q = 2 this is the uniform direction.
-    A finite q draws the signs of the whole block before any magnitude, so
-    the first rows of a block cost all its signs but only their own
-    magnitudes and normalizations.
+    A finite q draws the signs from ``rng``, then the magnitudes from the
+    generator ``magnitude_rng``, ``rng`` by default; q = inf draws no signs.
     """
     q = check_exponent(q)
     check_dimension(d)
     if math.isinf(q):
         g = rng.uniform(-1.0, 1.0, size=(rows, d))
         return np.divide(g, np.max(np.abs(g), axis=1, keepdims=True), out=g)
-    g = rng.integers(0, 2, size=(max(rows, block), d))[:rows] * 2.0  # the signs, then in place
+    g = rng.integers(0, 2, size=(rows, d)) * 2.0  # the signs, then in place
     g -= 1.0
-    magnitudes = rng.standard_gamma(1.0 / q, size=(rows, d))
+    magnitudes = (magnitude_rng or rng).standard_gamma(1.0 / q, size=(rows, d))
     magnitudes **= 1.0 / q
     g *= magnitudes
     if q == 1.0:
@@ -233,13 +231,13 @@ def lp_sphere_block(
     return np.divide(g, norms, out=g)
 
 
-def _fill_chunk(kind: FamilyKind, rows: np.ndarray, rng: np.random.Generator, q: float | None):
+def _fill_chunk(kind: FamilyKind, rows: np.ndarray, rngs: tuple, q: float | None):
     """Fill ``rows``, C-contiguous, with the next chunk of a block from the
-    block's substream.  Single-phase draws are prefix-stable, so a partial
-    block draws only its own rows."""
+    block's ``rngs`` of :func:`_draw_pool`.  Every draw is prefix-stable, so
+    a partial block draws only its own rows."""
+    rng, magnitude_rng = rngs
     if kind is FamilyKind.LQ_SPHERE_EXPERIMENTAL:
-        # all of a block's signs come first, so a partial block draws them all
-        rows[...] = lp_sphere_block(rng, rows.shape[1], q, len(rows), _POOL_BLOCK_ROWS)
+        rows[...] = lp_sphere_block(rng, rows.shape[1], q, len(rows), magnitude_rng)
         return
     if kind is FamilyKind.RADEMACHER:
         rows[...] = rng.integers(0, 2, size=rows.shape)
@@ -268,7 +266,10 @@ def _draw_pool(
     CPUs, block j from substream (seed, j) in chunks of _CHUNK_BYTES: the
     (count, d) pool; with (k, d) ``vectors`` their (k, count) products, each
     chunk drawn into one scratch per worker; with ``count_hits`` too, the sum
-    of count_hits over the blocks' products, each reduced once it is drawn."""
+    of count_hits over the blocks' products, each reduced once it is drawn.
+    The experimental family draws block j's signs from that substream and its
+    magnitudes from a second (seed, j) generator advanced past the block's
+    8192 * d signs, so every chunk continues both draws where they stopped."""
     kind = FamilyKind(kind)
     check_dimension(d)
     if count < 0:
@@ -282,9 +283,8 @@ def _draw_pool(
     if vectors is not None and (np.ndim(vectors) != 2 or np.shape(vectors)[1] != d):
         raise ValueError(f"vectors must have shape (k, {d}), got {np.shape(vectors)}")
     out = None if count_hits else np.empty((count, d) if vectors is None else (len(vectors), count))
-    step = chunk = _POOL_BLOCK_ROWS  # whole blocks for the experimental draw, shaped by the block
-    if kind is not FamilyKind.LQ_SPHERE_EXPERIMENTAL:
-        chunk = min(step, max(1, _CHUNK_BYTES // (8 * d)))
+    step = _POOL_BLOCK_ROWS
+    chunk = min(step, max(1, _CHUNK_BYTES // (8 * d)))
     workers = _fill_workers(-(-count // step))
 
     def work(first: int):
@@ -292,13 +292,16 @@ def _draw_pool(
         products = out if count_hits is None else np.empty((len(vectors), min(count, step)))
         hits = None if count_hits is None else count_hits(products[:, :0])
         for lo in range(first * step, count, workers * step):
-            hi, rng = min(count, lo + step), stream(seed, lo // step)
+            hi, j = min(count, lo + step), lo // step
+            rngs = stream(seed, j), None if q is None else stream(seed, j)
+            if q is not None:  # magnitudes past the block's step * d signs, 8 per counter step
+                rngs[1].bit_generator.advance(step * d // 8)
             at = 0 if count_hits is None else lo  # the pool row of products' column 0
             block = out[lo:hi] if vectors is None else products[:, lo - at : hi - at]
             for start in range(0, hi - lo, chunk):
                 stop = min(hi - lo, start + chunk)
                 rows = block[start:stop] if vectors is None else scratch[: stop - start]
-                _fill_chunk(kind, rows, rng, q)
+                _fill_chunk(kind, rows, rngs, q)
                 if vectors is not None:
                     scalar_products("ij,kj->ki", rows, vectors, out=block[:, start:stop])
             if count_hits is not None:

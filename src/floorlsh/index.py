@@ -412,6 +412,9 @@ class LshIndex:
         np.bitwise_and(keys, tags, out=ids, casting="unsafe")
         keys &= ~tags
         self._entry_keys, self._entry_ids, self._key_mask = keys, ids, ~tags
+        # queries only read the index, so they may run concurrently
+        for array in (points, keys, ids):
+            array.flags.writeable = False
         held = points.nbytes + self._w_matrix.nbytes + keys.nbytes + ids.nbytes
         self._probe_bounds = self._occupied = None
         if not ranged:

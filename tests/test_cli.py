@@ -295,8 +295,11 @@ class TestSmallCommands:
          (["verify-bounds", "--mode", "false-positive", "--seeds", "3"],
           "dd7a52c98deb5db36d055dbfef7281e96dd8d01af673deb014bf1a2a826a9c15"),
          (["levy", "--seed", "3"],
-          "8379ad2a889308b8da710b70a115afeabeeff371387097f5d1f7a43558a8484f")],
-        ids=["small-ball", "false-positive", "levy"],
+          "8379ad2a889308b8da710b70a115afeabeeff371387097f5d1f7a43558a8484f"),
+         (["verify-bounds", "--mode", "small-ball", "--kinds", "lq_sphere_experimental",
+           "--q", "1.5", "--seeds", "3"],
+          "839092672903404f86a0b967e0f7edc839f0f4690776b6688886059e168f8333")],
+        ids=["small-ball", "false-positive", "levy", "small-ball-experimental"],
     )
     def test_multi_block_tables_are_pinned(self, tmp_path, args, digest):
         """20,001 trials draw three pool blocks at d = 8 and 65; the tables
@@ -594,6 +597,10 @@ _NAN_RUNS = {
     "gen-data far_ring --n -1": f"{_GEN} --shape far_ring --c 5 --n -1",
     "gen-data near_queries --n -1": f"{_GEN} --shape near_queries --c 5 --n -1",
     "gen-data far_ring without --c": f"{_GEN} --shape far_ring",
+    "build --calibrate-fp-trials": "build --dataset {data} --c-multiplier 4 "
+    "--calibrate-fp-trials -5 --master-seed 0 --out {out}/x.bin",
+    "bench-index --calibrate-fp-trials": "bench-index --dataset {data} --queries {data} "
+    "--calibrate-fp-trials -5 --master-seeds 0 --out {out}/b.csv",
 }
 
 
@@ -608,6 +615,16 @@ def test_a_nan_value_is_a_usage_error_that_writes_nothing(name, tmp_path, capsys
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "name", ["build --calibrate-fp-trials", "bench-index --calibrate-fp-trials"]
+)
+def test_a_negative_calibration_count_names_its_option(name, tmp_path, capsys):
+    """A negative count would silently mean the theoretical bound."""
+    argv = _NAN_RUNS[name].format(data=_gen_gaussian(tmp_path), out=tmp_path).split()
+    assert main(argv) == 2
+    assert "--calibrate-fp-trials must be nonnegative, got -5" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -758,6 +775,11 @@ class TestBenchIndex:
         assert row["c"] == index.config.c
         assert row["entries"] == index.stats.entries
         assert row["unique_buckets"] == index.stats.unique_buckets
+        # the manifest records the resolved levels beside the calibration
+        # count, and replay rebuilds the same image from both
+        image = index_path.read_bytes()
+        assert main(["replay", "--manifest", f"{index_path}.manifest.json"]) == 0
+        assert index_path.read_bytes() == image
 
 
 def _python(*args, cwd=None):

@@ -343,21 +343,65 @@ class TestSampling:
             monkeypatch.setattr(families, "_fill_workers", lambda blocks, w=workers: w)
             assert pool_digest() == digest
 
-    @pytest.mark.parametrize("kind", [FamilyKind.UNIFORM_CUBE, FamilyKind.UNIT_SPHERE])
-    def test_pool_fill_allocates_little_beside_the_pool(self, kind, monkeypatch):
+    @pytest.mark.parametrize(
+        "kind, q",
+        POOL_KINDS
+        + [(FamilyKind.LQ_SPHERE_EXPERIMENTAL, 1.0), (FamilyKind.LQ_SPHERE_EXPERIMENTAL, 3.0)],
+    )
+    def test_pools_do_not_depend_on_the_chunk_size(self, kind, q, monkeypatch):
+        """Chunks of one row (one worker), of three rows (eight workers) and
+        of 256 KiB (one and eight workers) draw the same pools.  An
+        experimental pool is also its reference: block j is the first rows
+        of ``lp_sphere_block(stream(7, j), d, q, 8192)``, whose one generator
+        draws all of the block's signs before any magnitude."""
+        for d in (1, 2, 7, 65):
+            whole = sample_pool(kind, d, 20000, 7, q=q)
+            if q is not None:
+                blocks = [lp_sphere_block(stream(7, j), d, q, 8192) for j in range(3)]
+                np.testing.assert_array_equal(whole, np.concatenate(blocks)[:20000])
+            for rows, workers in ((1, 1), (3, 8), (None, 1), (None, 8)):
+                if rows is not None:
+                    monkeypatch.setattr(families, "_CHUNK_BYTES", 8 * d * rows)
+                monkeypatch.setattr(families, "_fill_workers", lambda blocks, w=workers: w)
+                for count in (1, 8191, 8193, 20000):
+                    pool = sample_pool(kind, d, count, 7, q=q)
+                    assert pool.tobytes() == whole[:count].tobytes(), (d, rows, workers, count)
+                monkeypatch.undo()
+
+    @pytest.mark.parametrize(
+        "kind, q, bound",
+        [(FamilyKind.UNIFORM_CUBE, None, 2**20), (FamilyKind.UNIT_SPHERE, None, 2**20),
+         (FamilyKind.LQ_SPHERE_EXPERIMENTAL, 1.5, 1.5 * 2**20)],
+        ids=["uniform_cube", "unit_sphere", "lq_sphere_experimental-1.5"],
+    )
+    def test_pool_fill_allocates_little_beside_the_pool(self, kind, q, bound, monkeypatch):
         """Blocks are filled in place: a 200,000-row pool allocates under
         1 MiB beyond its own buffer.  Two workers pin the bound, which grows
         with the thread count; tracemalloc sees numpy buffers in every
-        thread."""
+        thread.  An experimental chunk is drawn into its own arrays (the
+        int64 signs, the magnitudes) and then copied in, hence 1.5 MiB."""
         monkeypatch.setattr(families, "_fill_workers", lambda blocks: min(blocks, 2))
-        sample_pool(kind, 64, 10, 0)
+        sample_pool(kind, 64, 10, 0, q=q)
         tracemalloc.start()
         try:
-            pool = sample_pool(kind, 64, 200_000, 5)
+            pool = sample_pool(kind, 64, 200_000, 5, q=q)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - pool.nbytes < 2**20
+        assert peak - pool.nbytes < bound
+
+    @pytest.mark.parametrize("kind, q", POOL_KINDS)
+    def test_a_vector_draws_only_its_own_row(self, kind, q):
+        """sample_vector at d = 64 allocates under 64 KiB: one row, not a
+        block's 8192 rows of signs."""
+        sample_vector(kind, 2.0, 64, 0, q=q)
+        tracemalloc.start()
+        try:
+            sample_vector(kind, 2.0, 64, 5, q=q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**10
 
     @pytest.mark.parametrize("kind, q", POOL_KINDS)
     def test_projections_are_the_pool_products_bit_for_bit(self, kind, q, monkeypatch):
@@ -397,22 +441,27 @@ class TestSampling:
                     counts = pool_counts(kind, d, count, 7, vectors, count_below, q=q)
                     assert np.array_equal(counts, expected), (workers, d, count)
 
-    @pytest.mark.parametrize("estimate", ["small_ball", "false_positive"])
-    def test_estimators_hold_one_chunk_per_worker(self, estimate, monkeypatch):
-        """200,000 unit_sphere draws at d = 64 make a 102 MB pool; the
-        estimators count each block's hits as it is drawn, so they peak
-        below 2 MiB, two 256 KiB chunks and two blocks' products among it,
-        and ten times the trials leave the peak within 1.25x."""
+    @pytest.mark.parametrize(
+        "estimate, kind, q",
+        [("small_ball", FamilyKind.UNIT_SPHERE, None),
+         ("false_positive", FamilyKind.UNIT_SPHERE, None),
+         ("small_ball", FamilyKind.LQ_SPHERE_EXPERIMENTAL, 1.5)],
+    )
+    def test_estimators_hold_one_chunk_per_worker(self, estimate, kind, q, monkeypatch):
+        """200,000 draws at d = 64 make a 102 MB pool; the estimators count
+        each block's hits as it is drawn, so they peak below 2 MiB, two
+        256 KiB chunks and two blocks' products among it, and ten times the
+        trials leave the peak within 1.25x."""
         monkeypatch.setattr(families, "_fill_workers", lambda blocks: min(blocks, 2))
-        kind, x = FamilyKind.UNIT_SPHERE, np.ones(64)
-        c = 4.0 * c_threshold(kind, 2.0, 64)
+        x = np.ones(64)
 
         def peak(trials):
             tracemalloc.start()
             try:
                 if estimate == "small_ball":
-                    small_ball_curve(kind, 64, x, [0.05, 0.5], trials, 5)
+                    small_ball_curve(kind, 64, x, [0.05, 0.5], trials, 5, q=q)
                 else:
+                    c = 4.0 * c_threshold(kind, 2.0, 64)
                     estimate_false_positive_rate(kind, 2.0, 64, c, trials, 5)
                 return tracemalloc.get_traced_memory()[1]
             finally:
@@ -773,16 +822,6 @@ class TestLpSphereBlock:
         assert block.shape == (50, d)
         for row in block:
             assert lp_norm(row, q) == pytest.approx(1.0, abs=1e-10)
-
-    @pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 3.0, math.inf])
-    def test_the_first_rows_of_a_block_are_its_rows_bit_for_bit(self, q):
-        """A block's first rows cost only their own magnitudes and
-        normalizations, yet keep the bits they have in the whole block."""
-        whole = lp_sphere_block(stream(9, 2), 7, q, 300)
-        for rows in (0, 1, 5, 300):
-            np.testing.assert_array_equal(
-                lp_sphere_block(stream(9, 2), 7, q, rows, 300), whole[:rows]
-            )
 
     def test_sign_symmetry(self):
         block = lp_sphere_block(stream(8, 0), 4, 1.0, 40000)

@@ -754,6 +754,19 @@ class TestSerialization:
         assert index.stats.seconds > 0.0
         assert self._round_trip(index).stats == replace(index.stats, seconds=0.0)
 
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_index_arrays_are_read_only(self, variant):
+        """Queries only read the index, so a built or a loaded index refuses
+        writes into its points and entries; the caller's points stay
+        writable."""
+        points = _cloud(n=70, seed=3)
+        index = LshIndex.build(points, _config(variant=variant))
+        points[0, 0] = 1.0
+        for each in (index, self._round_trip(index)):
+            for array in (each.points, each._entry_keys, each._entry_ids):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 0
+
     def test_image_round_trips_with_identical_answers(self):
         points = _cloud(n=90, seed=2)
         for variant in Variant:
