@@ -59,7 +59,7 @@ from .estimation import (
     theoretical_q_bound,
     unit_direction,
 )
-from .exact import audit_results, ground_truth, write_recall_jsonl
+from .exact import audit_results, ground_truth
 from .families import PROVEN_ADJACENCY_KINDS, FamilyKind, c_threshold, pool_projections
 from .index import DEFAULT_MAX_ENTRIES, IndexConfig, LshIndex, Variant, choose_levels
 from .lpspace import check_exponent
@@ -329,10 +329,7 @@ def _build_index(
         # the level count from a measured per-level collision rate in place
         # of the theoretical bound
         est = estimate_false_positive_rate(kind, p, d, c, trials, master_seed)
-        p_fp = max(est.p_fp_hat, 0.5 / trials)
-        if p_fp >= 1.0:
-            raise ValueError("measured collision rate is 1; cannot calibrate levels")
-        levels = choose_levels(variant, n, d, p_fp)
+        levels = choose_levels(variant, n, d, max(est.p_fp_hat, 0.5 / trials))
     config = IndexConfig(
         p=p, d=d, c=c, kind=kind, variant=variant, levels=levels,
         master_seed=master_seed, unsafe_override=unsafe_override,
@@ -406,7 +403,7 @@ def run_query(params: dict) -> int:
         report = audit_results(
             results, ground_truth(index.points, queries, c=config.c, p=config.p)
         )
-        write_recall_jsonl(f"{out}.audit.jsonl", report)
+        write_jsonl(f"{out}.audit.jsonl", map(vars, report))
         missing_total = sum(len(record.missing) for record in report)
 
     _write_manifest(
@@ -547,6 +544,8 @@ def run_replay(params: dict) -> int:
     manifest_path = params["manifest"]
     with open(manifest_path) as handle:
         manifest = json.load(handle)
+    if not isinstance(manifest, dict):
+        raise ValueError(f"manifest {manifest_path} is not a JSON object")
     schema = manifest.get("schema_version")
     if schema != SCHEMA_VERSION:
         raise ValueError(
@@ -556,7 +555,9 @@ def run_replay(params: dict) -> int:
     command = manifest.get("command")
     if command not in _RUNNERS:
         raise ValueError(f"manifest names unknown command {command!r}")
-    recorded = manifest["params"]
+    recorded = manifest.get("params")
+    if not isinstance(recorded, dict):
+        raise ValueError(f"manifest {manifest_path} has no params object")
     if command in {"build", "bench-index"}:
         recorded = {k: v for k, v in recorded.items() if k not in _DATASET_FACTS}
     # no abbreviations: a recorded key must name its option exactly

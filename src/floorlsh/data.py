@@ -23,22 +23,14 @@ from .families import lp_sphere_block
 from .lpspace import check_dimension, check_exponent, lp_distances
 from .streams import stream
 
-#: Auxiliary stream indexes; keep clear of block indexes used elsewhere.
+#: Stream indexes, distinct within this module (queries add 10).  They are
+#: also :func:`floorlsh.families.sample_pool` block indexes 0, 1, 2, 11 and
+#: 12, so a dataset and a pool drawn from one seed share those streams.
 _STREAM_POINTS = 0
 _STREAM_DIRECTIONS = 1
 _STREAM_RADII = 2
 
 _PAIRS_COLUMNS = ("pair_id", "anchor_id", "partner_id", "distance")
-
-
-def format_exponent(p: float) -> str:
-    """Serialize a norm exponent: ``inf`` or its decimal repr."""
-    return repr(check_exponent(p))
-
-
-def parse_exponent(text: str) -> float:
-    """Inverse of :func:`format_exponent`."""
-    return check_exponent(float(text))
 
 
 def write_points(path: str | Path, points: np.ndarray, p: float) -> None:
@@ -48,7 +40,7 @@ def write_points(path: str | Path, points: np.ndarray, p: float) -> None:
         raise ValueError("points must be a 2-d array")
     n, d = points.shape
     with open_output(path) as handle:
-        handle.write(f"{n} {d} {format_exponent(p)}\n")
+        handle.write(f"{n} {d} {check_exponent(p)!r}\n")
         for row in points:
             handle.write(" ".join(repr(float(v)) for v in row))
             handle.write("\n")
@@ -63,12 +55,16 @@ def read_points(path: str | Path) -> tuple[np.ndarray, float]:
         n, d = int(header[0]), int(header[1])
         if n < 0 or d < 0:
             raise ValueError(f"dataset header in {path} gives a negative size {n} x {d}")
-        p = parse_exponent(header[2])
-        points = np.empty((n, d), dtype=np.float64)
+        p = check_exponent(float(header[2]))
+        # the array grows as rows arrive, at most doubling and never past n,
+        # so no header can make it allocate more than its rows hold
+        points = np.empty((0, d), dtype=np.float64)
         for i in range(n):
             row = handle.readline().split()
             if len(row) != d:
                 raise ValueError(f"dataset row {i} in {path} has {len(row)} values, expected {d}")
+            if i == len(points):
+                points = np.concatenate((points, np.empty((min(max(i, 1), n - i), d))))
             points[i] = [float(v) for v in row]
         if handle.read().strip():
             raise ValueError(f"dataset {path} holds more rows than its header's n = {n}")

@@ -87,7 +87,6 @@ class AntiConcEstimate(_BoundVerdict):
 
     kind: FamilyKind
     d: int
-    x: np.ndarray
     alpha: float
     trials: int
     hits: int
@@ -137,7 +136,6 @@ def small_ball_curve(
             AntiConcEstimate(
                 kind=kind,
                 d=d,
-                x=x,
                 alpha=alpha,
                 trials=trials,
                 hits=hits,
@@ -254,8 +252,6 @@ class FalsePositiveEstimate(_BoundVerdict):
     ci_high: float
     dominating_hits: int
     dominating_p_hat: float
-    dominating_ci_low: float
-    dominating_ci_high: float
     bound: float | None
     pair_distance: float
 
@@ -325,7 +321,6 @@ def estimate_false_positive_rate(
 
     hits, dom_hits = pool_counts(kind, d, trials, seed, np.stack([x, y]), count_hits).tolist()
     ci_low, ci_high = clopper_pearson(hits, trials)
-    dom_low, dom_high = clopper_pearson(dom_hits, trials)
     return FalsePositiveEstimate(
         kind=kind,
         p=p,
@@ -338,8 +333,6 @@ def estimate_false_positive_rate(
         ci_high=ci_high,
         dominating_hits=dom_hits,
         dominating_p_hat=dom_hits / trials,
-        dominating_ci_low=dom_low,
-        dominating_ci_high=dom_high,
         bound=bound,
         pair_distance=distance,
     )

@@ -10,12 +10,10 @@ index verifies with too, so both judge distance 1 alike.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .data import write_jsonl
 from .lpspace import lp_distances
 
 #: The radius r of the index's contract: every point within r is returned.
@@ -123,8 +121,3 @@ def audit_results(results: Sequence, truths: Sequence[GroundTruth]) -> list[Reca
             )
         )
     return records
-
-
-def write_recall_jsonl(path: str | Path, records: Sequence[RecallRecord]) -> None:
-    """Emit per-query recall audits as JSON lines, one query per line."""
-    write_jsonl(path, map(vars, records))

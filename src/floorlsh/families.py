@@ -174,7 +174,6 @@ class HashFunction:
         seed: 64-bit seed that produced w.
         w: the sampled vector, read-only float64 of shape (d,).
         scale: pre-floor scale factor.
-        q: sphere exponent, set only for the experimental l_q family.
     """
 
     kind: FamilyKind
@@ -183,7 +182,6 @@ class HashFunction:
     seed: int
     w: np.ndarray
     scale: float
-    q: float | None = None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, HashFunction):
@@ -194,7 +192,6 @@ class HashFunction:
             and self.d == other.d
             and self.seed == other.seed
             and self.scale == other.scale
-            and self.q == other.q
             and np.array_equal(self.w, other.w)
         )
 
@@ -372,7 +369,6 @@ def sample_vector(
         seed=seed,
         w=w,
         scale=hash_scale(kind, p, d),
-        q=q,
     )
 
 

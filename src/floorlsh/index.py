@@ -135,7 +135,8 @@ class IndexConfig:
         unsafe_override: allow c at or below the family threshold.  The
             no-false-negative guarantee still holds; only the false-positive
             bound is forfeited.
-        max_entries: memory guard on stored (key, id) entries.
+        max_entries: memory guard on stored (key, id) entries, and on the
+            buckets one fast_preprocessing query probes.
     """
 
     p: float
@@ -181,7 +182,7 @@ class IndexConfig:
         return bound
 
 
-def choose_levels(variant: Variant, n: int, d: int, fp_bound: float) -> int:
+def choose_levels(variant: Variant, n: int, d: int, fp_bound: float | None) -> int:
     """Pick the label length L for ``n`` points from the per-level bound.
 
     fast_query targets about d expected surviving far points per query:
@@ -195,17 +196,18 @@ def choose_levels(variant: Variant, n: int, d: int, fp_bound: float) -> int:
     scanning stays sublinear across growing n; the cost of the ceiling over
     the exact integer minimizer is at most one extra level.
 
-    Raises when fp_bound >= 1: no level count can thin out far points, and
-    when L would exceed :data:`MAX_LEVELS`, which a bound near 1 can ask for.
+    Raises when fp_bound is None or outside (0, 1), where no level count
+    can thin out far points, and when L would exceed :data:`MAX_LEVELS`,
+    which a bound near 1 can ask for.
     """
     variant = Variant(variant)
     if n < 1:
         raise ValueError(f"point count must be >= 1, got {n}")
     check_dimension(d)
-    if not 0.0 < fp_bound < 1.0:
+    if fp_bound is None or not 0.0 < fp_bound < 1.0:
         raise ValueError(
-            f"per-level false-positive bound must be in (0, 1) to derive a "
-            f"level count, got {fp_bound}"
+            f"the per-level false-positive bound {fp_bound} is not in (0, 1), so "
+            "no level count follows from it; pass an explicit level count (--levels)"
         )
     a = -math.log(fp_bound)
     if variant is Variant.FAST_QUERY:
@@ -312,7 +314,7 @@ class _Fingerprinter:
         )
 
     def fold(
-        self, lo: np.ndarray, counts: np.ndarray
+        self, lo: np.ndarray, counts: np.ndarray, limit: float = math.inf
     ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """The keys of every label tuple in each row's ranges, for (m, L)
         int64 ranges as :func:`floorlsh.families.label_ranges` gives them:
@@ -328,18 +330,28 @@ class _Fingerprinter:
         label, so tuples that differ in one level never share a key.  A row
         costs one mix per label: rows of one label per level (own labels)
         take one XOR reduction, wider rows a cross product level by level.
+        If a row has more than ``limit`` keys, nothing is folded.
         """
         levels = counts.shape[1]
+        # each group: its rows, their lows, their widths and its keys per row
         if len(counts) > 1 and (counts != counts[0]).any():
             order = np.lexsort(counts.T)
             widths = counts[order]
             cuts = np.flatnonzero((widths[1:] != widths[:-1]).any(axis=1)) + 1
-            groups = [(rows, lo[rows]) for rows in np.split(order, cuts)]
+            groups = [(rows, lo[rows], (w := counts[rows[0]].tolist()), math.prod(w))
+                      for rows in np.split(order, cuts)]
+        elif len(counts):
+            widths = counts[0].tolist()
+            groups = [(np.arange(len(counts)), lo, widths, math.prod(widths))]
         else:
-            groups = [(np.arange(len(counts)), lo)] if len(counts) else []
-        for group, first in groups:
-            widths = counts[group[0]].tolist()
-            size = math.prod(widths)
+            groups = []
+        for *_, size in groups:
+            if size > limit:
+                raise ValueError(
+                    f"a query would probe {size} buckets, above the max_entries guard "
+                    f"of {limit}; lower the level count or raise the guard"
+                )
+        for group, first, widths, size in groups:
             block = max(1, _CHUNK_ENTRIES // size)
             for start in range(0, len(group), block):
                 rows = group[start : start + block]
@@ -468,13 +480,7 @@ class LshIndex:
             raise ValueError(f"points have dimension {d}, config says {config.d}")
         levels = config.levels
         if levels is None:
-            fp_bound = config.false_positive_bound
-            if fp_bound is None or fp_bound >= 1.0:
-                raise ValueError(
-                    "the false-positive bound is vacuous at this c; pass an "
-                    "explicit level count"
-                )
-            levels = choose_levels(config.variant, n, d, fp_bound)
+            levels = choose_levels(config.variant, n, d, config.false_positive_bound)
         index = cls(replace(config, levels=levels), points)
         # the time of the whole build, the derivations of the constructor too
         index.stats = replace(index.stats, seconds=time.perf_counter() - started)
@@ -511,7 +517,7 @@ class LshIndex:
             self._w_matrix, self._scale, queries, self._probe_bounds, "queries"
         )
         results = [None] * len(queries)
-        for rows, probes in self._fingerprinter.fold(lo, counts):
+        for rows, probes in self._fingerprinter.fold(lo, counts, self.config.max_entries):
             pulled, starts, stops = self._lookup(probes)
             for row, start, stop in zip(rows.tolist(), starts, stops):
                 results[row] = self._verify(queries[row], pulled[start:stop], probes.shape[1])

@@ -414,8 +414,9 @@ class TestBuildQueryAudit:
             assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("change, message", [
-        ("extra-row", "more rows than its header's n"), ("negative-n", "negative size")],
-        ids=["extra-row", "negative-n"])
+        ("extra-row", "more rows than its header's n"), ("negative-n", "negative size"),
+        ("huge-n", "row 60 in .* has 0 values")],
+        ids=["extra-row", "negative-n", "huge-n"])
     def test_a_header_that_miscounts_the_rows_is_a_usage_error(
         self, tmp_path, capsys, change, message
     ):
@@ -425,7 +426,8 @@ class TestBuildQueryAudit:
         if change == "extra-row":
             lines.append(lines[-1])
         else:
-            lines[0] = " ".join(["-1", *lines[0].split()[1:]])
+            n = "-1" if change == "negative-n" else "1000000000000000"
+            lines[0] = " ".join([n, *lines[0].split()[1:]])
         bad = tmp_path / "bad.txt"
         bad.write_text("\n".join(lines) + "\n")
         argvs = [
@@ -437,7 +439,7 @@ class TestBuildQueryAudit:
         for argv in argvs:
             assert main(argv) == 2
             err = capsys.readouterr().err
-            assert message in err and str(bad) in err
+            assert re.search(message, err) and str(bad) in err
         assert not (tmp_path / "bad.bin").exists() and not (tmp_path / "r.jsonl").exists()
 
     def test_a_point_too_far_for_its_rounding_margin_is_a_usage_error(self, tmp_path, capsys):
@@ -500,6 +502,20 @@ class TestBuildQueryAudit:
                      "--out", str(tmp_path / "r.jsonl")])
         assert code == 2
         assert re.search(message, capsys.readouterr().err)
+        assert not (tmp_path / "r.jsonl").exists()
+
+    def test_a_query_past_the_probe_guard_is_a_usage_error(self, tmp_path, capsys):
+        """A 30-level fast_preprocessing query would probe 3^30 buckets; it
+        is refused before its probe keys are folded."""
+        dataset = _gen_gaussian(tmp_path, n=50, d=8)
+        index_path = tmp_path / "deep.bin"
+        assert main(["build", "--dataset", str(dataset), "--kind", "unit_sphere",
+                     "--variant", "fast_preprocessing", "--c-multiplier", "2",
+                     "--levels", "30", "--master-seed", "0", "--out", str(index_path)]) == 0
+        code = main(["query", "--index", str(index_path), "--queries", str(dataset),
+                     "--out", str(tmp_path / "r.jsonl")])
+        assert code == 2
+        assert "above the max_entries guard of 10000000" in capsys.readouterr().err
         assert not (tmp_path / "r.jsonl").exists()
 
     def test_a_query_file_of_another_dimension_is_a_usage_error(self, tmp_path, capsys):
@@ -1007,6 +1023,22 @@ class TestReplayContract:
         assert main(["replay", "--manifest", str(manifest)]) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "levy.csv").exists()
+
+    @pytest.mark.parametrize(
+        "manifest, message",
+        [([1, 2], "is not a JSON object"),
+         ({"schema_version": 1, "command": "levy"}, "has no params object"),
+         ({"schema_version": 1, "command": "levy", "params": [4]}, "has no params object")],
+        ids=["list", "no-params", "list-params"],
+    )
+    def test_a_manifest_that_is_not_an_object_is_a_usage_error(
+        self, tmp_path, capsys, manifest, message
+    ):
+        path = tmp_path / "m.manifest.json"
+        path.write_text(json.dumps(manifest))
+        assert main(["replay", "--manifest", str(path)]) == 2
+        assert message in capsys.readouterr().err
+        assert [entry.name for entry in tmp_path.iterdir()] == ["m.manifest.json"]
 
     @pytest.mark.parametrize(
         "change, message",

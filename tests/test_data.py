@@ -12,10 +12,8 @@ from hypothesis import strategies as st
 from floorlsh.data import (
     PlantedPair,
     far_ring_dataset,
-    format_exponent,
     gaussian_points,
     near_origin_queries,
-    parse_exponent,
     planted_pairs_dataset,
     read_pairs_truth,
     read_points,
@@ -31,17 +29,24 @@ from floorlsh.lpspace import lp_distances, lp_norm
 
 
 class TestExponentFormat:
-    def test_round_trip(self):
-        for p in (1.0, 1.5, 2.0, 17.25, math.inf):
-            assert parse_exponent(format_exponent(p)) == p
-        assert format_exponent(math.inf) == "inf"
-        assert parse_exponent("Infinity") == math.inf
+    """The exponent in a point file's header: ``inf`` or its decimal repr."""
 
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            format_exponent(0.5)
-        with pytest.raises(ValueError):
-            parse_exponent("0.25")
+    def test_round_trip(self, tmp_path):
+        path = tmp_path / "points.txt"
+        for p in (1.0, 1.5, 2.0, 17.25, math.inf):
+            write_points(path, np.zeros((1, 2)), p)
+            assert read_points(path)[1] == p
+        assert path.read_text().splitlines()[0] == "1 2 inf"
+        path.write_text("1 2 Infinity\n0 0\n")
+        assert read_points(path)[1] == math.inf
+
+    def test_rejects_out_of_range(self, tmp_path):
+        path = tmp_path / "points.txt"
+        with pytest.raises(ValueError, match="norm exponent"):
+            write_points(path, np.zeros((1, 2)), 0.5)
+        path.write_text("1 2 0.25\n0 0\n")
+        with pytest.raises(ValueError, match="norm exponent"):
+            read_points(path)
 
 
 class TestPointFile:
@@ -73,7 +78,10 @@ class TestPointFile:
         ("0 2 2\n1 2\n", "more rows than its header's n = 0"),
         ("-1 2 2\n", "negative size -1 x 2"),
         ("1 -2 2\n", "negative size 1 x -2"),
-    ], ids=["extra-row", "extra-row-at-n-0", "negative-n", "negative-d"])
+        # no array is sized from an unchecked header
+        ("1000000000000000 2 2\n1 2\n", "row 1 in .* has 0 values, expected 2"),
+        ("1 1000000000000000 2\n1 2\n", "row 0 in .* has 2 values, expected 1000000000000000"),
+    ], ids=["extra-row", "extra-row-at-n-0", "negative-n", "negative-d", "huge-n", "huge-d"])
     def test_rejects_a_header_that_does_not_count_the_rows(self, tmp_path, text, message):
         path = tmp_path / "bad.txt"
         path.write_text(text)

@@ -161,7 +161,6 @@ class TestEstimateVerdicts:
         return AntiConcEstimate(
             kind=FamilyKind.UNIFORM_CUBE,
             d=4,
-            x=np.ones(4),
             alpha=0.1,
             trials=100,
             hits=50,

@@ -6,12 +6,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from floorlsh.data import write_jsonl
 from floorlsh.exact import (
     RecallRecord,
     ground_truth,
     range_search_exact,
     recall_report,
-    write_recall_jsonl,
 )
 
 POINTS = np.array([[0.0, 0.0], [3.0, 4.0], [6.0, 8.0]])
@@ -117,7 +117,7 @@ class TestJsonlWriters:
         index = _stub_index([[(1, 1.0), (2, 5.830951894845301)], [], [(0, 0.0)]])
         queries = np.array([[3.0, 3.0], [50.0, 50.0], [0.0, 0.0]])
         path = tmp_path / "audit.jsonl"
-        write_recall_jsonl(path, recall_report(index, POINTS, queries))
+        write_jsonl(path, map(vars, recall_report(index, POINTS, queries)))
         assert path.read_bytes() == (
             b'{"query_id": 0, "returned": [1, 2], "recall": 1.0, "precision": 0.5, '
             b'"missing": [], "extraneous": [2], "candidates_scanned": 2}\n'
@@ -132,7 +132,7 @@ class TestJsonlWriters:
             RecallRecord(3, (5,), 1.0, 1.0, (), (), 9)
         ]
         path = tmp_path / "audit.jsonl"
-        write_recall_jsonl(path, records)
+        write_jsonl(path, map(vars, records))
         payload = json.loads(path.read_text().splitlines()[0])
         assert payload == {
             "query_id": 3,

@@ -111,10 +111,9 @@ class TestChooseLevels:
                     assert n * fp ** (level - 1) > d * (1.0 - 1e-9)
 
     def test_rejects_unusable_bounds(self):
-        with pytest.raises(ValueError):
-            choose_levels(Variant.FAST_QUERY, 100, 8, 1.0)
-        with pytest.raises(ValueError):
-            choose_levels(Variant.FAST_QUERY, 100, 8, 0.0)
+        for bound in (None, 1.0, 0.0, math.nan):
+            with pytest.raises(ValueError, match="explicit level count"):
+                choose_levels(Variant.FAST_QUERY, 100, 8, bound)
         with pytest.raises(ValueError):
             choose_levels(Variant.FAST_QUERY, 0, 8, 0.5)
         with pytest.raises(ValueError):
@@ -239,6 +238,33 @@ class TestStorageLayout:
         assert LshIndex.build(points, cfg).entry_count == entries
         with pytest.raises(ValueError, match=f"{entries} entries"):
             LshIndex.build(points, replace(cfg, max_entries=entries - 1))
+
+    def test_memory_guard_refuses_a_query_that_would_probe_past_it(self):
+        """50 points build into 50 entries at 30 levels, but a query's
+        ranges multiply to 3^30 probe keys; it is refused before any key of
+        its batch is folded.  A guard at a query's exact probe count admits
+        it."""
+        points = _cloud(n=50, d=8)
+        c = 2.0 * c_threshold(FamilyKind.UNIT_SPHERE, 2.0, 8)
+        deep = LshIndex.build(points, _config(d=8, c=c, kind=FamilyKind.UNIT_SPHERE, levels=30))
+        assert deep.entry_count == 50
+        _, counts = label_ranges(deep._w_matrix, deep._scale, points[:1], deep._probe_bounds)
+        assert math.prod(counts[0].tolist()) == 3**30
+        with pytest.raises(ValueError, match=f"probe {3**30} buckets, above the max_entries"):
+            deep.query(points[0])
+        with pytest.raises(ValueError, match="above the max_entries guard of 10000000"):
+            deep.query_batch(points[:5])
+        # the row of one key sorts first, yet nothing is folded
+        fold = _Fingerprinter(7, 2).fold(np.zeros((2, 2), np.int64), np.array([[2, 2], [1, 1]]), 3)
+        with pytest.raises(ValueError, match="probe 4 buckets"):
+            next(fold)
+        cfg = _config(d=8, levels=8)
+        probes = LshIndex.build(points, cfg).query(points[0]).stats.buckets_probed
+        assert probes > len(points)
+        guarded = LshIndex.build(points, replace(cfg, max_entries=probes))
+        assert guarded.query(points[0]).stats.buckets_probed == probes
+        with pytest.raises(ValueError, match=f"probe {probes} buckets"):
+            LshIndex.build(points, replace(cfg, max_entries=probes - 1)).query(points[0])
 
     def test_far_rows_are_refused_on_the_ranged_side_only(self):
         """A point whose rounding margin would reach a quarter label is
