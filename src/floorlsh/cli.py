@@ -393,7 +393,8 @@ def run_query(params: dict) -> int:
     elapsed = time.perf_counter() - started
 
     lines = (
-        {"query_id": query_id, "neighbors": result.neighbors, **vars(result.stats)}
+        {"query_id": query_id, "neighbors": result.neighbors,
+         **dataclasses.asdict(result.stats)}
         for query_id, result in enumerate(results)
     )
     write_jsonl(out, lines)
@@ -439,7 +440,14 @@ def run_bench_index(params: dict) -> int:
             c = mult * tau
             for variant in params["variants"]:
                 for master_seed in params["master_seeds"]:
-                    index = _build_index(params, points, p, kind, variant, c, master_seed)
+                    try:
+                        index = _build_index(params, points, p, kind, variant, c, master_seed)
+                    except ValueError as error:
+                        raise ValueError(
+                            f"bench-index cell kind {kind.value}, variant {variant.value}, "
+                            f"c = {c:.6g} (multiplier {mult:g}), master seed {master_seed}: "
+                            f"{error}"
+                        ) from None
                     started = time.perf_counter()
                     results = index.query_batch(queries)
                     query_seconds = time.perf_counter() - started

@@ -43,6 +43,7 @@ from .lpspace import (
     dual_exponent,
     lp_distances,
     lp_norm,
+    norm_sandwich_factor,
     rounding_gamma,
     scalar_products,
 )
@@ -62,7 +63,8 @@ _MAX_ROUNDING = 0.25
 #: Rounds up a nonnegative value computed by a few roundings to nearest:
 #: 1 + 2^-48 exceeds 1/(1 - u)^k for every k up to 31.
 _ROUND_UP = 1.0 + 2.0**-48
-_SIDES = np.array([-1.0, 1.0])
+#: The signs of v - M and v + M, each side a contiguous (n, L) plane.
+_SIDES = np.array([-1.0, 1.0])[:, None, None]
 _SIDES.flags.writeable = False
 #: The cube family's constant: a coordinate uniform on (-1, 1) has standard
 #: deviation 1/sqrt(3).
@@ -93,7 +95,7 @@ def hash_scale(kind: FamilyKind, p: float, d: int) -> float:
     if kind in (FamilyKind.RADEMACHER, FamilyKind.UNIFORM_CUBE):
         return float(d) ** (1.0 / p - 1.0)
     if kind is FamilyKind.UNIT_SPHERE:
-        return float(d) ** min(0.5 - 1.0 / dual_exponent(p), 0.0)
+        return norm_sandwich_factor(dual_exponent(p), d)
     return 1.0
 
 
@@ -419,8 +421,17 @@ def label_ranges(
     what: str = "points",
 ) -> tuple[np.ndarray, np.ndarray]:
     """The label ranges of the rows of ``points`` under the (L, d) vectors
-    ``w_matrix``: (lo, counts), two (n, L) int64 arrays; row i holds the
-    labels lo[i, l] + j for 0 <= j < counts[i, l] at level l.
+    ``w_matrix``: ``Labeller(w_matrix, scale, reach_bounds)(points, what)``."""
+    return Labeller(w_matrix, scale, reach_bounds)(points, what)
+
+
+class Labeller:
+    """The label ranges of rows under the (L, d) vectors ``w_matrix``, with
+    what the rounding margin takes from the vectors alone computed once.
+
+    Called on (n, d) ``points`` it gives (lo, counts), two (n, L) int64
+    arrays; row i holds the labels lo[i, l] + j for 0 <= j < counts[i, l] at
+    level l.
 
     Each projection v = scale * <w_l, x>, and each sum_j |w_j x_j|, is a
     :func:`floorlsh.lpspace.scalar_products` sum, so a row's labels depend
@@ -445,42 +456,69 @@ def label_ranges(
     2^50 / (d + 4), so a level's range holds at most ceil(2 R + 1/2) + 1
     labels: 4 for the families' r_l <= 1, however far a row lies.
     """
-    n, d = points.shape
-    if reach_bounds is not None:
-        gamma = rounding_gamma(d + 2)
-        weight = 2.0 * (gamma + 2.0 * UNIT_ROUNDOFF) * scale * _ROUND_UP
-        widened = reach_bounds * ((1.0 + gamma) * _ROUND_UP)
-    step = max(1, _CHUNK_VALUES // (d + 2 * len(w_matrix)))
-    chunks = []
-    for start in range(0, max(n, 1), step):  # an empty batch is one empty chunk
-        rows = points[start : start + step]
-        # non-finite inputs and overflows are reported by the range check
-        with np.errstate(invalid="ignore", over="ignore"):
-            bounds = scale * scalar_products("ij,kj->ik", rows, w_matrix)[:, :, None]
-            if reach_bounds is not None:
-                # M = weight * sum_j |w_j x_j| + widened R
-                spreads = weight * scalar_products("ij,kj->ik", np.abs(rows), np.abs(w_matrix))
-                rounding = spreads.max(initial=0.0)
-                bounds = bounds + (spreads + widened)[:, :, None] * _SIDES
-        # a non-finite coordinate always makes a bound non-finite, so it is
-        # only looked for once the range check fails
-        if bounds.size and not np.abs(bounds).max() < _EXACT_LABEL_LIMIT:
-            if not np.isfinite(rows).all():
-                raise ValueError(f"{what} must have finite coordinates")
-            raise ValueError(
-                f"{what} reach |scale*<w,x>| >= 2^53, beyond which labels are not "
-                "exact integers"
-            )
-        if reach_bounds is not None and rounding >= _MAX_ROUNDING:
-            raise ValueError(
-                f"{what} lie too far from the origin: the rounding margin of "
-                f"scale*<w,x> reaches {rounding:.3g} of a label, at most "
-                f"{_MAX_ROUNDING} is allowed (scale*sum_j |w_j x_j| below about "
-                f"2^50/(d+4))"
-            )
-        chunks.append(np.floor(bounds).astype(np.int64))
-    floors = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-    return floors[:, :, 0], floors[:, :, -1] - floors[:, :, 0] + 1
+
+    def __init__(
+        self, w_matrix: np.ndarray, scale: float, reach_bounds: np.ndarray | None = None
+    ) -> None:
+        levels, d = w_matrix.shape
+        self.w_matrix, self.scale, self.abs_w = w_matrix, scale, None
+        self.step = max(1, _CHUNK_VALUES // (d + 2 * levels))
+        # a scale in (0, 1] cannot overflow scale * <w, x> or meet 0 * inf;
+        # with R below 2^53, only a row that the rounding check refuses can
+        # overflow v +- M or meet inf - inf.  Anything else is computed under
+        # np.errstate, so no warning comes before the checks say what is wrong
+        self.safe = 0.0 < scale <= 1.0
+        if reach_bounds is not None:
+            gamma = rounding_gamma(d + 2)
+            self.abs_w = np.abs(w_matrix)
+            self.weight = 2.0 * (gamma + 2.0 * UNIT_ROUNDOFF) * scale * _ROUND_UP
+            self.widened = reach_bounds * ((1.0 + gamma) * _ROUND_UP)
+            self.safe &= bool((self.widened < _EXACT_LABEL_LIMIT).all())
+
+    def __call__(self, points: np.ndarray, what: str = "points") -> tuple[np.ndarray, np.ndarray]:
+        chunks = []
+        for start in range(0, max(len(points), 1), self.step):  # an empty batch is one empty chunk
+            rows = points[start : start + self.step]
+            bounds, rounding = self._bounds(rows, guarded=False)
+            if bounds is None:
+                with np.errstate(invalid="ignore", over="ignore"):
+                    bounds, rounding = self._bounds(rows, guarded=True)
+            # a non-finite coordinate always makes a bound non-finite, so it
+            # is only looked for once the range check fails
+            if bounds.size and not np.maximum.reduce(np.abs(bounds), None) < _EXACT_LABEL_LIMIT:
+                if not np.isfinite(rows).all():
+                    raise ValueError(f"{what} must have finite coordinates")
+                raise ValueError(
+                    f"{what} reach |scale*<w,x>| >= 2^53, beyond which labels are not "
+                    "exact integers"
+                )
+            if rounding >= _MAX_ROUNDING:
+                raise ValueError(
+                    f"{what} lie too far from the origin: the rounding margin of "
+                    f"scale*<w,x> reaches {rounding:.3g} of a label, at most "
+                    f"{_MAX_ROUNDING} is allowed (scale*sum_j |w_j x_j| below about "
+                    f"2^50/(d+4))"
+                )
+            chunks.append(np.floor(bounds).astype(np.int64))
+        floors = chunks[0] if len(chunks) == 1 else np.concatenate(chunks, axis=1)
+        return floors[0], floors[-1] - floors[0] + 1
+
+    def _bounds(self, rows: np.ndarray, guarded: bool) -> tuple[np.ndarray | None, float]:
+        """The (1, m, L) own-label bounds of ``rows``, or their (2, m, L)
+        range bounds, and the largest rounding part of the margins (0 for
+        own labels).  Unless ``guarded`` by np.errstate, bounds whose
+        arithmetic could warn are not computed, and None stands for them."""
+        if not (guarded or self.safe):
+            return None, 0.0
+        bounds = self.scale * scalar_products("ij,kj->ik", rows, self.w_matrix)[None]
+        if self.abs_w is None:
+            return bounds, 0.0
+        # M = weight * sum_j |w_j x_j| + widened R
+        spreads = self.weight * scalar_products("ij,kj->ik", np.abs(rows), self.abs_w)
+        rounding = np.maximum.reduce(spreads, None, initial=0.0)
+        if not (guarded or rounding < _MAX_ROUNDING):
+            return None, rounding
+        return bounds + (spreads + self.widened) * _SIDES, rounding
 
 
 def adjacency_certificate(h: HashFunction, x: np.ndarray, y: np.ndarray) -> bool:

@@ -53,6 +53,7 @@ import numpy as np
 from .families import (
     PROVEN_ADJACENCY_KINDS,
     FamilyKind,
+    Labeller,
     c_threshold,
     false_positive_bound,
     label_ranges,
@@ -73,8 +74,11 @@ DEFAULT_MAX_ENTRIES = 10_000_000
 
 _CHUNK_ENTRIES = 1 << 20
 
-_MIX_MULT_1 = np.uint64(0xFF51AFD7ED558CCD)
-_MIX_MULT_2 = np.uint64(0xC4CEB9FE1A85EC53)
+#: The mixer's constants, as 0-d arrays: a numpy scalar operand costs each
+#: ufunc call a conversion.
+_MIX_MULT_1 = np.array(0xFF51AFD7ED558CCD, dtype=np.uint64)
+_MIX_MULT_2 = np.array(0xC4CEB9FE1A85EC53, dtype=np.uint64)
+_MIX_SHIFTS = tuple(np.array(shift, dtype=np.uint64) for shift in (33, 29, 32))
 
 #: Ids are int32, so an index holds fewer than 2^31 points.
 _MAX_POINTS = 2**31
@@ -241,7 +245,7 @@ class BuildStats:
     approx_bytes: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QueryStats:
     buckets_probed: int
     candidates_scanned: int
@@ -249,7 +253,7 @@ class QueryStats:
     duplicates_suppressed: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QueryResult:
     """Verified neighbors (id, distance), sorted by distance then id."""
 
@@ -258,11 +262,12 @@ class QueryResult:
 
 
 def _mix64(values: np.ndarray) -> np.ndarray:
-    values ^= values >> 33
+    first, second, third = _MIX_SHIFTS
+    values ^= values >> first
     values *= _MIX_MULT_1
-    values ^= values >> 29
+    values ^= values >> second
     values *= _MIX_MULT_2
-    values ^= values >> 32
+    values ^= values >> third
     return values
 
 
@@ -280,12 +285,13 @@ def _entry_total(counts: np.ndarray, max_entries: int) -> int:
     return int(total)
 
 
-def _occupied_cells(sorted_keys: np.ndarray) -> tuple[np.uint64, np.ndarray]:
+def _occupied_cells(sorted_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(shift, occupied): whether each of the 2^k cells ``key >> shift`` of
     the key space holds a stored key, one byte per cell; with
-    k = bit_length(entries - 1) + 3 at most one cell in 8 does."""
+    k = bit_length(entries - 1) + 3 at most one cell in 8 does.  The shift
+    is a 0-d uint64 array."""
     bits = (sorted_keys.size - 1).bit_length() + 3
-    shift = np.uint64(64 - bits)
+    shift = np.array(64 - bits, dtype=np.uint64)
     occupied = np.zeros(1 << bits, dtype=bool)
     occupied[sorted_keys >> shift] = True
     return shift, occupied
@@ -307,7 +313,7 @@ class _Fingerprinter:
 
     def __init__(self, master_seed: int, levels: int) -> None:
         base = 1 << 48
-        self.init = np.uint64(derive_seed(master_seed, base))
+        self.init = np.array(derive_seed(master_seed, base), dtype=np.uint64)
         self.mults = np.array(
             [derive_seed(master_seed, base + 2 + 2 * i) | 1 for i in range(levels)],
             dtype=np.uint64,
@@ -360,15 +366,21 @@ class _Fingerprinter:
                     # laid out level by level so that it reduces whole rows
                     own = np.multiply(first[start : start + block].T.view(np.uint64),
                                       self.mults[:, None], order="C")
-                    yield rows, np.bitwise_xor.reduce(_mix64(own ^ self.init))[:, None]
+                    own ^= self.init
+                    yield rows, np.bitwise_xor.reduce(_mix64(own))[:, None]
                     continue
                 labels = first[start : start + block, :, None] + np.arange(max(widths))
-                # mixed[r, l, j]: row r's level-l label lo + j, mixed
-                mixed = _mix64((labels.view(np.uint64) * self.mults[:, None]) ^ self.init)
-                keys = mixed[:, 0, : widths[0]]
-                for level in range(1, levels):
-                    step = mixed[:, level, None, : widths[level]]
-                    keys = (keys[:, :, None] ^ step).reshape(len(rows), -1)
+                # mixed[r, l, j]: row r's level-l label lo + j, mixed in place
+                mixed = labels.view(np.uint64)
+                mixed *= self.mults[:, None]
+                mixed ^= self.init
+                _mix64(mixed)
+                # from the last level up, so that each XOR runs along the
+                # keys made so far, its longest axis, and level 0 varies slowest
+                keys, m = mixed[:, -1, : widths[-1]], len(rows)
+                for level in range(levels - 2, -1, -1):
+                    step = mixed[:, level, : widths[level], None]
+                    keys = (step ^ keys[:, None, :]).reshape(m, -1)
                 yield rows, keys
 
 
@@ -410,6 +422,7 @@ class LshIndex:
         lo, counts = label_ranges(
             self._w_matrix, self._scale, points, bounds if ranged else None
         )
+        self._label_queries = Labeller(self._w_matrix, self._scale, None if ranged else bounds)
         total_entries = _entry_total(counts, config.max_entries)
         tags = _tag_mask(total_entries)
         keys = np.empty(total_entries, dtype=np.uint64)
@@ -423,14 +436,13 @@ class LshIndex:
         ids = np.empty(total_entries, dtype=np.int32)
         np.bitwise_and(keys, tags, out=ids, casting="unsafe")
         keys &= ~tags
-        self._entry_keys, self._entry_ids, self._key_mask = keys, ids, ~tags
+        self._entry_keys, self._entry_ids, self._key_mask = keys, ids, np.array(~tags)
         # queries only read the index, so they may run concurrently
         for array in (points, keys, ids):
             array.flags.writeable = False
         held = points.nbytes + self._w_matrix.nbytes + keys.nbytes + ids.nbytes
-        self._probe_bounds = self._occupied = None
+        self._occupied = None
         if not ranged:
-            self._probe_bounds = bounds
             self._cell_shift, self._occupied = _occupied_cells(keys)
             held += self._occupied.nbytes
         self.stats = BuildStats(0.0, total_entries, _bucket_count(keys), held)
@@ -504,8 +516,8 @@ class LshIndex:
         """:meth:`query` for every row of ``queries``, answer for answer.
 
         Labels, folds and bucket searches run over the whole batch at once,
-        so a batch pays their fixed cost of 50-90 calls once; candidates
-        are then verified query by query, at about 25 calls each.  A
+        so a batch pays their fixed cost of 40-60 calls once; candidates
+        are then verified query by query, at about 18 calls each.  A
         query's labels do not depend on its batch.
         """
         queries = np.asarray(queries, dtype=np.float64)
@@ -513,9 +525,7 @@ class LshIndex:
             raise ValueError(
                 f"queries have shape {queries.shape}, expected (m, {self.config.d})"
             )
-        lo, counts = label_ranges(
-            self._w_matrix, self._scale, queries, self._probe_bounds, "queries"
-        )
+        lo, counts = self._label_queries(queries, "queries")
         results = [None] * len(queries)
         for rows, probes in self._fingerprinter.fold(lo, counts, self.config.max_entries):
             pulled, starts, stops = self._lookup(probes)
@@ -539,15 +549,20 @@ class LshIndex:
             return self._entry_ids, starts.tolist(), stops.tolist()
         # most of the many probes of a ranged query find no bucket; only
         # those into an occupied cell of the key space are searched, and
-        # only those that find their key are searched for its end
-        hits = self._occupied[probes >> self._cell_shift].nonzero()[0]
-        first = entry_keys.searchsorted(probes[hits])
-        found = (entry_keys[np.minimum(first, entry_keys.size - 1)] == probes[hits]).nonzero()[0]
+        # only those that find their key are searched for its end.  Cells
+        # are indexed through an intp view, which numpy reads as it is; a
+        # uint64 index array it casts first
+        hits = self._occupied[(probes >> self._cell_shift).view(np.intp)].nonzero()[0]
+        probed = probes[hits]
+        first = entry_keys.searchsorted(probed)
+        found = (entry_keys.take(first, mode="clip") == probed).nonzero()[0]
         starts, hits = first[found], hits[found]
-        counts = entry_keys.searchsorted(probes[hits], side="right") - starts
-        ends = counts.cumsum()
-        gather = np.arange(counts.sum()) + (starts - ends + counts).repeat(counts)
-        bounds = np.concatenate(([0], ends))[hits.searchsorted(np.arange(rows + 1) * width)]
+        counts = entry_keys.searchsorted(probed[found], side="right") - starts
+        # offsets[i]: where the run of the i-th found probe starts in the gather
+        offsets = np.zeros(len(counts) + 1, dtype=np.intp)
+        counts.cumsum(out=offsets[1:])
+        gather = np.arange(offsets[-1]) + (starts - offsets[:-1]).repeat(counts)
+        bounds = offsets[hits.searchsorted(np.arange(rows + 1) * width)]
         return self._entry_ids[gather], bounds[:-1].tolist(), bounds[1:].tolist()
 
     def _verify(self, query: np.ndarray, pulled: np.ndarray, probes: int) -> QueryResult:
@@ -558,15 +573,17 @@ class LshIndex:
             pulled.sort()
         candidates = pulled
         repeats = pulled[1:] == pulled[:-1]
-        if repeats.any():
+        # argmax finds a first repeat for less than any() costs
+        if repeats.size and repeats[repeats.argmax()]:
             candidates = np.concatenate((pulled[:1], pulled[1:][~repeats]))
         stats = QueryStats(probes, pulled.size, candidates.size, pulled.size - candidates.size)
         distances = lp_distances(self.points[candidates], query, self.config.p)
-        keep = distances <= self.config.c
-        ids, distances = candidates[keep], distances[keep]
-        # candidates ascend by id, so a stable sort orders by (distance, id)
+        # candidates ascend by id, so a stable sort orders by (distance, id),
+        # and the neighbors are the sorted prefix within c
         order = distances.argsort(kind="stable")
-        neighbors = list(zip(ids[order].tolist(), distances[order].tolist()))
+        distances = distances[order]
+        within = distances.searchsorted(self.config.c, side="right")
+        neighbors = list(zip(candidates[order[:within]].tolist(), distances[:within].tolist()))
         return QueryResult(neighbors, stats)
 
     # -- serialization ------------------------------------------------------

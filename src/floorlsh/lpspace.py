@@ -20,6 +20,11 @@ import math
 
 import numpy as np
 
+try:  # einsum's C entry point, which np.einsum calls without optimize
+    from numpy._core.multiarray import c_einsum as _c_einsum
+except ImportError:  # numpy < 2
+    from numpy.core.multiarray import c_einsum as _c_einsum
+
 #: Smallest Euclidean norm whose square is a normal double (2^-511).
 SQRT_TINY = math.sqrt(np.finfo(np.float64).tiny)
 #: Unit roundoff u of doubles: rounding to nearest moves a result by at most
@@ -46,10 +51,14 @@ def scalar_products(subscripts: str, a, b, out: np.ndarray | None = None) -> np.
     ``np.einsum`` on C-contiguous float64 copies of a and b.  einsum never
     calls BLAS and sums in an order set by the operands' length and layout,
     so on C-contiguous rows a product depends only on its two rows and the
-    numpy build: not on the CPU's BLAS kernel, the thread count or a batch."""
+    numpy build: not on the CPU's BLAS kernel, the thread count or a batch.
+    It calls einsum's C function, the one ``np.einsum`` hands its operands
+    to, so it gives the same bits without that wrapper's Python calls."""
     a = np.ascontiguousarray(a, dtype=np.float64)
     b = np.ascontiguousarray(b, dtype=np.float64)
-    return np.einsum(subscripts, a, b, out=out)
+    if out is None:
+        return _c_einsum(subscripts, a, b)
+    return _c_einsum(subscripts, a, b, out=out)
 
 
 def lp_distances(points: np.ndarray, query: np.ndarray, p: float) -> np.ndarray:
@@ -68,12 +77,13 @@ def lp_distances(points: np.ndarray, query: np.ndarray, p: float) -> np.ndarray:
         # rows whose norm is inf, or under 2^-511 while the row is nonzero,
         # are redone rescaled from |diff| and every other row keeps its bits.
         # The gate runs on every verified query, so it uses argmax/argmin,
-        # which cost less than reductions, and counts nonzero entries only in
-        # the rows under 2^-511; a stored point queried as itself is zeros.
+        # which cost less than reductions.  A stored point queried as itself
+        # is one row of zeros, the least: the gate reads that row alone and
+        # sends a second row under 2^-511 to the redo, which keeps zero rows
         if distances.size and (
             not distances[distances.argmax()] < math.inf
-            or distances[distances.argmin()] < SQRT_TINY
-            and np.count_nonzero(diff[distances < SQRT_TINY])
+            or distances[low := distances.argmin()] < SQRT_TINY
+            and (np.count_nonzero(diff[low]) or np.count_nonzero(distances < SQRT_TINY) > 1)
         ):
             peak = np.abs(diff, out=diff).max(axis=1)
             redo = (distances == math.inf) & (peak < math.inf)

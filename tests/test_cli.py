@@ -30,7 +30,7 @@ from floorlsh.estimation import (
     LEVY_COLUMNS,
     FarPairShape,
 )
-from floorlsh.families import FamilyKind
+from floorlsh.families import FamilyKind, c_threshold
 from floorlsh.index import IndexConfig, LshIndex, Variant
 
 
@@ -732,6 +732,24 @@ class TestBenchIndex:
         assert code == 2
         assert "lq_sphere_experimental has no collision threshold" in capsys.readouterr().err
         assert builds == []
+        assert not out.exists()
+
+    def test_a_cell_over_the_entry_guard_is_named(self, tmp_path, capsys):
+        """One cell over the max_entries guard stops the grid with exit 2,
+        and the message names the cell: its kind, variant, c, multiplier and
+        master seed, before the guard's own words."""
+        dataset = _gen_gaussian(tmp_path, n=300)
+        out = tmp_path / "bench.csv"
+        code = main(["bench-index", "--dataset", str(dataset), "--queries", str(dataset),
+                     "--kinds", "uniform_cube,unit_sphere", "--variants",
+                     "fast_query,fast_preprocessing", "--c-multipliers", "1.5,3",
+                     "--master-seeds", "1,2", "--out", str(out)])
+        assert code == 2
+        c = 1.5 * c_threshold(FamilyKind.UNIT_SPHERE, 2.0, 6)
+        assert (
+            f"error: bench-index cell kind unit_sphere, variant fast_query, c = {c:.6g} "
+            "(multiplier 1.5), master seed 1: build would store 17714700 entries"
+        ) in capsys.readouterr().err
         assert not out.exists()
 
     def test_mean_buckets_probed_is_the_rows_real_probe_count(self, tmp_path):

@@ -711,12 +711,18 @@ class TestLabelRanges:
     @pytest.mark.parametrize("value, message", [(math.nan, "finite"), (math.inf, "finite"),
                                                 (1e300, "2\\^53"), (1e18, "2\\^53")])
     def test_unusable_rows_are_rejected(self, value, message):
+        """Also at a scale above 1, where scale*<w,x> can overflow, and with
+        a reach bound past 2^53: the error comes with no RuntimeWarning
+        before it, which tier-1 turns into an error."""
         w = _vectors(FamilyKind.UNIFORM_CUBE, 2.0, 4, 3)
         points = np.zeros((3, 4))
         points[1] = value
-        for ranges in (None, np.full(3, 0.5)):
-            with pytest.raises(ValueError, match=message):
-                label_ranges(w, 0.5, points, ranges)
+        for scale in (0.5, 2.0**40):
+            for ranges in (None, np.full(3, 0.5)):
+                with pytest.raises(ValueError, match=message):
+                    label_ranges(w, scale, points, ranges)
+        with pytest.raises(ValueError, match=message):
+            label_ranges(w, 0.5, points, np.full(3, 1e300))
 
 
 def _unit_steps(w, p, x):

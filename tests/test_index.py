@@ -1,10 +1,12 @@
 """Tests for the bucket index: level selection, storage layouts, the
 no-false-negative query guarantee, and the binary image format."""
 
+import dataclasses
 import gc
 import hashlib
 import itertools
 import math
+import pickle
 import struct
 import sys
 import tracemalloc
@@ -248,7 +250,7 @@ class TestStorageLayout:
         c = 2.0 * c_threshold(FamilyKind.UNIT_SPHERE, 2.0, 8)
         deep = LshIndex.build(points, _config(d=8, c=c, kind=FamilyKind.UNIT_SPHERE, levels=30))
         assert deep.entry_count == 50
-        _, counts = label_ranges(deep._w_matrix, deep._scale, points[:1], deep._probe_bounds)
+        _, counts = deep._label_queries(points[:1])
         assert math.prod(counts[0].tolist()) == 3**30
         with pytest.raises(ValueError, match=f"probe {3**30} buckets, above the max_entries"):
             deep.query(points[0])
@@ -595,7 +597,7 @@ class TestQueryGuarantees:
         points = _cloud(n=300, seed=6)
         index = LshIndex.build(points, _config(variant=variant))
         far = _cloud(n=200, seed=11, spread=40.0)
-        lo, counts = label_ranges(index._w_matrix, index._scale, far, index._probe_bounds)
+        lo, counts = index._label_queries(far)
 
         def finds_nothing(row):
             [(_, keys)] = index._fingerprinter.fold(lo[row : row + 1], counts[row : row + 1])
@@ -606,7 +608,7 @@ class TestQueryGuarantees:
 
         lonely = far[next(row for row in range(len(far)) if finds_nothing(row))]
         batch = np.vstack([points[:30] + 0.02, lonely, far[:20], points[40:50] - 0.3])
-        widths = label_ranges(index._w_matrix, index._scale, batch, index._probe_bounds)[1]
+        widths = index._label_queries(batch)[1]
         if variant is Variant.FAST_PREPROCESSING:
             assert len(np.unique(widths, axis=0)) > 1
         results = index.query_batch(batch)
@@ -620,7 +622,7 @@ class TestQueryGuarantees:
             assert [(dist, i) for i, dist in result.neighbors if dist <= 1.0] == expected
 
     @pytest.mark.parametrize(
-        "variant, budget", [(Variant.FAST_QUERY, 77), (Variant.FAST_PREPROCESSING, 110)]
+        "variant, budget", [(Variant.FAST_QUERY, 56), (Variant.FAST_PREPROCESSING, 78)]
     )
     def test_a_query_stays_within_its_call_budget(self, variant, budget):
         """One query on a 500-point, L = 4 index makes at most ``budget``
@@ -634,7 +636,7 @@ class TestQueryGuarantees:
         assert calls <= budget, calls
 
     @pytest.mark.parametrize(
-        "variant, budget", [(Variant.FAST_QUERY, 2553), (Variant.FAST_PREPROCESSING, 3185)]
+        "variant, budget", [(Variant.FAST_QUERY, 1839), (Variant.FAST_PREPROCESSING, 2436)]
     )
     def test_a_batch_stays_within_its_call_budget(self, variant, budget):
         """A batch of 100 queries on the same index makes at most ``budget``
@@ -644,6 +646,27 @@ class TestQueryGuarantees:
         results, calls = _counted_calls(index.query_batch, points[:100] + 0.05)
         assert all(result.neighbors for result in results)
         assert calls <= budget, calls
+
+    def test_a_result_pickles_and_compares_by_value(self):
+        """QueryResult and QueryStats are frozen slotted dataclasses: a
+        result survives pickling, equals the same query answered again, and
+        takes no attribute beyond its fields."""
+        points = _cloud(n=200, seed=3)
+        index = LshIndex.build(points, _config(variant=Variant.FAST_PREPROCESSING, levels=3))
+        result = index.query(points[7] + 0.05)
+        assert result.neighbors and result.stats.buckets_probed > 1
+        copy = pickle.loads(pickle.dumps(result))
+        assert copy == result == index.query(points[7] + 0.05)
+        assert hash(copy.stats) == hash(result.stats)
+        assert result != replace(result, neighbors=result.neighbors[1:])
+        assert result.stats != replace(result.stats, distance_evals=0)
+        for value in (result, result.stats):
+            assert not hasattr(value, "__dict__")
+            with pytest.raises(AttributeError):
+                setattr(value, dataclasses.fields(value)[0].name, None)
+            # Python 3.11's frozen slotted dataclasses raise TypeError here
+            with pytest.raises((AttributeError, TypeError)):
+                value.extra = 1
 
     @pytest.mark.parametrize("variant", list(Variant))
     def test_a_point_met_twice_is_verified_once(self, variant):

@@ -191,6 +191,17 @@ class TestLpDistances:
         got = lp_distances(_POINTS * magnitude, _ORIGIN, 2.0)
         np.testing.assert_allclose(got, [0.0, 5.0 * magnitude, 10.0 * magnitude], rtol=1e-15, atol=0.0)
 
+    @pytest.mark.parametrize("rows", [[0, 1], [1, 0], [0, 0], [0, 0, 1], [1, 0, 0], [1]])
+    def test_zero_rows_beside_underflowing_rows(self, rows):
+        """A stored point queried as itself is a row of zeros.  Beside it,
+        in either order, a row whose squares underflow is still redone, and
+        every row gets the distance it gets alone."""
+        query = np.zeros(3)
+        points = np.array([[0.0, 0.0, 0.0], [3e-170, 4e-170, 0.0]])[rows]
+        got = lp_distances(points, query, 2.0).tolist()
+        assert got == [lp_distances(row[None, :], query, 2.0)[0] for row in points]
+        assert got == [5e-170 if row else 0.0 for row in rows]
+
     @given(
         st.floats(min_value=1.0, max_value=2000.0),
         st.integers(min_value=-200, max_value=200),
